@@ -2,11 +2,13 @@
 //! DESIGN.md calls out: probe cost vs hash count k, and counting-filter
 //! maintenance vs the plain filter.
 
-use sc_bloom::{BloomFilter, CountingBloomFilter, FilterConfig};
+use sc_bloom::{BloomFilter, CountingBloomFilter, FilterConfig, UrlKey};
 use sc_util::bench::{black_box, Bench};
 
-fn url(i: u32) -> Vec<u8> {
-    format!("http://server-{}.trace.invalid/doc/{}", i / 12, i).into_bytes()
+/// A freshly digested key: each operation's row includes the one MD5
+/// digest a request pays for its URL.
+fn url(i: u32) -> UrlKey {
+    UrlKey::new(format!("http://server-{}.trace.invalid/doc/{}", i / 12, i).as_bytes())
 }
 
 fn bench_ops(b: &mut Bench) {
@@ -16,7 +18,7 @@ fn bench_ops(b: &mut Bench) {
         let mut f = BloomFilter::new(cfg);
         let mut i = 0u32;
         b.bench("insert", || {
-            f.insert(black_box(&url(i)));
+            f.insert_key(black_box(&url(i)));
             i = i.wrapping_add(1);
         });
     }
@@ -24,27 +26,29 @@ fn bench_ops(b: &mut Bench) {
     {
         let mut f = BloomFilter::new(cfg);
         for i in 0..100_000 {
-            f.insert(&url(i));
+            f.insert_key(&url(i));
         }
         let mut i = 0u32;
         b.bench("query-hit", || {
-            black_box(f.contains(black_box(&url(i % 100_000))));
+            black_box(f.contains_key(black_box(&url(i % 100_000))));
             i = i.wrapping_add(1);
         });
         let mut i = 1_000_000u32;
         b.bench("query-miss", || {
-            black_box(f.contains(black_box(&url(i))));
+            black_box(f.contains_key(black_box(&url(i))));
             i = i.wrapping_add(1);
         });
     }
 
     {
         let mut f = CountingBloomFilter::new(cfg);
+        let mut flips = Vec::new();
         let mut i = 0u32;
         b.bench("counting/insert+remove", || {
             let u = url(i);
-            f.insert(black_box(&u));
-            f.remove(black_box(&u));
+            flips.clear();
+            f.insert_key_into(black_box(&u), &mut flips);
+            f.remove_key_into(black_box(&u), &mut flips);
             i = i.wrapping_add(1);
         });
     }
@@ -60,11 +64,11 @@ fn bench_k_sweep(b: &mut Bench) {
         };
         let mut f = BloomFilter::new(cfg);
         for i in 0..50_000 {
-            f.insert(&url(i));
+            f.insert_key(&url(i));
         }
         let mut i = 0u32;
         b.bench(&format!("probe-vs-k/{k}"), || {
-            black_box(f.contains(black_box(&url(i))));
+            black_box(f.contains_key(black_box(&url(i))));
             i = i.wrapping_add(1);
         });
     }
@@ -75,14 +79,15 @@ fn bench_k_sweep(b: &mut Bench) {
 fn bench_delta(b: &mut Bench) {
     let cfg = FilterConfig::with_load_factor(100_000, 8, 4);
     let mut f = CountingBloomFilter::new(cfg);
+    let mut flips = Vec::new();
     for i in 0..100_000 {
-        f.insert(&url(i));
+        f.insert_key_into(&url(i), &mut flips);
     }
     let baseline = f.bits().clone();
     // 1% churn.
     for i in 0..1_000 {
-        f.remove(&url(i));
-        f.insert(&url(200_000 + i));
+        f.remove_key_into(&url(i), &mut flips);
+        f.insert_key_into(&url(200_000 + i), &mut flips);
     }
     b.bench("delta-diff-1%churn", || {
         black_box(baseline.diff_indices(black_box(f.bits())));
@@ -107,7 +112,7 @@ fn bench_alternatives(b: &mut Bench) {
     // load-factor-16 operating point).
     let mut f = BloomFilter::new(FilterConfig::with_load_factor(50_000, 16, 4));
     for i in 0..50_000 {
-        f.insert(&url(i));
+        f.insert_key(&url(i));
     }
     b.bench("bitmap/golomb-compress", || {
         black_box(sc_bloom::compress(black_box(f.bits())));

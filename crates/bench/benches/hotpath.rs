@@ -7,11 +7,10 @@
 //! `BENCH_hotpath.json` at the repo root. Under plain `cargo test` the
 //! suite runs with a tiny window and writes no file.
 
-use sc_bloom::{BitVec, FilterConfig, Flip, HashSpec};
+use sc_bloom::{FilterConfig, Flip};
 use sc_json::Value;
 use sc_proxy::machine::{Event, VirtualTime};
 use sc_proxy::router::Router;
-use sc_proxy::shard::{owner_of, shard_of, Shard, ShardEvent};
 use sc_proxy::simnet::{Sim, SimConfig};
 use sc_util::bench::{black_box, Bench};
 use sc_wire::icp::{DirContent, DirUpdate, IcpMessage};
@@ -33,7 +32,7 @@ fn table_with_peers(n: u32) -> PeerTable {
         let mut s = ProxySummary::with_expected_docs(SummaryKind::recommended(), 256);
         for j in 0..200u32 {
             let doc = id * 1_000 + j;
-            s.insert(&url(doc), &server(doc));
+            s.insert_key(&UrlKey::new(&url(doc)), &UrlKey::new(&server(doc)));
         }
         s.publish();
         table.install(id, s.snapshot_published());
@@ -104,11 +103,6 @@ fn bench_probe_all(b: &mut Bench, results: &mut Vec<(String, Value)>) {
         let table = table_with_peers(peers);
         let probe_url = url(3_007); // in peer 3's directory
         let probe_server = server(3_007);
-
-        let ns = b.bench(&format!("probe-all/{peers}-peers/bytes"), || {
-            black_box(table.probe_all(black_box(&probe_url), black_box(&probe_server)));
-        });
-        results.push((format!("probe-all/{peers}-peers/bytes"), Value::Float(ns)));
 
         // The key path includes key construction each iteration: this is
         // the full per-request cost, hashed once and probed everywhere.
@@ -291,200 +285,6 @@ fn bench_simnet(results: &mut Vec<(String, Value)>) {
     results.push(("e2e/ns-per-request".into(), Value::Float(ns_per_request)));
 }
 
-/// One pre-routed event for a shard lane in the throughput model.
-enum LaneEvent<'a> {
-    Insert(&'a UrlKey),
-    Apply { from: u32, update: &'a DirUpdate },
-}
-
-/// Shard-runtime scaling, measured with the critical-path lane model
-/// (DESIGN.md §13): the full workload — local directory inserts plus
-/// peer DIRUPDATE streams — is pre-routed into per-shard lanes exactly
-/// as the router would route it (`shard_of` for keys, `owner_of` for
-/// publishers), each lane is timed in isolation, and the control lane
-/// (the router's publish OR-merge + diff) is timed once. The reported
-/// cost per event is `(control + max(lane)) / events`: the wall-clock
-/// a perfectly scheduled N-core run cannot beat, measurable on any
-/// machine regardless of its actual core count.
-fn bench_mt_throughput(results: &mut Vec<(String, Value)>) {
-    const DOCS: usize = 8_192; // local inserts (load factor 8 below)
-    const BITS: u32 = 65_536;
-    // 512 inserts (6.25% directory churn) per publish merge — inside
-    // the paper's 1–10% update-delay band (Section V-D).
-    const PUBLISH_EVERY: usize = 512;
-    const PEERS: u32 = 8; // remote publishers
-    const DELTAS_PER_PEER: u32 = 256;
-    const FLIPS_PER_DELTA: u32 = 320; // the paper's per-datagram batch
-    const REPS: usize = 7;
-
-    let spec = HashSpec::paper_default(4, BITS).expect("valid spec");
-    let fcfg = FilterConfig { bits: BITS, hashes: 4, function_bits: 32 };
-    let words = BITS as usize / 64;
-
-    let keys: Vec<UrlKey> = (0..DOCS as u32).map(|i| UrlKey::new(&url(i))).collect();
-
-    // Each peer publishes one install bitmap, then an in-sequence delta
-    // stream with deterministic (xorshift) flip indices.
-    let mut peer_updates: Vec<Vec<DirUpdate>> = Vec::new();
-    for peer in 0..PEERS {
-        let mut stream = vec![DirUpdate {
-            function_num: 4,
-            function_bits: 32,
-            bit_array_size: BITS,
-            generation: peer + 1,
-            seq: 0,
-            content: DirContent::Bitmap(vec![0u64; words]),
-        }];
-        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(peer as u64 + 1);
-        for seq in 1..=DELTAS_PER_PEER {
-            let flips = (0..FLIPS_PER_DELTA)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    Flip::set((state % BITS as u64) as u32)
-                })
-                .collect();
-            stream.push(DirUpdate {
-                function_num: 4,
-                function_bits: 32,
-                bit_array_size: BITS,
-                generation: peer + 1,
-                seq,
-                content: DirContent::Flips(flips),
-            });
-        }
-        peer_updates.push(stream);
-    }
-
-    // The global schedule: deltas interleaved round-robin among the
-    // inserts, so every lane sees a realistic mix.
-    let applies = (PEERS * (DELTAS_PER_PEER + 1)) as usize;
-    let every = DOCS / applies;
-    let mut schedule: Vec<(Option<usize>, Option<(u32, usize)>)> = Vec::new();
-    let mut next_delta = vec![0usize; PEERS as usize];
-    let mut turn = 0u32;
-    for i in 0..DOCS {
-        schedule.push((Some(i), None));
-        if i % every == every - 1 {
-            for _ in 0..PEERS {
-                let peer = turn % PEERS;
-                turn += 1;
-                let at = next_delta[peer as usize];
-                if at < peer_updates[peer as usize].len() {
-                    next_delta[peer as usize] = at + 1;
-                    schedule.push((None, Some((peer, at))));
-                    break;
-                }
-            }
-        }
-    }
-    let total_events: u64 =
-        schedule.iter().filter(|(a, b)| a.is_some() || b.is_some()).count() as u64;
-
-    let mut per_shards: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        // Pre-route, exactly as the router would.
-        let mut lanes: Vec<Vec<LaneEvent<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-        for &(ins, app) in &schedule {
-            if let Some(i) = ins {
-                lanes[shard_of(&keys[i], shards)].push(LaneEvent::Insert(&keys[i]));
-            }
-            if let Some((peer, at)) = app {
-                lanes[owner_of(peer, shards)].push(LaneEvent::Apply {
-                    from: peer,
-                    update: &peer_updates[peer as usize][at],
-                });
-            }
-        }
-
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let mut shard_state: Vec<Shard> =
-                (0..shards).map(|i| Shard::new(i, Some(fcfg))).collect();
-            let mut out = Vec::new();
-
-            // Data plane: each lane timed alone on its own shard.
-            let mut slowest_lane = 0f64;
-            for (i, lane) in lanes.iter().enumerate() {
-                let t = Instant::now();
-                for ev in lane {
-                    match *ev {
-                        LaneEvent::Insert(key) => {
-                            shard_state[i].handle(ShardEvent::Insert { url: key }, &mut out);
-                        }
-                        // The clone stands in for per-datagram payload
-                        // materialization; identical at every shard
-                        // count, so ratios are unaffected.
-                        LaneEvent::Apply { from, update } => {
-                            shard_state[i].handle(
-                                ShardEvent::Apply {
-                                    now: VirtualTime::ZERO,
-                                    from,
-                                    spec,
-                                    update: update.clone(),
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
-                    out.clear();
-                }
-                slowest_lane = slowest_lane.max(t.elapsed().as_secs_f64());
-            }
-
-            // Control lane: the router's publish schedule — OR-merge
-            // every slice, diff against the published baseline, build
-            // the flip batch (router.rs `publish_update`, verbatim
-            // costs), replayed against the settled shard state.
-            let publishes = DOCS / PUBLISH_EVERY;
-            let mut baseline = BitVec::new(BITS as usize);
-            let t = Instant::now();
-            for _ in 0..publishes {
-                let mut merged = vec![0u64; words];
-                for shard in &shard_state {
-                    if let Some(slice) = shard.local_bits() {
-                        for (acc, &w) in merged.iter_mut().zip(slice.as_words()) {
-                            *acc |= w;
-                        }
-                    }
-                }
-                let merged = BitVec::from_words(BITS as usize, merged);
-                let diff = baseline.diff_indices(&merged);
-                let flips: Vec<Flip> = diff
-                    .iter()
-                    .map(|&i| {
-                        if merged.get(i) {
-                            Flip::set(i as u32)
-                        } else {
-                            Flip::clear(i as u32)
-                        }
-                    })
-                    .collect();
-                black_box(&flips);
-                baseline = merged;
-            }
-            let control = t.elapsed().as_secs_f64();
-
-            best = best.min(control + slowest_lane);
-        }
-
-        let ns_per_event = best * 1e9 / total_events as f64;
-        println!("hotpath/e2e/mt-throughput shards-{shards}: {ns_per_event:.1} ns/event");
-        results.push((
-            format!("e2e/mt-throughput/shards-{shards}"),
-            Value::Float(ns_per_event),
-        ));
-        per_shards.push((shards, ns_per_event));
-    }
-    let one = per_shards[0].1;
-    let eight = per_shards.last().expect("ran 8-shard row").1;
-    println!(
-        "hotpath/e2e/mt-throughput scaling 1->8 shards: {:.2}x aggregate throughput",
-        one / eight
-    );
-}
-
 fn main() {
     let mut b = Bench::new("hotpath");
     let mut results: Vec<(String, Value)> = Vec::new();
@@ -494,7 +294,6 @@ fn main() {
     bench_probe_all(&mut b, &mut results);
     bench_breakdown(&mut b, &mut results);
     bench_simnet(&mut results);
-    bench_mt_throughput(&mut results);
 
     // Tracked JSON output: only when the driver asks for it
     // (`scripts/bench.sh` sets SC_BENCH_JSON to the repo-root path), so

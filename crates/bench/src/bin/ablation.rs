@@ -146,7 +146,7 @@ fn main() {
                 function_bits: 32,
             });
             for i in 0..n {
-                f.insert(format!("http://s{}/d{i}", i % 97).as_bytes());
+                f.insert_key(&sc_bloom::UrlKey::new(format!("http://s{}/d{i}", i % 97).as_bytes()));
             }
             let raw = wire_cost::bloom_full_bytes(65_536);
             let coded = sc_bloom::compress::compressed_bytes(&sc_bloom::compress(f.bits()));

@@ -106,101 +106,61 @@ impl CountingBloomFilter {
         }
     }
 
-    /// Insert `key`, returning the bit positions that flipped 0→1.
+    /// Insert a pre-hashed key, appending the bit positions that flipped
+    /// 0→1 to `flips` (which is *not* cleared, so a caller's warm scratch
+    /// buffer is reused across calls).
     ///
     /// The flips are what the owning proxy appends to its
     /// [`crate::DeltaLog`] for the next directory-update message.
-    pub fn insert(&mut self, key: &[u8]) -> Vec<Flip> {
-        let idx = self.spec.indices(key);
-        let mut flips = Vec::with_capacity(idx.len());
-        self.insert_at(&idx, &mut flips);
-        flips
-    }
-
-    /// Insert a pre-hashed key; see [`insert`](Self::insert).
-    pub fn insert_key(&mut self, key: &UrlKey) -> Vec<Flip> {
-        let mut flips = Vec::with_capacity(self.spec.k() as usize);
-        self.insert_key_into(key, &mut flips);
-        flips
-    }
-
-    /// Insert a pre-hashed key, appending its 0→1 flips to `flips`
-    /// (which is *not* cleared) — the allocation-free twin of
-    /// [`insert_key`](Self::insert_key) for callers holding a warm
-    /// scratch buffer on the steady-state request path.
     pub fn insert_key_into(&mut self, key: &UrlKey, flips: &mut Vec<Flip>) {
         let spec = self.spec;
-        key.with_indices(&spec, |idx| self.insert_at(idx, flips));
-    }
-
-    fn insert_at(&mut self, indices: &[u32], flips: &mut Vec<Flip>) {
-        for &i in indices {
-            let i = i as usize;
-            let c = self.count(i);
-            if c == self.max_count {
-                self.saturations += 1;
-                continue; // paper: "simply let it stay at 15"
+        key.with_indices(&spec, |indices| {
+            for &i in indices {
+                let i = i as usize;
+                let c = self.count(i);
+                if c == self.max_count {
+                    self.saturations += 1;
+                    continue; // paper: "simply let it stay at 15"
+                }
+                self.set_count(i, c.saturating_add(1).min(self.max_count));
+                if c == 0 {
+                    self.bits.set(i, true);
+                    flips.push(Flip::set(i as u32));
+                }
             }
-            self.set_count(i, c.saturating_add(1).min(self.max_count));
-            if c == 0 {
-                self.bits.set(i, true);
-                flips.push(Flip::set(i as u32));
-            }
-        }
+        });
         self.keys += 1;
     }
 
-    /// Remove `key`, returning the bit positions that flipped 1→0.
+    /// Remove a pre-hashed key, appending the bit positions that flipped
+    /// 1→0 to `flips` (which is *not* cleared).
     ///
     /// Removing a key that was never inserted corrupts the filter, exactly
     /// as in the paper's Squid prototype; an underflow (decrement of a
     /// zero counter) is recorded and skipped rather than wrapping.
-    pub fn remove(&mut self, key: &[u8]) -> Vec<Flip> {
-        let idx = self.spec.indices(key);
-        let mut flips = Vec::with_capacity(idx.len());
-        self.remove_at(&idx, &mut flips);
-        flips
-    }
-
-    /// Remove a pre-hashed key; see [`remove`](Self::remove).
-    pub fn remove_key(&mut self, key: &UrlKey) -> Vec<Flip> {
-        let mut flips = Vec::with_capacity(self.spec.k() as usize);
-        self.remove_key_into(key, &mut flips);
-        flips
-    }
-
-    /// Remove a pre-hashed key, appending its 1→0 flips to `flips`
-    /// (which is *not* cleared) — the allocation-free twin of
-    /// [`remove_key`](Self::remove_key).
     pub fn remove_key_into(&mut self, key: &UrlKey, flips: &mut Vec<Flip>) {
         let spec = self.spec;
-        key.with_indices(&spec, |idx| self.remove_at(idx, flips));
-    }
-
-    fn remove_at(&mut self, indices: &[u32], flips: &mut Vec<Flip>) {
-        for &i in indices {
-            let i = i as usize;
-            let c = self.count(i);
-            if c == 0 {
-                self.underflows += 1;
-                continue;
+        key.with_indices(&spec, |indices| {
+            for &i in indices {
+                let i = i as usize;
+                let c = self.count(i);
+                if c == 0 {
+                    self.underflows += 1;
+                    continue;
+                }
+                self.set_count(i, c.saturating_sub(1));
+                if c == 1 {
+                    self.bits.set(i, false);
+                    flips.push(Flip::clear(i as u32));
+                }
             }
-            self.set_count(i, c.saturating_sub(1));
-            if c == 1 {
-                self.bits.set(i, false);
-                flips.push(Flip::clear(i as u32));
-            }
-        }
+        });
         self.keys = self.keys.saturating_sub(1);
     }
 
-    /// Membership query against the derived bit vector.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.spec.indices(key).iter().all(|&i| self.bits.get(i as usize))
-    }
-
-    /// Membership query with a pre-hashed key; zero MD5 work when the
-    /// key already memoized this filter's spec.
+    /// Membership query against the derived bit vector, with a
+    /// pre-hashed key; zero MD5 work when the key already memoized this
+    /// filter's spec.
     pub fn contains_key(&self, key: &UrlKey) -> bool {
         key.with_indices(&self.spec, |idx| {
             idx.iter().all(|&i| self.bits.get(i as usize))
@@ -259,24 +219,38 @@ mod tests {
         FilterConfig::with_load_factor(keys, lf, 4)
     }
 
-    fn url(i: u32) -> Vec<u8> {
-        format!("http://s{}.example/{}", i % 31, i).into_bytes()
+    fn url(i: u32) -> UrlKey {
+        UrlKey::new(format!("http://s{}.example/{}", i % 31, i).as_bytes())
+    }
+
+    /// Insert `key`, returning just this call's 0→1 flips.
+    fn insert_flips(f: &mut CountingBloomFilter, key: &UrlKey) -> Vec<Flip> {
+        let mut flips = Vec::new();
+        f.insert_key_into(key, &mut flips);
+        flips
+    }
+
+    /// Remove `key`, returning just this call's 1→0 flips.
+    fn remove_flips(f: &mut CountingBloomFilter, key: &UrlKey) -> Vec<Flip> {
+        let mut flips = Vec::new();
+        f.remove_key_into(key, &mut flips);
+        flips
     }
 
     #[test]
     fn insert_then_remove_restores_empty() {
         let mut f = CountingBloomFilter::new(cfg(500, 8));
         for i in 0..500 {
-            f.insert(&url(i));
+            insert_flips(&mut f, &url(i));
         }
         for i in 0..500 {
-            f.remove(&url(i));
+            remove_flips(&mut f, &url(i));
         }
         assert_eq!(f.bits().count_ones(), 0, "all bits cleared");
         assert_eq!(f.len(), 0);
         assert_eq!(f.underflows(), 0);
         for i in 0..500 {
-            assert!(!f.contains(&url(i)));
+            assert!(!f.contains_key(&url(i)));
         }
     }
 
@@ -284,14 +258,14 @@ mod tests {
     fn no_false_negatives_while_present() {
         let mut f = CountingBloomFilter::new(cfg(1000, 8));
         for i in 0..1000 {
-            f.insert(&url(i));
+            insert_flips(&mut f, &url(i));
         }
         // Remove half; the surviving half must still be present.
         for i in 0..500 {
-            f.remove(&url(i));
+            remove_flips(&mut f, &url(i));
         }
         for i in 500..1000 {
-            assert!(f.contains(&url(i)), "false negative for live key {i}");
+            assert!(f.contains_key(&url(i)), "false negative for live key {i}");
         }
     }
 
@@ -305,7 +279,7 @@ mod tests {
         };
         let mut f = CountingBloomFilter::new(config);
         for i in 0..40u32 {
-            f.insert(&url(i));
+            insert_flips(&mut f, &url(i));
         }
         assert_eq!(f.count(0), 15, "clamped at the 4-bit maximum");
         assert_eq!(f.saturations(), 40 - 15);
@@ -313,16 +287,16 @@ mod tests {
         // though keys conceptually remain — the paper's accepted false
         // negative after clamping.
         for i in 0..15u32 {
-            f.remove(&url(i));
+            remove_flips(&mut f, &url(i));
         }
         assert_eq!(f.count(0), 0);
-        assert!(!f.contains(&url(20)));
+        assert!(!f.contains_key(&url(20)));
     }
 
     #[test]
     fn underflow_is_counted_not_wrapped() {
         let mut f = CountingBloomFilter::new(cfg(10, 8));
-        f.remove(b"never inserted");
+        remove_flips(&mut f, &UrlKey::new(b"never inserted"));
         assert_eq!(f.underflows(), 4, "one underflow per hash function");
         assert_eq!(f.bits().count_ones(), 0);
     }
@@ -330,14 +304,15 @@ mod tests {
     #[test]
     fn flips_describe_bit_transitions() {
         let mut f = CountingBloomFilter::new(cfg(100, 16));
-        let first = f.insert(b"k1");
+        let k1 = UrlKey::new(b"k1");
+        let first = insert_flips(&mut f, &k1);
         assert!(!first.is_empty(), "fresh insert sets bits");
         assert!(first.iter().all(|fl| fl.set_bit()));
-        let dup = f.insert(b"k1");
+        let dup = insert_flips(&mut f, &k1);
         assert!(dup.is_empty(), "re-insert touches no bits");
-        let one = f.remove(b"k1");
+        let one = remove_flips(&mut f, &k1);
         assert!(one.is_empty(), "one copy still present");
-        let gone = f.remove(b"k1");
+        let gone = remove_flips(&mut f, &k1);
         assert_eq!(
             gone.iter().map(|fl| fl.index()).collect::<BTreeSet<_>>(),
             first.iter().map(|fl| fl.index()).collect::<BTreeSet<_>>(),
@@ -351,13 +326,13 @@ mod tests {
         for width in [1u8, 2, 3, 5, 8] {
             let mut f = CountingBloomFilter::with_counter_bits(cfg(100, 8), width);
             for i in 0..100 {
-                f.insert(&url(i));
+                insert_flips(&mut f, &url(i));
             }
             for i in 0..100 {
-                assert!(f.contains(&url(i)), "width {width}, key {i}");
+                assert!(f.contains_key(&url(i)), "width {width}, key {i}");
             }
             for i in 0..100 {
-                f.remove(&url(i));
+                remove_flips(&mut f, &url(i));
             }
             // Width 1 clamps constantly (max count = 1), so bits may clear
             // early, but wider counters must come back clean.
@@ -394,11 +369,11 @@ mod tests {
             let mut live: Vec<u32> = Vec::new();
             for (key, is_insert) in ops {
                 if is_insert {
-                    f.insert(&url(key));
+                    insert_flips(&mut f, &url(key));
                     live.push(key);
                 } else if let Some(pos) = live.iter().position(|&k| k == key) {
                     live.swap_remove(pos);
-                    f.remove(&url(key));
+                    remove_flips(&mut f, &url(key));
                 }
             }
             if f.saturations() != 0 {
@@ -406,7 +381,7 @@ mod tests {
             }
             let mut plain = crate::BloomFilter::new(config);
             for &k in &live {
-                plain.insert(&url(k));
+                plain.insert_key(&url(k));
             }
             assert_eq!(f.bits(), plain.bits());
             for i in 0..64usize {
@@ -439,11 +414,10 @@ mod tests {
             let mut live: Vec<u32> = Vec::new();
 
             for _ in 0..rng.gen_range(20..300usize) {
-                let insert = live.is_empty() || rng.gen_bool(0.55);
-                if insert {
+                if live.is_empty() || rng.gen_bool(0.55) {
                     let key = rng.gen_range(0u32..32);
-                    f.insert(&url(key));
-                    for &i in &spec.indices(&url(key)) {
+                    insert_flips(&mut f, &url(key));
+                    for &i in &spec.indices(url(key).bytes()) {
                         let c = &mut model[i as usize];
                         if *c == max {
                             model_saturations += 1;
@@ -455,8 +429,8 @@ mod tests {
                 } else {
                     let pos = rng.gen_range(0..live.len());
                     let key = live.swap_remove(pos);
-                    f.remove(&url(key));
-                    for &i in &spec.indices(&url(key)) {
+                    remove_flips(&mut f, &url(key));
+                    for &i in &spec.indices(url(key).bytes()) {
                         let c = &mut model[i as usize];
                         // Clamped counters still decrement — the paper's
                         // accepted false-negative path — and a counter a

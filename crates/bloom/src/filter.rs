@@ -83,14 +83,6 @@ impl BloomFilter {
         self.spec
     }
 
-    /// Insert `key`; duplicate inserts are harmless.
-    pub fn insert(&mut self, key: &[u8]) {
-        for i in self.spec.indices(key) {
-            self.bits.set(i as usize, true);
-        }
-        self.inserted += 1;
-    }
-
     /// Insert a pre-hashed key; duplicate inserts are harmless.
     pub fn insert_key(&mut self, key: &UrlKey) {
         let spec = self.spec;
@@ -102,14 +94,10 @@ impl BloomFilter {
         self.inserted += 1;
     }
 
-    /// Membership query: `false` is definite, `true` means "probably".
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.spec.indices(key).iter().all(|&i| self.bits.get(i as usize))
-    }
-
-    /// Membership query against a pre-hashed key. When the key already
-    /// memoized this filter's spec (the hash-once probe pipeline), this
-    /// performs zero MD5 work.
+    /// Membership query against a pre-hashed key: `false` is definite,
+    /// `true` means "probably". When the key already memoized this
+    /// filter's spec (the hash-once probe pipeline), this performs zero
+    /// MD5 work.
     pub fn contains_key(&self, key: &UrlKey) -> bool {
         key.with_indices(&self.spec, |idx| {
             idx.iter().all(|&i| self.bits.get(i as usize))
@@ -167,18 +155,18 @@ mod tests {
     use super::*;
     use sc_util::Rng;
 
-    fn url(i: u32) -> Vec<u8> {
-        format!("http://server{}.example.com/doc/{}.html", i % 97, i).into_bytes()
+    fn url(i: u32) -> UrlKey {
+        UrlKey::new(format!("http://server{}.example.com/doc/{}.html", i % 97, i).as_bytes())
     }
 
     #[test]
     fn no_false_negatives_exhaustive() {
         let mut f = BloomFilter::new(FilterConfig::with_load_factor(2000, 8, 4));
         for i in 0..2000 {
-            f.insert(&url(i));
+            f.insert_key(&url(i));
         }
         for i in 0..2000 {
-            assert!(f.contains(&url(i)), "false negative for key {i}");
+            assert!(f.contains_key(&url(i)), "false negative for key {i}");
         }
     }
 
@@ -189,11 +177,11 @@ mod tests {
         let n = 10_000;
         let mut f = BloomFilter::new(FilterConfig::with_load_factor(n, 10, 4));
         for i in 0..n as u32 {
-            f.insert(&url(i));
+            f.insert_key(&url(i));
         }
         let probes = 50_000u32;
         let fp = (0..probes)
-            .filter(|&i| f.contains(&url(1_000_000 + i)))
+            .filter(|&i| f.contains_key(&url(1_000_000 + i)))
             .count();
         let rate = fp as f64 / probes as f64;
         assert!(
@@ -208,9 +196,10 @@ mod tests {
     #[test]
     fn clear_empties() {
         let mut f = BloomFilter::new(FilterConfig::with_load_factor(10, 8, 4));
-        f.insert(b"x");
+        let x = UrlKey::new(b"x");
+        f.insert_key(&x);
         f.clear();
-        assert!(!f.contains(b"x"));
+        assert!(!f.contains_key(&x));
         assert_eq!(f.bits().count_ones(), 0);
     }
 
@@ -218,11 +207,11 @@ mod tests {
     fn remote_view_roundtrip() {
         let mut local = BloomFilter::new(FilterConfig::with_load_factor(100, 16, 4));
         for i in 0..100 {
-            local.insert(&url(i));
+            local.insert_key(&url(i));
         }
         let remote = BloomFilter::from_parts(local.spec(), local.bits().clone());
         for i in 0..100 {
-            assert!(remote.contains(&url(i)));
+            assert!(remote.contains_key(&url(i)));
         }
     }
 
@@ -235,7 +224,7 @@ mod tests {
         for _ in 0..50 {
             let key = url(rng.gen_range(0..1_000_000));
             let before = a.bits().clone();
-            a.insert(&key);
+            a.insert_key(&key);
             for i in before.diff_indices(a.bits()) {
                 assert!(b.apply_flip(i as u32, true));
             }

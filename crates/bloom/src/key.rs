@@ -255,8 +255,9 @@ mod tests {
         assert_eq!(sc_md5::blocks_hashed() - before, 0);
     }
 
-    /// Satellite property: precomputed-key probe ≡ byte-slice probe for
-    /// random specs and keys, including `w < 32` and overflow widths.
+    /// Satellite property: the filters' key paths set, flip and test
+    /// exactly the bits [`HashSpec::indices`] derives from the raw bytes,
+    /// for random specs and keys, including `w < 32` and overflow widths.
     #[test]
     fn prop_key_probe_equals_byte_probe() {
         check("urlkey_probe_equals_byte_probe", 200, |rng| {
@@ -268,43 +269,52 @@ mod tests {
                 hashes: k,
                 function_bits: w,
             };
-            let mut by_bytes = BloomFilter::new(config);
-            let mut by_key = BloomFilter::new(config);
-            let mut counting_bytes = CountingBloomFilter::new(config);
-            let mut counting_key = CountingBloomFilter::new(config);
+            let spec = config.hash_spec().expect("valid spec");
+            let mut reference = crate::BitVec::new(bits as usize);
+            let mut plain = BloomFilter::new(config);
+            let mut counting = CountingBloomFilter::new(config);
+            let mut flips = Vec::new();
             let keys: Vec<Vec<u8>> = (0..rng.gen_range(1..40usize))
                 .map(|i| format!("http://s{}.example/{}", i % 5, rng.gen_range(0u32..500)).into_bytes())
                 .collect();
             for kb in &keys {
-                by_bytes.insert(kb);
-                by_key.insert_key(&UrlKey::new(kb));
-                assert_eq!(
-                    counting_bytes.insert(kb),
-                    counting_key.insert_key(&UrlKey::new(kb)),
-                    "insert flips diverge (k={k} w={w} m={bits})"
-                );
+                let mut expected = Vec::new();
+                for &i in &spec.indices(kb) {
+                    if reference.set(i as usize, true) {
+                        expected.push(crate::Flip::set(i));
+                    }
+                }
+                plain.insert_key(&UrlKey::new(kb));
+                flips.clear();
+                counting.insert_key_into(&UrlKey::new(kb), &mut flips);
+                assert_eq!(flips, expected, "insert flips diverge (k={k} w={w} m={bits})");
             }
-            assert_eq!(by_bytes.bits(), by_key.bits());
-            assert_eq!(counting_bytes.bits(), counting_key.bits());
+            assert_eq!(plain.bits(), &reference);
+            assert_eq!(counting.bits(), &reference);
             for kb in &keys {
                 let uk = UrlKey::new(kb);
-                assert!(by_bytes.contains_key(&uk));
-                assert_eq!(counting_bytes.contains(kb), counting_key.contains_key(&uk));
+                assert!(plain.contains_key(&uk));
+                assert!(counting.contains_key(&uk));
             }
             for _ in 0..20 {
                 let probe = format!("http://absent/{}", rng.gen_range(0u32..1_000_000)).into_bytes();
+                let expected = spec.indices(&probe).iter().all(|&i| reference.get(i as usize));
                 let uk = UrlKey::new(&probe);
-                assert_eq!(by_bytes.contains(&probe), by_key.contains_key(&uk));
-                assert_eq!(counting_bytes.contains(&probe), counting_key.contains_key(&uk));
+                assert_eq!(plain.contains_key(&uk), expected);
+                assert_eq!(counting.contains_key(&uk), expected);
             }
+            let mut cleared = Vec::new();
             for kb in &keys {
-                assert_eq!(
-                    counting_bytes.remove(kb),
-                    counting_key.remove_key(&UrlKey::new(kb)),
-                    "remove flips diverge (k={k} w={w} m={bits})"
-                );
+                flips.clear();
+                counting.remove_key_into(&UrlKey::new(kb), &mut flips);
+                cleared.extend(flips.iter().map(|f| f.index()));
             }
-            assert_eq!(counting_bytes.bits(), counting_key.bits());
+            if counting.saturations() == 0 {
+                cleared.sort_unstable();
+                let set: Vec<u32> = (0..bits).filter(|&i| reference.get(i as usize)).collect();
+                assert_eq!(cleared, set, "remove flips diverge (k={k} w={w} m={bits})");
+                assert_eq!(counting.bits().count_ones(), 0);
+            }
         });
     }
 }

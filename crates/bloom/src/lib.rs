@@ -36,14 +36,16 @@
 //! # Quick start
 //!
 //! ```
-//! use sc_bloom::{BloomFilter, FilterConfig};
+//! use sc_bloom::{BloomFilter, FilterConfig, UrlKey};
 //!
 //! // Size for ~1000 keys at a load factor (bits per key) of 8, 4 hashes:
 //! // the configuration the paper evaluates in Section V-D.
 //! let cfg = FilterConfig::with_load_factor(1000, 8, 4);
 //! let mut f = BloomFilter::new(cfg);
-//! f.insert(b"http://example.com/index.html");
-//! assert!(f.contains(b"http://example.com/index.html"));
+//! // Digest the URL once; every filter probes the key's memoized indices.
+//! let key = UrlKey::new(b"http://example.com/index.html");
+//! f.insert_key(&key);
+//! assert!(f.contains_key(&key));
 //! ```
 
 pub mod analysis;

@@ -36,7 +36,7 @@ pub mod update;
 pub mod wire_cost;
 
 pub use peer::{PeerId, PeerTable};
-pub use probe::{filter_candidates, filter_candidates_key, SummaryProbe};
+pub use probe::{filter_candidates_key, SummaryProbe};
 pub use representation::{SummaryKind, SummarySnapshot};
 pub use summary::{ProxySummary, PublishOutcome};
 pub use update::UpdatePolicy;

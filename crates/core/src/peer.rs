@@ -56,14 +56,8 @@ impl PeerTable {
     }
 
     /// The peers whose summaries indicate `url` might be cached there —
-    /// the set the proxy actually queries.
-    pub fn probe_all(&self, url: &[u8], server: &[u8]) -> Vec<PeerId> {
-        crate::probe::filter_candidates(self.peers.iter().map(|(&id, snap)| (id, snap)), url, server)
-    }
-
-    /// [`probe_all`](Self::probe_all) with pre-hashed keys: the URL is
-    /// hashed once and every peer's snapshot reuses the digest/memoized
-    /// indices.
+    /// the set the proxy actually queries. The URL is hashed once and
+    /// every peer's snapshot reuses the digest/memoized indices.
     pub fn probe_all_key(&self, url: &sc_bloom::UrlKey, server: &sc_bloom::UrlKey) -> Vec<PeerId> {
         crate::probe::filter_candidates_key(
             self.peers.iter().map(|(&id, snap)| (id, snap)),
@@ -84,14 +78,19 @@ mod tests {
     use super::*;
     use crate::representation::SummaryKind;
     use crate::summary::ProxySummary;
+    use sc_bloom::UrlKey;
 
     fn summary_with(urls: &[(&[u8], &[u8])], kind: SummaryKind) -> SummarySnapshot {
         let mut s = ProxySummary::new(kind, 1 << 20);
         for (u, srv) in urls {
-            s.insert(u, srv);
+            s.insert_key(&UrlKey::new(u), &UrlKey::new(srv));
         }
         s.publish();
         s.snapshot_published()
+    }
+
+    fn candidates_for(t: &PeerTable, url: &[u8], server: &[u8]) -> Vec<PeerId> {
+        t.probe_all_key(&UrlKey::new(url), &UrlKey::new(server))
     }
 
     #[test]
@@ -112,9 +111,9 @@ mod tests {
                 SummaryKind::recommended(),
             ),
         );
-        assert_eq!(t.probe_all(b"http://a/x", b"a"), vec![1, 3]);
-        assert_eq!(t.probe_all(b"http://b/y", b"b"), vec![2, 3]);
-        assert!(t.probe_all(b"http://c/z", b"c").is_empty());
+        assert_eq!(candidates_for(&t, b"http://a/x", b"a"), vec![1, 3]);
+        assert_eq!(candidates_for(&t, b"http://b/y", b"b"), vec![2, 3]);
+        assert!(candidates_for(&t, b"http://c/z", b"c").is_empty());
     }
 
     #[test]
@@ -126,7 +125,7 @@ mod tests {
         );
         assert!(t.evict(7));
         assert!(!t.evict(7));
-        assert!(t.probe_all(b"http://a/x", b"a").is_empty());
+        assert!(candidates_for(&t, b"http://a/x", b"a").is_empty());
         assert!(t.is_empty());
     }
 
@@ -159,7 +158,7 @@ mod tests {
             summary_with(&[(b"http://b/y", b"b")], SummaryKind::ExactDirectory),
         );
         assert_eq!(t.len(), 1);
-        assert!(t.probe_all(b"http://a/x", b"a").is_empty());
-        assert_eq!(t.probe_all(b"http://b/y", b"b"), vec![1]);
+        assert!(candidates_for(&t, b"http://a/x", b"a").is_empty());
+        assert_eq!(candidates_for(&t, b"http://b/y", b"b"), vec![1]);
     }
 }

@@ -2,7 +2,7 @@
 //! published snapshots peers probe.
 
 use sc_bloom::{BitVec, HashSpec, UrlKey};
-use sc_md5::{md5, Digest};
+use sc_md5::Digest;
 use std::collections::HashSet;
 
 /// Which representation a proxy summarizes its directory with.
@@ -64,22 +64,10 @@ pub enum SummarySnapshot {
 impl SummarySnapshot {
     /// Probe: might `url` (with server component `server`) be cached at
     /// the publishing proxy? `false` is definite under a fresh snapshot;
-    /// with update delay both errors are possible and tolerated.
-    pub fn probe(&self, url: &[u8], server: &[u8]) -> bool {
-        match self {
-            SummarySnapshot::Exact(set) => set.contains(&md5(url)),
-            SummarySnapshot::Server(set) => set.contains(&md5(server)),
-            SummarySnapshot::Bloom { spec, bits } => spec
-                .indices(url)
-                .iter()
-                .all(|&i| bits.get(i as usize)),
-        }
-    }
-
-    /// [`probe`](Self::probe) with pre-hashed keys: exact and server
-    /// snapshots compare the digest computed at key construction, and
-    /// Bloom snapshots reuse the key's memoized index set — no MD5 work
-    /// per probe.
+    /// with update delay both errors are possible and tolerated. Exact
+    /// and server snapshots compare the digest computed at key
+    /// construction, and Bloom snapshots reuse the key's memoized index
+    /// set — no MD5 work per probe.
     pub fn probe_key(&self, url: &UrlKey, server: &UrlKey) -> bool {
         match self {
             SummarySnapshot::Exact(set) => set.contains(url.digest()),
@@ -129,6 +117,11 @@ pub fn bloom_bits(expected_docs: u64, load_factor: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_md5::md5;
+
+    fn hit(snap: &SummarySnapshot, url: &[u8], server: &[u8]) -> bool {
+        snap.probe_key(&UrlKey::new(url), &UrlKey::new(server))
+    }
 
     #[test]
     fn labels_are_distinct() {
@@ -147,8 +140,8 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(md5(b"http://a/x"));
         let snap = SummarySnapshot::Exact(set);
-        assert!(snap.probe(b"http://a/x", b"a"));
-        assert!(!snap.probe(b"http://a/y", b"a"));
+        assert!(hit(&snap, b"http://a/x", b"a"));
+        assert!(!hit(&snap, b"http://a/y", b"a"));
     }
 
     #[test]
@@ -156,9 +149,9 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(md5(b"a"));
         let snap = SummarySnapshot::Server(set);
-        assert!(snap.probe(b"http://a/x", b"a"));
-        assert!(snap.probe(b"http://a/other", b"a"), "server-level false hit by design");
-        assert!(!snap.probe(b"http://b/x", b"b"));
+        assert!(hit(&snap, b"http://a/x", b"a"));
+        assert!(hit(&snap, b"http://a/other", b"a"), "server-level false hit by design");
+        assert!(!hit(&snap, b"http://b/x", b"b"));
     }
 
     #[test]
@@ -169,7 +162,7 @@ mod tests {
             SummaryKind::recommended(),
         ] {
             let snap = SummarySnapshot::empty(kind, 1000);
-            assert!(!snap.probe(b"http://a/x", b"a"), "{:?}", kind);
+            assert!(!hit(&snap, b"http://a/x", b"a"), "{:?}", kind);
             if matches!(kind, SummaryKind::Bloom { .. }) {
                 assert_eq!(snap.memory_bytes(), 1000, "8 bits/doc = 1 byte/doc");
             } else {

@@ -6,7 +6,7 @@ use crate::representation::{bloom_bits, SummaryKind, SummarySnapshot};
 use crate::wire_cost;
 use crate::{expected_docs, AVG_DOC_BYTES};
 use sc_bloom::{BitVec, CountingBloomFilter, FilterConfig, Flip, UrlKey};
-use sc_md5::{md5, Digest};
+use sc_md5::Digest;
 use std::collections::{HashMap, HashSet};
 
 /// What a publish produced: the wire cost and, for Bloom summaries, the
@@ -56,18 +56,21 @@ enum State {
         filter: CountingBloomFilter,
         /// Bit array as of the last publish.
         baseline: BitVec,
+        /// Reused sink for the filter's per-update flips, which publish
+        /// does not need: it diffs `baseline` against the live bits.
+        flips: Vec<Flip>,
     },
 }
 
 /// A proxy's own cache-directory summary.
 ///
-/// The owning cache calls [`ProxySummary::insert`] / [`remove`] as
-/// documents are stored and evicted; [`probe_published`] answers what a
-/// *peer* currently believes (the state as of the last publish);
+/// The owning cache calls [`ProxySummary::insert_key`] / [`remove_key`]
+/// as documents are stored and evicted; [`probe_published_key`] answers
+/// what a *peer* currently believes (the state as of the last publish);
 /// [`publish`] ships the pending changes and advances that state.
 ///
-/// [`remove`]: ProxySummary::remove
-/// [`probe_published`]: ProxySummary::probe_published
+/// [`remove_key`]: ProxySummary::remove_key
+/// [`probe_published_key`]: ProxySummary::probe_published_key
 /// [`publish`]: ProxySummary::publish
 pub struct ProxySummary {
     kind: SummaryKind,
@@ -118,6 +121,7 @@ impl ProxySummary {
                 State::Bloom {
                     filter: CountingBloomFilter::new(cfg),
                     baseline: BitVec::new(bits as usize),
+                    flips: Vec::new(),
                 }
             }
         };
@@ -185,35 +189,10 @@ impl ProxySummary {
         self.inserts_since_publish
     }
 
-    /// A document was stored in the local cache.
-    pub fn insert(&mut self, url: &[u8], server: &[u8]) {
-        match &mut self.state {
-            State::Exact {
-                set,
-                pending_add,
-                pending_remove,
-            } => {
-                let d = md5(url);
-                if set.insert(d)
-                    && !pending_remove.remove(&d) {
-                        pending_add.insert(d);
-                    }
-            }
-            State::Server { counts, .. } => {
-                *counts.entry(md5(server)).or_insert(0) += 1;
-            }
-            State::Bloom { filter, .. } => {
-                filter.insert(url);
-            }
-        }
-        self.docs += 1;
-        self.inserts_since_publish += 1;
-    }
-
-    /// [`insert`](Self::insert) with pre-hashed keys: the digests come
-    /// from key construction and Bloom indices from the key's memo, so a
-    /// request that already built its keys for probing pays no further
-    /// MD5 work to store.
+    /// A document was stored in the local cache. Keys arrive pre-hashed:
+    /// the digests come from key construction and Bloom indices from the
+    /// key's memo, so a request that already built its keys for probing
+    /// pays no further MD5 work to store.
     pub fn insert_key(&mut self, url: &UrlKey, server: &UrlKey) {
         match &mut self.state {
             State::Exact {
@@ -230,8 +209,9 @@ impl ProxySummary {
             State::Server { counts, .. } => {
                 *counts.entry(*server.digest()).or_insert(0) += 1;
             }
-            State::Bloom { filter, .. } => {
-                filter.insert_key(url);
+            State::Bloom { filter, flips, .. } => {
+                flips.clear();
+                filter.insert_key_into(url, flips);
             }
         }
         self.docs += 1;
@@ -239,35 +219,6 @@ impl ProxySummary {
     }
 
     /// A document was evicted from (or invalidated in) the local cache.
-    pub fn remove(&mut self, url: &[u8], server: &[u8]) {
-        match &mut self.state {
-            State::Exact {
-                set,
-                pending_add,
-                pending_remove,
-            } => {
-                let d = md5(url);
-                if set.remove(&d) && !pending_add.remove(&d) {
-                    pending_remove.insert(d);
-                }
-            }
-            State::Server { counts, .. } => {
-                let d = md5(server);
-                if let Some(c) = counts.get_mut(&d) {
-                    *c -= 1;
-                    if *c == 0 {
-                        counts.remove(&d);
-                    }
-                }
-            }
-            State::Bloom { filter, .. } => {
-                filter.remove(url);
-            }
-        }
-        self.docs = self.docs.saturating_sub(1);
-    }
-
-    /// [`remove`](Self::remove) with pre-hashed keys.
     pub fn remove_key(&mut self, url: &UrlKey, server: &UrlKey) {
         match &mut self.state {
             State::Exact {
@@ -289,8 +240,9 @@ impl ProxySummary {
                     }
                 }
             }
-            State::Bloom { filter, .. } => {
-                filter.remove_key(url);
+            State::Bloom { filter, flips, .. } => {
+                flips.clear();
+                filter.remove_key_into(url, flips);
             }
         }
         self.docs = self.docs.saturating_sub(1);
@@ -298,15 +250,6 @@ impl ProxySummary {
 
     /// Does the *live* directory contain `url`? (What a peer would learn
     /// by actually sending the query.)
-    pub fn probe_live(&self, url: &[u8], server: &[u8]) -> bool {
-        match &self.state {
-            State::Exact { set, .. } => set.contains(&md5(url)),
-            State::Server { counts, .. } => counts.contains_key(&md5(server)),
-            State::Bloom { filter, .. } => filter.contains(url),
-        }
-    }
-
-    /// [`probe_live`](Self::probe_live) with pre-hashed keys.
     pub fn probe_live_key(&self, url: &UrlKey, server: &UrlKey) -> bool {
         match &self.state {
             State::Exact { set, .. } => set.contains(url.digest()),
@@ -318,25 +261,6 @@ impl ProxySummary {
     /// Does the *published* view (what peers currently hold) indicate
     /// `url`? This is the probe peers evaluate locally before deciding
     /// to query.
-    pub fn probe_published(&self, url: &[u8], server: &[u8]) -> bool {
-        match &self.state {
-            State::Exact {
-                set,
-                pending_add,
-                pending_remove,
-            } => {
-                let d = md5(url);
-                (set.contains(&d) && !pending_add.contains(&d)) || pending_remove.contains(&d)
-            }
-            State::Server { published, .. } => published.contains(&md5(server)),
-            State::Bloom { filter, baseline } => {
-                let spec = filter.spec();
-                spec.indices(url).iter().all(|&i| baseline.get(i as usize))
-            }
-        }
-    }
-
-    /// [`probe_published`](Self::probe_published) with pre-hashed keys.
     pub fn probe_published_key(&self, url: &UrlKey, server: &UrlKey) -> bool {
         match &self.state {
             State::Exact {
@@ -348,7 +272,7 @@ impl ProxySummary {
                 (set.contains(d) && !pending_add.contains(d)) || pending_remove.contains(d)
             }
             State::Server { published, .. } => published.contains(server.digest()),
-            State::Bloom { filter, baseline } => {
+            State::Bloom { filter, baseline, .. } => {
                 let spec = filter.spec();
                 url.with_indices(&spec, |idx| {
                     idx.iter().all(|&i| baseline.get(i as usize))
@@ -399,7 +323,7 @@ impl ProxySummary {
                     seq,
                 }
             }
-            State::Bloom { filter, baseline } => {
+            State::Bloom { filter, baseline, .. } => {
                 let diff = baseline.diff_indices(filter.bits());
                 let delta_bytes = wire_cost::bloom_delta_bytes(diff.len());
                 let full_bytes = wire_cost::bloom_full_bytes(baseline.len());
@@ -457,7 +381,7 @@ impl ProxySummary {
                 SummarySnapshot::Exact(s)
             }
             State::Server { published, .. } => SummarySnapshot::Server(published.clone()),
-            State::Bloom { filter, baseline } => SummarySnapshot::Bloom {
+            State::Bloom { filter, baseline, .. } => SummarySnapshot::Bloom {
                 spec: filter.spec(),
                 bits: baseline.clone(),
             },
@@ -494,11 +418,16 @@ impl ProxySummary {
 mod tests {
     use super::*;
 
-    fn url(i: u32) -> (Vec<u8>, Vec<u8>) {
+    fn raw(i: u32) -> (Vec<u8>, Vec<u8>) {
         (
             format!("http://s{}.example/doc/{}", i / 10, i).into_bytes(),
             format!("s{}.example", i / 10).into_bytes(),
         )
+    }
+
+    fn url(i: u32) -> (UrlKey, UrlKey) {
+        let (u, srv) = raw(i);
+        (UrlKey::new(&u), UrlKey::new(&srv))
     }
 
     fn all_kinds() -> Vec<SummaryKind> {
@@ -514,14 +443,14 @@ mod tests {
         for kind in all_kinds() {
             let mut s = ProxySummary::new(kind, 1 << 20);
             let (u, srv) = url(1);
-            s.insert(&u, &srv);
-            assert!(s.probe_live(&u, &srv), "{kind:?}");
+            s.insert_key(&u, &srv);
+            assert!(s.probe_live_key(&u, &srv), "{kind:?}");
             assert!(
-                !s.probe_published(&u, &srv),
+                !s.probe_published_key(&u, &srv),
                 "{kind:?}: peers must not see unpublished inserts"
             );
             s.publish();
-            assert!(s.probe_published(&u, &srv), "{kind:?}");
+            assert!(s.probe_published_key(&u, &srv), "{kind:?}");
         }
     }
 
@@ -530,16 +459,16 @@ mod tests {
         for kind in all_kinds() {
             let mut s = ProxySummary::new(kind, 1 << 20);
             let (u, srv) = url(1);
-            s.insert(&u, &srv);
+            s.insert_key(&u, &srv);
             s.publish();
-            s.remove(&u, &srv);
-            assert!(!s.probe_live(&u, &srv), "{kind:?}");
+            s.remove_key(&u, &srv);
+            assert!(!s.probe_live_key(&u, &srv), "{kind:?}");
             assert!(
-                s.probe_published(&u, &srv),
+                s.probe_published_key(&u, &srv),
                 "{kind:?}: a false hit until the next publish, as in the paper"
             );
             s.publish();
-            assert!(!s.probe_published(&u, &srv), "{kind:?}");
+            assert!(!s.probe_published_key(&u, &srv), "{kind:?}");
         }
     }
 
@@ -548,8 +477,8 @@ mod tests {
         for kind in all_kinds() {
             let mut s = ProxySummary::new(kind, 1 << 20);
             let (u, srv) = url(7);
-            s.insert(&u, &srv);
-            s.remove(&u, &srv);
+            s.insert_key(&u, &srv);
+            s.remove_key(&u, &srv);
             let out = s.publish();
             assert_eq!(out.changes, 0, "{kind:?}: churn cancels to no changes");
         }
@@ -560,7 +489,7 @@ mod tests {
         let mut s = ProxySummary::new(SummaryKind::recommended(), 1 << 20);
         for i in 0..10 {
             let (u, srv) = url(i);
-            s.insert(&u, &srv);
+            s.insert_key(&u, &srv);
         }
         assert_eq!(s.fresh_docs(), 10);
         assert_eq!(s.docs(), 10);
@@ -574,18 +503,18 @@ mod tests {
         let mut s = ProxySummary::new(SummaryKind::ServerName, 1 << 20);
         let (u1, srv) = url(10); // server s1
         let (u2, _) = url(11); // same server
-        s.insert(&u1, &srv);
-        s.insert(&u2, &srv);
+        s.insert_key(&u1, &srv);
+        s.insert_key(&u2, &srv);
         s.publish();
-        s.remove(&u1, &srv);
+        s.remove_key(&u1, &srv);
         s.publish();
         assert!(
-            s.probe_published(&u1, &srv),
+            s.probe_published_key(&u1, &srv),
             "server still has one doc, so the server entry stays"
         );
-        s.remove(&u2, &srv);
+        s.remove_key(&u2, &srv);
         s.publish();
-        assert!(!s.probe_published(&u1, &srv));
+        assert!(!s.probe_published_key(&u1, &srv));
     }
 
     #[test]
@@ -595,7 +524,7 @@ mod tests {
             1 << 20,
         );
         let (u, srv) = url(3);
-        s.insert(&u, &srv);
+        s.insert_key(&u, &srv);
         let out = s.publish();
         assert!(!out.full_bitmap);
         assert!(out.changes >= 1 && out.changes <= 4);
@@ -614,7 +543,7 @@ mod tests {
         );
         for i in 0..200 {
             let (u, srv) = url(i);
-            s.insert(&u, &srv);
+            s.insert_key(&u, &srv);
         }
         let out = s.publish();
         assert!(out.full_bitmap, "delta of ~64 flips dwarfs an 8-byte bitmap");
@@ -628,19 +557,19 @@ mod tests {
             let mut s = ProxySummary::new(kind, 1 << 20);
             for i in 0..50 {
                 let (u, srv) = url(i);
-                s.insert(&u, &srv);
+                s.insert_key(&u, &srv);
             }
             s.publish();
             for i in 50..80 {
                 let (u, srv) = url(i);
-                s.insert(&u, &srv); // unpublished
+                s.insert_key(&u, &srv); // unpublished
             }
             let snap = s.snapshot_published();
             for i in 0..80 {
                 let (u, srv) = url(i);
                 assert_eq!(
-                    snap.probe(&u, &srv),
-                    s.probe_published(&u, &srv),
+                    snap.probe_key(&u, &srv),
+                    s.probe_published_key(&u, &srv),
                     "{kind:?} doc {i}"
                 );
             }
@@ -653,13 +582,13 @@ mod tests {
         assert_eq!(s.generation(), 1, "usable before the owner assigns one");
         s.set_generation(0xDEAD);
         let (u, srv) = url(1);
-        s.insert(&u, &srv);
+        s.insert_key(&u, &srv);
         let first = s.publish();
         assert_eq!((first.generation, first.seq), (0xDEAD, 1));
         // Transport-allocated numbers (chunking, heartbeats) interleave.
         assert_eq!(s.advance_seq(), 2);
         let (u2, srv2) = url(2);
-        s.insert(&u2, &srv2);
+        s.insert_key(&u2, &srv2);
         let second = s.publish();
         assert_eq!((second.generation, second.seq), (0xDEAD, 3));
         // A new generation restarts numbering; 0 is coerced to 1.
@@ -668,56 +597,63 @@ mod tests {
         assert_eq!(s.publish().seq, 1);
     }
 
-    /// Key-based insert/remove/probe must track the byte-based paths
-    /// exactly for every representation, through publish boundaries and
-    /// the pending-add/pending-remove bookkeeping.
+    /// The key ops land exactly where the retained primitives say, for
+    /// every representation, through publish boundaries and the
+    /// pending-add/pending-remove bookkeeping: the published snapshot
+    /// equals one built directly from `md5` and `HashSpec::indices` over
+    /// the live documents.
     #[test]
-    fn key_ops_equal_byte_ops_for_all_kinds() {
+    fn key_ops_match_a_reference_built_from_primitives() {
         for kind in all_kinds() {
-            let mut by_bytes = ProxySummary::new(kind, 1 << 20);
-            let mut by_key = ProxySummary::new(kind, 1 << 20);
-            let step = |s: &mut ProxySummary, key: bool, op: u8, i: u32| {
-                let (u, srv) = url(i);
-                let (uk, sk) = (UrlKey::new(&u), UrlKey::new(&srv));
-                match (op, key) {
-                    (0, false) => s.insert(&u, &srv),
-                    (0, true) => s.insert_key(&uk, &sk),
-                    (_, false) => s.remove(&u, &srv),
-                    (_, true) => s.remove_key(&uk, &sk),
-                }
-            };
+            let mut s = ProxySummary::new(kind, 1 << 20);
+            let mut live = std::collections::BTreeSet::new();
             // insert 0..30, publish, remove evens, insert 40..50,
             // re-insert 2 (exercises pending cancellation), publish.
-            let script: Vec<(u8, u32)> = (0..30)
-                .map(|i| (0u8, i))
-                .chain((0..30).step_by(2).map(|i| (1u8, i)))
-                .chain((40..50).map(|i| (0u8, i)))
-                .chain([(0u8, 2)])
+            let script: Vec<(bool, u32)> = (0..30)
+                .map(|i| (true, i))
+                .chain((0..30).step_by(2).map(|i| (false, i)))
+                .chain((40..50).map(|i| (true, i)))
+                .chain([(true, 2)])
                 .collect();
-            for (n, &(op, i)) in script.iter().enumerate() {
-                step(&mut by_bytes, false, op, i);
-                step(&mut by_key, true, op, i);
+            for (n, &(insert, i)) in script.iter().enumerate() {
+                let (uk, sk) = url(i);
+                if insert {
+                    s.insert_key(&uk, &sk);
+                    live.insert(i);
+                } else {
+                    s.remove_key(&uk, &sk);
+                    live.remove(&i);
+                }
                 if n == 29 {
-                    assert_eq!(by_bytes.publish(), by_key.publish(), "{kind:?}");
+                    s.publish();
                 }
             }
-            assert_eq!(by_bytes.publish(), by_key.publish(), "{kind:?}");
-            assert_eq!(by_bytes.docs(), by_key.docs(), "{kind:?}");
+            s.publish();
+            assert_eq!(s.docs(), live.len() as u64, "{kind:?}");
+            let reference = match s.snapshot_published() {
+                SummarySnapshot::Exact(_) => {
+                    SummarySnapshot::Exact(live.iter().map(|&i| sc_md5::md5(&raw(i).0)).collect())
+                }
+                SummarySnapshot::Server(_) => {
+                    SummarySnapshot::Server(live.iter().map(|&i| sc_md5::md5(&raw(i).1)).collect())
+                }
+                SummarySnapshot::Bloom { spec, .. } => {
+                    let mut bits = BitVec::new(spec.table_bits() as usize);
+                    for &i in &live {
+                        for j in spec.indices(&raw(i).0) {
+                            bits.set(j as usize, true);
+                        }
+                    }
+                    SummarySnapshot::Bloom { spec, bits }
+                }
+            };
+            assert_eq!(s.snapshot_published(), reference, "{kind:?}");
             for i in 0..60 {
-                let (u, srv) = url(i);
-                let (uk, sk) = (UrlKey::new(&u), UrlKey::new(&srv));
-                assert_eq!(
-                    by_bytes.probe_live(&u, &srv),
-                    by_key.probe_live_key(&uk, &sk),
-                    "{kind:?} live doc {i}"
-                );
-                assert_eq!(
-                    by_bytes.probe_published(&u, &srv),
-                    by_key.probe_published_key(&uk, &sk),
-                    "{kind:?} published doc {i}"
-                );
+                let (uk, sk) = url(i);
+                let want = reference.probe_key(&uk, &sk);
+                assert_eq!(s.probe_live_key(&uk, &sk), want, "{kind:?} live doc {i}");
+                assert_eq!(s.probe_published_key(&uk, &sk), want, "{kind:?} published doc {i}");
             }
-            assert_eq!(by_bytes.snapshot_published(), by_key.snapshot_published());
         }
     }
 
@@ -727,8 +663,8 @@ mod tests {
         let mut server = ProxySummary::new(SummaryKind::ServerName, 1 << 20);
         for i in 0..100 {
             let (u, srv) = url(i);
-            exact.insert(&u, &srv);
-            server.insert(&u, &srv);
+            exact.insert_key(&u, &srv);
+            server.insert_key(&u, &srv);
         }
         assert_eq!(exact.owner_memory_bytes(), 100 * 16);
         assert_eq!(server.owner_memory_bytes(), 10 * 20, "10 servers for 100 docs");

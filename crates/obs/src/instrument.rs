@@ -352,6 +352,28 @@ mod tests {
         Histogram::new().snapshot().percentile(1.5);
     }
 
+    /// The reported percentile is always <= the true value and within
+    /// one sub-bucket (~10%) below it.
+    #[test]
+    fn prop_percentile_accuracy() {
+        use sc_util::prop::{check, vec_of};
+        check("prop_percentile_accuracy", 256, |rng| {
+            let mut values = vec_of(rng, 1..300, |r| r.gen_range(1u64..10_000_000));
+            let h = Histogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            values.sort_unstable();
+            let true_p50 = values[(values.len() - 1) / 2];
+            let got = h.snapshot().percentile(0.5);
+            assert!(got <= true_p50, "floor property: {got} > {true_p50}");
+            assert!(
+                (got as f64) >= true_p50 as f64 * 0.90,
+                "bucket error too large: {got} vs {true_p50}"
+            );
+        });
+    }
+
     #[test]
     fn merge_is_total_across_widths() {
         let a = Histogram::new();

@@ -449,9 +449,9 @@ impl Daemon {
     }
 }
 
-/// The daemon's introspection surface is the same trait the router and
-/// the `Machine` facade implement: tests and tools speak one
-/// vocabulary, whichever layer they hold.
+/// The daemon's introspection surface is the same trait the router
+/// implements: tests and tools speak one vocabulary, whichever layer
+/// they hold.
 impl DirectoryInspect for Daemon {
     fn replicated_peers(&self) -> Vec<u32> {
         lock(&self.inner.router).replicated_peers()

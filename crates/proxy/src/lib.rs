@@ -7,28 +7,29 @@
 //! The pieces:
 //!
 //! * [`machine`] — the sans-I/O protocol vocabulary (events, outputs,
-//!   effects, virtual time) and the single-shard `Machine` facade:
-//!   every replication/ICP decision (query answering, replica
-//!   sequencing, gap-triggered resync, failure detection, publish
-//!   fan-out) as a pure function of `(virtual time, event)` — no
+//!   effects, virtual time, wire constants) that every
+//!   replication/ICP decision (query answering, replica sequencing,
+//!   gap-triggered resync, failure detection, publish fan-out) is
+//!   phrased in: a pure function of `(virtual time, event)` — no
 //!   sockets, no clocks, no sleeps.
-//! * [`shard`] + [`router`] — the shard-per-core runtime behind that
-//!   facade: N lock-free shards partition the local directory and the
-//!   peer-replica space by `UrlKey` digest, the router owns the
+//! * [`shard`] + [`router`] — the shard-per-core runtime that makes
+//!   those decisions: N lock-free shards partition the local directory
+//!   and the peer-replica space by `UrlKey` digest, the router owns the
 //!   control plane (liveness, request numbering, the publish ledger)
-//!   and turns cross-shard concerns into explicit merge steps.
+//!   and turns cross-shard concerns into explicit merge steps. A router
+//!   with one shard is the unsharded machine.
 //! * [`daemon`] — the proxy itself: an HTTP front end with a
 //!   metadata-only document cache, a UDP ICP endpoint feeding the
-//!   machine, and three peering modes ([`config::Mode`]): no
+//!   router, and three peering modes ([`config::Mode`]): no
 //!   cooperation, classic ICP (query every neighbour on every miss),
 //!   and summary-cache enhanced ICP (probe local Bloom replicas of peer
 //!   directories, query only candidates, ship `ICP_OP_DIRUPDATE`
 //!   deltas).
-//! * [`replica`] — the lock-free read path: the machine publishes
+//! * [`replica`] — the lock-free read path: the router publishes
 //!   immutable peer-replica snapshots into an epoch-swapped cell, and
 //!   SC-mode candidate selection reads them (via the hash-once
-//!   `UrlKey` probe) without ever taking the machine lock.
-//! * [`simnet`] — the deterministic simulation harness: N machines, a
+//!   `UrlKey` probe) without ever taking the router lock.
+//! * [`simnet`] — the deterministic simulation harness: N routers, a
 //!   virtual clock, one event priority-queue, and a seeded fault plan
 //!   (loss, duplication, reordering, crash+restart, partitions) for
 //!   replayable protocol soak tests.
@@ -60,7 +61,6 @@ pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod daemon;
-pub mod histogram;
 pub mod machine;
 pub mod origin;
 pub mod replica;
@@ -73,5 +73,4 @@ pub mod stats;
 pub use client::{BenchmarkConfig, ReplayMode};
 pub use cluster::{Cluster, ClusterConfig, ExperimentReport};
 pub use config::{ConfigError, Mode, ProxyConfig, ProxyConfigBuilder};
-pub use histogram::{LatencyHistogram, LatencySummary};
 pub use stats::{CpuTimes, PeerStats, ProxyStats, StatsSnapshot};

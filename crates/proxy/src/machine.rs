@@ -22,8 +22,9 @@
 //! [`crate::shard`] (partitioned directory + replica state) and
 //! [`crate::router`] (control plane, cross-shard merges); this module
 //! keeps the shared protocol vocabulary — [`Event`], [`Output`],
-//! [`Effect`], [`VirtualTime`], the wire constants — and [`Machine`],
-//! the single-shard facade over a [`Router`].
+//! [`Effect`], [`VirtualTime`], the wire constants. The single-shard
+//! machine is [`crate::router::Router::new`] with one shard and one
+//! fanout slot.
 //!
 //! Time enters only as [`VirtualTime`] values the caller supplies;
 //! durations (resync backoff, failure timeout) are plain arithmetic on
@@ -32,13 +33,9 @@
 //! its seeded loss RNG and the wall clock; the simnet uses its fault
 //! plan and deterministic generation numbers).
 
-use crate::replica::ReplicaCell;
-use crate::router::{DirectoryInspect, Router};
-use sc_bloom::{BitVec, UrlKey};
+use sc_bloom::UrlKey;
 use sc_wire::icp::IcpMessage;
-use std::sync::Arc;
 use std::time::Duration;
-use summary_cache_core::{ProxySummary, UpdatePolicy};
 
 /// Max bit flips per DIRUPDATE datagram (keeps messages near one MTU,
 /// as the prototype "sends updates whenever there are enough changes to
@@ -280,93 +277,6 @@ pub trait DirectoryView {
     fn contains(&self, url: &str) -> bool;
 }
 
-/// The protocol state machine for one proxy — since the shard-per-core
-/// redesign, a thin facade over a single-shard [`Router`]. The routed
-/// runtime ([`crate::shard`] + [`crate::router`]) carries all the
-/// decision logic; this type pins the historical single-shard API (and
-/// its unit tests pin the ported semantics).
-pub struct Machine {
-    router: Router,
-}
-
-impl Machine {
-    /// A machine for proxy `id` peering with `peers`. `sc` carries the
-    /// summary (with its generation already set by the driver — fresh
-    /// randomness is I/O) and publish policy in summary-cache mode.
-    /// `now` initializes every peer's last-heard time.
-    pub fn new(
-        id: u32,
-        peers: Vec<u32>,
-        keepalive_ms: u64,
-        sc: Option<(ProxySummary, UpdatePolicy)>,
-        now: VirtualTime,
-    ) -> Machine {
-        Machine {
-            router: Router::new(id, peers, keepalive_ms, 1, 1, sc, now),
-        }
-    }
-
-    /// This proxy's id.
-    pub fn id(&self) -> u32 {
-        self.router.id()
-    }
-
-    /// The shared replica-snapshot cell. The driver clones this once at
-    /// startup and serves SC-mode candidate selection from it without
-    /// ever locking the machine.
-    pub fn replica_cell(&self) -> Arc<ReplicaCell> {
-        self.router.replica_cell()
-    }
-
-    /// Feed one event; returns the sends and effects it decided on, in
-    /// order.
-    pub fn handle(&mut self, now: VirtualTime, event: Event<'_>, dir: &dyn DirectoryView) -> Vec<Output> {
-        self.router.handle(now, event, dir)
-    }
-
-    // -- read-only views the driver needs ---------------------------------
-
-    /// Peers not currently marked failed (what ICP mode queries).
-    pub fn live_peers(&self) -> Vec<u32> {
-        self.router.live_peers()
-    }
-
-    /// Peers whose installed summary replica advertises `url`, probed
-    /// through the shared `SummaryProbe` path (peers without a synced
-    /// replica cannot be candidates).
-    pub fn candidates(&self, url: &[u8]) -> Vec<u32> {
-        self.router.candidates(url)
-    }
-
-    /// Is a replica of `peer` currently installed?
-    pub fn replica_installed(&self, peer: u32) -> bool {
-        self.router.replica_installed(peer)
-    }
-
-    /// The summary's current generation (SC mode only).
-    pub fn generation(&self) -> Option<u32> {
-        self.router.generation()
-    }
-}
-
-impl DirectoryInspect for Machine {
-    fn replicated_peers(&self) -> Vec<u32> {
-        self.router.replicated_peers()
-    }
-
-    fn replica_bits(&self, peer: u32) -> Option<BitVec> {
-        self.router.replica_bits(peer)
-    }
-
-    fn published_bits(&self) -> Option<BitVec> {
-        self.router.published_bits()
-    }
-
-    fn cached_docs(&self) -> u64 {
-        self.router.cached_docs()
-    }
-}
-
 /// The server-name component of a URL (host part), for summaries. Any
 /// `scheme://` prefix is stripped — not just `http://` — so `https://`
 /// (or `ftp://`) URLs group under their host instead of collapsing into
@@ -384,8 +294,9 @@ pub fn server_of(url: &str) -> &[u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
     use sc_wire::icp::{DirContent, DirUpdate};
-    use summary_cache_core::SummaryKind;
+    use summary_cache_core::{ProxySummary, SummaryKind, UpdatePolicy};
 
     struct NoDocs;
     impl DirectoryView for NoDocs {
@@ -394,14 +305,17 @@ mod tests {
         }
     }
 
-    fn sc_machine(id: u32, peers: Vec<u32>, generation: u32) -> Machine {
+    /// A single-shard, single-slot router: the unsharded machine.
+    fn sc_machine(id: u32, peers: Vec<u32>, generation: u32) -> Router {
         let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
         let mut summary = ProxySummary::with_expected_docs(kind, 64);
         summary.set_generation(generation);
-        Machine::new(
+        Router::new(
             id,
             peers,
             50,
+            1,
+            1,
             Some((summary, UpdatePolicy::Threshold(0.0))),
             VirtualTime::ZERO,
         )
@@ -553,7 +467,7 @@ mod tests {
                 url == "http://s/have"
             }
         }
-        let mut m = Machine::new(1, vec![2], 0, None, VirtualTime::ZERO);
+        let mut m = Router::new(1, vec![2], 0, 1, 1, None, VirtualTime::ZERO);
         let q = |url: &str| {
             IcpMessage::Query {
                 request_number: 77,

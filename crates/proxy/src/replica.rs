@@ -2,14 +2,14 @@
 //!
 //! SC-mode candidate selection is the hottest read in the daemon: every
 //! local cache miss probes every peer's Bloom replica. Routing that
-//! probe through the global `Mutex<Machine>` made the *read* path
+//! probe through the global protocol-state mutex made the *read* path
 //! contend with replication *writes* (delta application, publish
 //! fan-out, failure sweeps) — and with every other request thread.
 //!
-//! This module splits the two. The machine keeps ownership of replica
+//! This module splits the two. The router keeps ownership of replica
 //! state, but after every mutation it publishes an immutable
 //! [`ReplicaSnapshot`] into a shared [`ReplicaCell`]. Request threads
-//! read the snapshot without ever touching the machine lock:
+//! read the snapshot without ever touching the router lock:
 //!
 //! * each swap bumps an epoch counter (std-only stand-in for an
 //!   epoch-based RCU pointer);
@@ -18,7 +18,7 @@
 //!   plus a thread-local lookup, with **no** lock of any kind;
 //! * when the epoch moved, the reader refreshes from the cell's small
 //!   internal mutex (held only long enough to clone an `Arc`), which is
-//!   still never the machine lock.
+//!   still never the router lock.
 //!
 //! Writers swap whole snapshots; the Bloom filters inside are shared by
 //! `Arc` and copy-on-written (`Arc::make_mut`) only when a delta lands
@@ -38,8 +38,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// An immutable view of every installed peer replica, in configured
-/// peer order (which [`candidates`](ReplicaSnapshot::candidates)
-/// preserves, matching the machine's own probe order).
+/// peer order (which [`candidates_key_into`](ReplicaSnapshot::candidates_key_into)
+/// preserves, matching the router's own probe order).
 #[derive(Debug, Default)]
 pub struct ReplicaSnapshot {
     peers: Vec<(u32, Arc<BloomFilter>)>,
@@ -69,29 +69,11 @@ impl ReplicaSnapshot {
         &self.peers
     }
 
-    /// Peers whose replica advertises `url` (byte path; rehashes).
-    pub fn candidates(&self, url: &[u8]) -> Vec<u32> {
-        self.peers
-            .iter()
-            .filter(|(_, f)| f.contains(url))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Peers whose replica advertises the pre-hashed `url` — the
-    /// hash-once probe: the key's memoized index set is computed once
-    /// and tested against every filter sharing the spec.
-    pub fn candidates_key(&self, url: &UrlKey) -> Vec<u32> {
-        // sc-check: allow(alloc) — convenience wrapper; the steady-state
-        // request path probes through `candidates_key_into` instead.
-        let mut out = Vec::new();
-        self.candidates_key_into(url, &mut out);
-        out
-    }
-
-    /// [`candidates_key`](Self::candidates_key) into a caller-owned
-    /// buffer: the zero-alloc probe a warm request scratch uses. `out`
-    /// is cleared first; its capacity is reused.
+    /// Peers whose replica advertises the pre-hashed `url`, written into
+    /// a caller-owned buffer — the hash-once, zero-alloc probe a warm
+    /// request scratch uses: the key's memoized index set is computed
+    /// once and tested against every filter sharing the spec. `out` is
+    /// cleared first; its capacity is reused.
     pub fn candidates_key_into(&self, url: &UrlKey, out: &mut Vec<u32>) {
         out.clear();
         for (id, f) in &self.peers {
@@ -146,7 +128,7 @@ impl ReplicaCell {
     /// thread last looked) this takes no lock at all: one atomic load
     /// plus a thread-local lookup. After a swap, the first read per
     /// thread refreshes through the cell's internal mutex — never the
-    /// machine lock.
+    /// router lock.
     pub fn load(&self) -> Arc<ReplicaSnapshot> {
         let epoch = self.epoch.load(Ordering::Acquire);
         SNAPSHOT_CACHE.with(|c| {
@@ -176,8 +158,8 @@ impl ReplicaCell {
         (Arc::clone(&guard), epoch)
     }
 
-    /// Install a new snapshot (writer side; called by the machine after
-    /// every replica mutation, with the machine lock held). The epoch
+    /// Install a new snapshot (writer side; called by the router after
+    /// every replica mutation, with the router lock held). The epoch
     /// bump happens under the cell's lock so no reader can pair the new
     /// epoch with the old snapshot.
     pub fn swap(&self, snap: Arc<ReplicaSnapshot>) {
@@ -195,9 +177,15 @@ mod tests {
     fn filter_with(urls: &[&[u8]]) -> Arc<BloomFilter> {
         let mut f = BloomFilter::new(FilterConfig::with_load_factor(64, 8, 4));
         for u in urls {
-            f.insert(u);
+            f.insert_key(&UrlKey::new(u));
         }
         Arc::new(f)
+    }
+
+    fn advertisers(snap: &ReplicaSnapshot, url: &[u8]) -> Vec<u32> {
+        let mut out = vec![99];
+        snap.candidates_key_into(&UrlKey::new(url), &mut out);
+        out
     }
 
     #[test]
@@ -205,7 +193,7 @@ mod tests {
         let cell = ReplicaCell::new();
         let snap = cell.load();
         assert_eq!(snap.peer_count(), 0);
-        assert!(snap.candidates(b"http://a/x").is_empty());
+        assert!(advertisers(&snap, b"http://a/x").is_empty(), "out is cleared first");
     }
 
     #[test]
@@ -218,10 +206,17 @@ mod tests {
         ])));
         let snap = cell.load();
         for url in [&b"http://a/x"[..], b"http://b/y", b"http://c/z"] {
-            let key = UrlKey::new(url);
-            assert_eq!(snap.candidates(url), snap.candidates_key(&key));
+            // Reference: each filter's bits at the indices digested
+            // afresh from the raw bytes.
+            let reference: Vec<u32> = snap
+                .peers()
+                .iter()
+                .filter(|(_, f)| f.spec().indices(url).iter().all(|&i| f.bits().get(i as usize)))
+                .map(|(id, _)| *id)
+                .collect();
+            assert_eq!(advertisers(&snap, url), reference);
         }
-        assert_eq!(snap.candidates(b"http://a/x"), vec![1, 3]);
+        assert_eq!(advertisers(&snap, b"http://a/x"), vec![1, 3]);
     }
 
     #[test]

@@ -51,14 +51,12 @@ use sc_wire::icp::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use summary_cache_core::{
-    filter_candidates, wire_cost, ProxySummary, SummarySnapshot, UpdatePolicy,
-};
+use summary_cache_core::{wire_cost, ProxySummary, SummarySnapshot, UpdatePolicy};
 
 /// One read-only introspection surface over a directory owner — the
-/// router, the [`crate::machine::Machine`] facade, and the live
-/// [`crate::daemon::Daemon`] all implement it, so tests and admin
-/// endpoints ask one trait instead of reaching through layers.
+/// router and the live [`crate::daemon::Daemon`] both implement it, so
+/// tests and admin endpoints ask one trait instead of reaching through
+/// layers.
 pub trait DirectoryInspect {
     /// Peer ids whose summary replicas are currently installed (i.e.
     /// synced — a bitmap has arrived and no gap has discarded it).
@@ -134,9 +132,8 @@ struct PeerLane {
 }
 
 /// The routed protocol state for one proxy: N shards plus the control
-/// plane. [`Router::new`] with one shard is exactly the old unsharded
-/// machine; the [`crate::machine::Machine`] facade is that special
-/// case.
+/// plane. [`Router::new`] with one shard and one fanout slot is exactly
+/// the old unsharded machine.
 pub struct Router {
     id: u32,
     peers: Vec<u32>,
@@ -300,8 +297,8 @@ impl Router {
 
     /// Merge every shard's installed replicas into one immutable
     /// snapshot (in configured peer order, matching
-    /// [`Router::candidates`]'s probe order) and publish it to the
-    /// cell.
+    /// [`Router::candidates_key_into`]'s probe order) and publish it to
+    /// the cell.
     fn publish_replicas(&self) {
         let peers = self
             .peers
@@ -436,26 +433,11 @@ impl Router {
             .collect()
     }
 
-    /// Peers whose installed summary replica advertises `url`, probed
-    /// through the shared `SummaryProbe` path (peers without a synced
-    /// replica cannot be candidates).
-    pub fn candidates(&self, url: &[u8]) -> Vec<u32> {
-        filter_candidates(
-            self.peers.iter().filter_map(|&p| {
-                self.shards[owner_of(p, self.shards.len())]
-                    .replica_filter(p)
-                    .map(|f| (p, &**f))
-            }),
-            url,
-            &[],
-        )
-    }
-
-    /// [`candidates`](Self::candidates) through the hash-once key path,
-    /// into a caller-owned buffer (cleared first; capacity reused): the
-    /// key's memoized index set is derived once and tested against
-    /// every installed replica, where the byte path would re-hash the
-    /// URL per peer. Same probe order, same result set.
+    /// Peers whose installed summary replica advertises `url`, in
+    /// configured peer order (peers without a synced replica cannot be
+    /// candidates), into a caller-owned buffer (cleared first; capacity
+    /// reused): the key's memoized index set is derived once and tested
+    /// against every installed replica.
     pub fn candidates_key_into(&self, url: &UrlKey, out: &mut Vec<u32>) {
         out.clear();
         for &p in &self.peers {
@@ -1175,7 +1157,7 @@ mod tests {
 
         let before = sc_md5::blocks_hashed();
         let _stripe = stripe_of(&key, 4);
-        let _ = cell.load().candidates_key(&key);
+        cell.load().candidates_key_into(&key, &mut Vec::new());
         r.handle(at(1), Event::Stored { url: &key, evicted: &[] }, &NoDocs);
         r.handle(at(1), Event::RequestDone, &NoDocs);
         r.handle(at(2), Event::Tick, &NoDocs);

@@ -1,11 +1,11 @@
 //! Per-thread reusable request scratch: the zero-alloc request path.
 //!
 //! A steady-state request (hit, or miss with nothing to publish) needs
-//! four owned buffers: the request's [`UrlKey`], the candidate list the
-//! replica-snapshot probe fills, the router-output sink for the ledger
-//! events, and a datagram encode buffer. Allocating them per request
-//! put four heap round-trips on the hottest path in the daemon; this
-//! module gives every request thread one warm set instead.
+//! three owned buffers: the request's [`UrlKey`], the candidate list the
+//! replica-snapshot probe fills, and the router-output sink for the
+//! ledger events. Allocating them per request put three heap
+//! round-trips on the hottest path in the daemon; this module gives
+//! every request thread one warm set instead.
 //!
 //! Ownership rules (what keeps this simple and sound):
 //!
@@ -17,10 +17,10 @@
 //!   panic): callees that need scratch state receive `&mut
 //!   RequestScratch` as an argument instead of re-entering;
 //! * every buffer is reset-on-use by its consumer ([`UrlKey::reset`],
-//!   `candidates_key_into`, `handle_into`, `encode_into` all clear
-//!   first), so a stale read of leftover state is impossible by
-//!   construction — a fresh scratch and a warm one behave identically,
-//!   the warm one just skips the allocations.
+//!   `candidates_key_into`, `handle_into` all clear first), so a stale
+//!   read of leftover state is impossible by construction — a fresh
+//!   scratch and a warm one behave identically, the warm one just skips
+//!   the allocations.
 //!
 //! `tests/zero_alloc.rs` pins the result with a counting global
 //! allocator: a warm steady-state request performs zero heap
@@ -41,8 +41,6 @@ pub struct RequestScratch {
     /// Router-output sink for the request's ledger events
     /// (`handle_into` clears it first).
     pub outputs: Vec<Output>,
-    /// Datagram encode buffer (`encode_into` clears it first).
-    pub wire: Vec<u8>,
 }
 
 impl RequestScratch {
@@ -55,8 +53,6 @@ impl RequestScratch {
             candidates: Vec::new(),
             // sc-check: allow(alloc) — once-per-thread construction.
             outputs: Vec::new(),
-            // sc-check: allow(alloc) — once-per-thread construction.
-            wire: Vec::new(),
         }
     }
 }
@@ -87,12 +83,9 @@ mod tests {
             s.key.reset(b"http://example.com/a");
             s.candidates.clear();
             s.candidates.extend([1, 2, 3]);
-            s.wire.clear();
-            s.wire.extend_from_slice(&[0u8; 64]);
         });
         with_scratch(|s| {
             assert!(s.candidates.capacity() >= 3);
-            assert!(s.wire.capacity() >= 64);
             s.key.reset(b"http://example.com/b");
             assert_eq!(s.key.bytes(), b"http://example.com/b");
         });

@@ -171,7 +171,7 @@ pub enum ShardOutput {
 }
 
 /// One peer's summary replica and the sequencing state guarding it
-/// (moved verbatim from the pre-shard `Machine`).
+/// (moved verbatim from the pre-shard protocol machine).
 ///
 /// A replica is only ever *installed* from a full bitmap; delta flips
 /// apply only when they carry exactly the expected `(generation, seq)`.

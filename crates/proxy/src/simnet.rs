@@ -682,8 +682,8 @@ impl Sim {
 
     /// Serve one scenario client request at `node`: local directory
     /// hit, else probe the installed peer replicas
-    /// ([`Router::candidates`]), else fetch from the origin. Remote and
-    /// origin fetches both store the document locally (the paper's §II
+    /// ([`Router::candidates_key_into`]), else fetch from the origin.
+    /// Remote and origin fetches both store the document locally (the paper's §II
     /// sharing model), publishing the new summary bit. Latency is
     /// virtual: local service time, plus one query RTT whenever peers
     /// are probed, plus either a peer-fetch RTT or the origin RTT.
@@ -1140,12 +1140,15 @@ pub fn stale_advertised_pairs(
     up: &[bool],
     url: &str,
 ) -> u64 {
+    let key = UrlKey::new(url.as_bytes());
+    let mut candidates = Vec::new();
     let mut stale = 0;
     for (i, r) in routers.iter().enumerate() {
         if !up[i] {
             continue;
         }
-        for peer in r.candidates(url.as_bytes()) {
+        r.candidates_key_into(&key, &mut candidates);
+        for &peer in &candidates {
             let j = peer as usize;
             if up[j] && !dirs[j].contains(url) {
                 stale += 1;

@@ -251,11 +251,6 @@ impl ProxyStats {
         self.latency_hist.record(micros);
     }
 
-    /// Latency percentiles (p50/p95/p99 by default elsewhere).
-    pub fn latency_summary(&self, percentiles: &[f64]) -> crate::histogram::LatencySummary {
-        crate::histogram::summarize(&self.latency_hist.snapshot(), percentiles)
-    }
-
     /// Freeze the counters into a snapshot — literally a projection of
     /// the sc-obs registry snapshot ([`StatsSnapshot::from_obs`]).
     pub fn snapshot(&self) -> StatsSnapshot {

@@ -1,13 +1,18 @@
-//! The ISSUE's acceptance bar for the read-path split: SC-mode
-//! candidate selection must perform **no** `Mutex<Machine>` acquisition.
+//! The acceptance bar for the read-path split: SC-mode candidate
+//! selection must perform **no** acquisition of the mutex guarding the
+//! protocol machine (a single-shard [`Router`]).
 //!
-//! Strategy: install peer replicas through the machine, then hold the
-//! machine's mutex on the test thread while a reader thread resolves
+//! Strategy: install peer replicas through the router, then hold the
+//! router's mutex on the test thread while a reader thread resolves
 //! candidates through the [`ReplicaCell`]. If the read path ever locked
-//! the machine, the reader would deadlock and the channel receive below
+//! the router, the reader would deadlock and the channel receive below
 //! would time out.
+//!
+//! [`ReplicaCell`]: sc_proxy::replica::ReplicaCell
 
-use sc_proxy::machine::{DirectoryView, Event, Machine, VirtualTime};
+use sc_proxy::machine::{DirectoryView, Event, VirtualTime};
+use sc_proxy::replica::ReplicaSnapshot;
+use sc_proxy::router::Router;
 use sc_wire::icp::{DirContent, DirUpdate, IcpMessage};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -24,7 +29,7 @@ impl DirectoryView for NoDocs {
 fn bitmap_from(peer: u32, generation: u32, urls: &[&[u8]]) -> Vec<u8> {
     let mut f = sc_bloom::BloomFilter::new(sc_bloom::FilterConfig::with_load_factor(64, 8, 4));
     for u in urls {
-        f.insert(u);
+        f.insert_key(&UrlKey::new(u));
     }
     let spec = f.spec();
     IcpMessage::DirUpdate {
@@ -43,7 +48,18 @@ fn bitmap_from(peer: u32, generation: u32, urls: &[&[u8]]) -> Vec<u8> {
     .expect("bitmap update encodes")
 }
 
-fn feed(machine: &mut Machine, peer: u32, data: &[u8]) {
+/// The unsharded machine: one shard, one fanout slot, ICP mode.
+fn machine(peers: Vec<u32>) -> Router {
+    Router::new(1, peers, 0, 1, 1, None, VirtualTime::ZERO)
+}
+
+fn advertisers(snap: &ReplicaSnapshot, url: &[u8]) -> Vec<u32> {
+    let mut out = Vec::new();
+    snap.candidates_key_into(&UrlKey::new(url), &mut out);
+    out
+}
+
+fn feed(machine: &mut Router, peer: u32, data: &[u8]) {
     machine.handle(
         VirtualTime::from_micros(1),
         Event::Datagram {
@@ -56,7 +72,7 @@ fn feed(machine: &mut Machine, peer: u32, data: &[u8]) {
 
 #[test]
 fn candidate_selection_completes_while_machine_lock_is_held() {
-    let mut machine = Machine::new(1, vec![2, 3], 0, None, VirtualTime::ZERO);
+    let mut machine = machine(vec![2, 3]);
     feed(&mut machine, 2, &bitmap_from(2, 7, &[b"http://a/x"]));
     feed(&mut machine, 3, &bitmap_from(3, 9, &[b"http://a/x", b"http://b/y"]));
     let cell = machine.replica_cell();
@@ -67,8 +83,7 @@ fn candidate_selection_completes_while_machine_lock_is_held() {
     let (tx, rx) = mpsc::channel();
     let reader_cell = Arc::clone(&cell);
     std::thread::spawn(move || {
-        let ukey = UrlKey::new(b"http://a/x");
-        let _ = tx.send(reader_cell.load().candidates_key(&ukey));
+        let _ = tx.send(advertisers(&reader_cell.load(), b"http://a/x"));
     });
     let got = rx
         .recv_timeout(Duration::from_secs(5))
@@ -79,19 +94,14 @@ fn candidate_selection_completes_while_machine_lock_is_held() {
 
 #[test]
 fn snapshot_tracks_machine_replica_mutations() {
-    let mut machine = Machine::new(1, vec![2], 0, None, VirtualTime::ZERO);
+    let mut machine = machine(vec![2]);
     let cell = machine.replica_cell();
     assert_eq!(cell.load().peer_count(), 0, "empty before any bitmap");
 
     feed(&mut machine, 2, &bitmap_from(2, 7, &[b"http://a/x"]));
     let snap = cell.load();
     assert_eq!(snap.peer_count(), 1);
-    assert_eq!(snap.candidates(b"http://a/x"), vec![2]);
-    assert_eq!(
-        snap.candidates_key(&UrlKey::new(b"http://a/x")),
-        snap.candidates(b"http://a/x"),
-        "key path agrees with byte path"
-    );
+    assert_eq!(advertisers(&snap, b"http://a/x"), vec![2]);
 
     // A delta with a gapped seq discards the replica; the snapshot must
     // follow (probes treat the peer as empty until resync).
@@ -115,7 +125,7 @@ fn snapshot_tracks_machine_replica_mutations() {
 
 #[test]
 fn old_snapshots_stay_valid_across_reinstalls() {
-    let mut machine = Machine::new(1, vec![2], 0, None, VirtualTime::ZERO);
+    let mut machine = machine(vec![2]);
     let cell = machine.replica_cell();
     feed(&mut machine, 2, &bitmap_from(2, 7, &[b"http://a/x"]));
     let old = cell.load();
@@ -123,7 +133,7 @@ fn old_snapshots_stay_valid_across_reinstalls() {
     feed(&mut machine, 2, &bitmap_from(2, 8, &[b"http://b/y"]));
     // The retained snapshot is immutable: it still answers from the
     // old bitmap, while fresh loads see the new one.
-    assert_eq!(old.candidates(b"http://a/x"), vec![2]);
-    assert_eq!(cell.load().candidates(b"http://a/x"), Vec::<u32>::new());
-    assert_eq!(cell.load().candidates(b"http://b/y"), vec![2]);
+    assert_eq!(advertisers(&old, b"http://a/x"), vec![2]);
+    assert_eq!(advertisers(&cell.load(), b"http://a/x"), Vec::<u32>::new());
+    assert_eq!(advertisers(&cell.load(), b"http://b/y"), vec![2]);
 }

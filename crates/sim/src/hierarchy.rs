@@ -14,7 +14,7 @@ use crate::summary_sim::SummaryCacheConfig;
 use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_trace::{group_of_client, Trace};
 use std::collections::HashMap;
-use summary_cache_core::ProxySummary;
+use summary_cache_core::{ProxySummary, UrlKey};
 
 /// Hierarchy simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -152,9 +152,6 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
             size: req.size,
             last_modified: req.last_modified,
         };
-        let ukey = url_key(req.url);
-        let skey = server_key(req.server);
-
         let mut local_stale = false;
         match children[home].lookup(&req.url, meta) {
             Lookup::Hit => {
@@ -164,14 +161,16 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
             Lookup::StaleHit => local_stale = true,
             Lookup::Miss => {}
         }
+        let ukey = UrlKey::new(&url_key(req.url));
+        let skey = UrlKey::new(&server_key(req.server));
         if local_stale && !summaries.is_empty() {
-            summaries[home].remove(&ukey, &skey);
+            summaries[home].remove_key(&ukey, &skey);
         }
 
         // Sibling tier (summary-cache style), if enabled.
         let mut served_by_sibling = false;
         if let Some(sc) = &cfg.sibling_sharing {
-            let candidates: Vec<usize> = summary_cache_core::filter_candidates(
+            let candidates: Vec<usize> = summary_cache_core::filter_candidates_key(
                 (0..groups)
                     .filter(|&g| g != home)
                     .map(|g| (g, summaries[g].published())),
@@ -216,10 +215,10 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
         // Either way, the child caches the document.
         if let Some(evicted) = children[home].store(req.url, meta) {
             if !summaries.is_empty() {
-                summaries[home].insert(&ukey, &skey);
+                summaries[home].insert_key(&ukey, &skey);
                 for victim in evicted {
-                    let vs = server_key(server_of[&victim]);
-                    summaries[home].remove(&url_key(victim), &vs);
+                    let vs = UrlKey::new(&server_key(server_of[&victim]));
+                    summaries[home].remove_key(&UrlKey::new(&url_key(victim)), &vs);
                 }
             }
         }

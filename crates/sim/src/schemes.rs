@@ -12,28 +12,9 @@
 //! * **GlobalShrunk** — Global with 10 % less capacity (the paper's
 //!   check that duplicate waste barely matters).
 
-use crate::keys::url_key;
 use crate::metrics::Metrics;
 use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_trace::{group_of_client, Trace};
-use summary_cache_core::{filter_candidates, SummaryProbe};
-
-/// The degenerate "summary" of the directly-consulting schemes: a
-/// neighbour's actual cache directory. Membership is exact (ICP asks
-/// the real cache); the key is the simulator's 8-byte URL encoding
-/// ([`url_key`]), and the server component is unused.
-struct CacheDirectory<'a>(&'a WebCache<u64>);
-
-impl SummaryProbe for CacheDirectory<'_> {
-    fn probe(&self, url: &[u8], _server: &[u8]) -> bool {
-        let mut id = [0u8; 8];
-        if url.len() != 8 {
-            return false;
-        }
-        id.copy_from_slice(url);
-        self.0.peek(&u64::from_le_bytes(id)).is_some()
-    }
-}
 
 /// Which cooperation scheme to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,29 +123,21 @@ fn simulate_partitioned(trace: &Trace, scheme: SchemeKind, total_cache_bytes: u6
             caches[home].store(r.url, meta(r));
             continue;
         }
-        // Ask the neighbours: candidate selection runs through the same
-        // probe abstraction as the summary schemes, against the exact
-        // cache directory (ICP consults the real cache, so membership
-        // is never wrong; message accounting lives in the summary
-        // simulator). Freshness is still checked per candidate.
-        let ukey = url_key(r.url);
-        let candidates = filter_candidates(
-            caches
-                .iter()
-                .enumerate()
-                .filter(|&(g, _)| g != home)
-                .map(|(g, c)| (g, CacheDirectory(c))),
-            &ukey,
-            &[],
-        );
+        // Ask the neighbours, in group order: ICP consults the real
+        // cache, so membership is never wrong (message accounting lives
+        // in the summary simulator). Freshness is still checked per
+        // neighbour holding a copy.
         let mut remote: Option<usize> = None;
         let mut remote_stale = false;
-        for g in candidates {
-            if caches[g].peek(&r.url) == Some(meta(r)) {
-                remote = Some(g);
-                break;
+        for g in (0..groups).filter(|&g| g != home) {
+            match caches[g].peek(&r.url) {
+                Some(doc) if doc == meta(r) => {
+                    remote = Some(g);
+                    break;
+                }
+                Some(_) => remote_stale = true,
+                None => {}
             }
-            remote_stale = true;
         }
         match remote {
             Some(g) => {

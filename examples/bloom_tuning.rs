@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example bloom_tuning`
 
-use summary_cache::bloom::{analysis, BloomFilter, FilterConfig};
+use summary_cache::bloom::{analysis, BloomFilter, FilterConfig, UrlKey};
 use summary_cache::core::scalability::{estimate, Deployment};
 
 fn main() {
@@ -38,14 +38,15 @@ fn main() {
     // factor 8 / k=4 and measure the observed false-positive rate.
     let n = 100_000u32;
     let cfg = FilterConfig::with_load_factor(n as usize, 8, 4);
+    let key = |host: &str, i: u32| {
+        UrlKey::new(format!("http://{host}{}.example/{i}", i % 997).as_bytes())
+    };
     let mut f = BloomFilter::new(cfg);
     for i in 0..n {
-        f.insert(format!("http://s{}.example/{}", i % 997, i).as_bytes());
+        f.insert_key(&key("s", i));
     }
     let probes = 200_000u32;
-    let fp = (0..probes)
-        .filter(|i| f.contains(format!("http://t{}.example/{}", i % 997, i).as_bytes()))
-        .count();
+    let fp = (0..probes).filter(|&i| f.contains_key(&key("t", i))).count();
     println!(
         "\nempirical check at load factor 8, k=4: predicted {:.3}%, filter model {:.3}%, observed {:.3}%",
         analysis::false_positive_probability_asymptotic(8.0, 4) * 100.0,

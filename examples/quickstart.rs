@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use summary_cache::bloom::analysis;
-use summary_cache::core::{PeerTable, ProxySummary, SummaryKind, UpdatePolicy};
+use summary_cache::core::{PeerTable, ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
 
 fn main() {
     // Proxy B summarizes its directory at the paper's recommended
@@ -15,10 +15,12 @@ fn main() {
     let kind = SummaryKind::recommended();
     let mut proxy_b = ProxySummary::new(kind, 64 << 20); // 64 MB cache
 
-    // B caches some documents…
+    // B caches some documents. Each URL (and its server component) is
+    // digested once into a `UrlKey`; every summary operation reuses it.
+    let server = UrlKey::new(b"b-site.example");
     for doc in ["/index.html", "/logo.png", "/news/today.html"] {
         let url = format!("http://b-site.example{doc}");
-        proxy_b.insert(url.as_bytes(), b"b-site.example");
+        proxy_b.insert_key(&UrlKey::new(url.as_bytes()), &server);
     }
 
     // …and publishes its summary when the update policy fires (here:
@@ -36,13 +38,15 @@ fn main() {
     peers.install(1, proxy_b.snapshot_published());
 
     // A's local miss for a document B has: the probe says "ask B".
-    let hit = peers.probe_all(b"http://b-site.example/index.html", b"b-site.example");
+    let url = UrlKey::new(b"http://b-site.example/index.html");
+    let hit = peers.probe_all_key(&url, &server);
     println!("probe for /index.html      -> query peers {hit:?}");
     assert_eq!(hit, vec![1]);
 
     // A's local miss for a document nobody has: no queries at all —
     // where ICP would have multicast to every neighbour.
-    let miss = peers.probe_all(b"http://elsewhere.example/x", b"elsewhere.example");
+    let url = UrlKey::new(b"http://elsewhere.example/x");
+    let miss = peers.probe_all_key(&url, &UrlKey::new(b"elsewhere.example"));
     println!("probe for unknown document -> query peers {miss:?} (ICP would ask everyone)");
     assert!(miss.is_empty());
 

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build, test, then run the sc-check gate.
+# Tier-1 verification: build, test, run the sc-check gate, then build
+# and test the benchmark package.
 #
 # Everything runs offline — the workspace has zero registry
 # dependencies (sc-check's `deps` rule enforces exactly that), so no
@@ -26,17 +27,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
+# `default-members` covers the whole workspace: every crate's unit
+# tests, the proxy's integration pins and sc-check's own gate tests.
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q --offline
-
-echo "==> cargo test -p sc-check (the gate gating itself)"
-cargo test -p sc-check -q --offline
-
 echo "==> sc-check (static-analysis gate)"
 cargo run -p sc-check --offline --quiet
+
+# The benchmark package (its own workspace and lock file) compiles
+# against public paths in crates/*; build it so a rename fails here.
+echo "==> benchmark/ build + determinism, list, replay_vs_live"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml \
+    --test determinism --test list --test replay_vs_live
 
 if [ "$SOAK" = 1 ]; then
     SC_SIM_SEEDS="${SC_SIM_SEEDS:-1000}"

@@ -5,8 +5,9 @@
 #   scripts/ci.sh --soak    # full 200-seed fault sweeps (tens of minutes)
 #
 # Chains the tier-1 verification (scripts/check.sh, which builds,
-# runs every test suite including sc-check's own, and then the gate)
-# with a big-N convergence smoke (the 200-seed soak narrowed to 10
+# runs every test suite including sc-check's own, the gate, and the
+# benchmark package's fast tests) with the benchmark's one-window smoke
+# test, a big-N convergence smoke (the 200-seed soak narrowed to 10
 # seeds at 64 proxies, every fault class on), the adversarial scenario
 # suite at the same scale (pinned ruler regressions plus the
 # false-hit-storm / peer-churn fault sweep), and a short benchmark
@@ -29,6 +30,9 @@ for arg in "$@"; do
 done
 
 scripts/check.sh
+
+echo "==> benchmark/ one-window smoke"
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml --test smoke
 
 echo "==> big-N smoke (SC_SIM_PEERS=64, ${SWEEP_SEEDS} seeds)"
 SC_SIM_PEERS=64 SC_SIM_SEEDS="$SWEEP_SEEDS" \

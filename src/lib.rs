@@ -32,18 +32,22 @@
 //! ## Quick start
 //!
 //! ```
-//! use summary_cache::core::{ProxySummary, SummaryKind, PeerTable, PeerId};
+//! use summary_cache::core::{ProxySummary, SummaryKind, PeerTable, PeerId, UrlKey};
+//!
+//! // Each URL is digested once; every summary operation reuses the key.
+//! let (a, b) = (UrlKey::new(b"http://example.com/a"), UrlKey::new(b"http://example.com/b"));
+//! let server = UrlKey::new(b"example.com");
 //!
 //! // A proxy summarizes its cache directory as a Bloom filter…
 //! let mut mine = ProxySummary::new(SummaryKind::recommended(), 64 << 20);
-//! mine.insert(b"http://example.com/a", b"example.com");
+//! mine.insert_key(&a, &server);
 //! mine.publish();
 //!
 //! // …and peers probe the published snapshot before querying anyone.
 //! let mut peers = PeerTable::new();
 //! peers.install(1 as PeerId, mine.snapshot_published());
-//! assert_eq!(peers.probe_all(b"http://example.com/a", b"example.com"), vec![1]);
-//! assert!(peers.probe_all(b"http://example.com/b", b"example.com").is_empty());
+//! assert_eq!(peers.probe_all_key(&a, &server), vec![1]);
+//! assert!(peers.probe_all_key(&b, &server).is_empty());
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and

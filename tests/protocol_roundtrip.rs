@@ -4,14 +4,14 @@
 //! across lost and reordered updates, the failure mode the absolute
 //! bit-flip encoding was designed for (Section VI-A).
 
-use summary_cache::bloom::{BitVec, BloomFilter, HashSpec};
+use summary_cache::bloom::{BitVec, BloomFilter, HashSpec, UrlKey};
 use summary_cache::core::{ProxySummary, SummaryKind, SummarySnapshot};
 use summary_cache::wire::icp::{DirContent, DirUpdate, IcpMessage};
 
-fn url(i: u32) -> (String, String) {
+fn url(i: u32) -> (UrlKey, UrlKey) {
     (
-        format!("http://server-{}.trace.invalid/doc/{i}", i / 12),
-        format!("server-{}.trace.invalid", i / 12),
+        UrlKey::new(format!("http://server-{}.trace.invalid/doc/{i}", i / 12).as_bytes()),
+        UrlKey::new(format!("server-{}.trace.invalid", i / 12).as_bytes()),
     )
 }
 
@@ -100,8 +100,8 @@ fn assert_replica_matches(summary: &ProxySummary, replica: &BloomFilter, upto: u
     for i in 0..upto {
         let (u, s) = url(i);
         assert_eq!(
-            replica.contains(u.as_bytes()),
-            summary.probe_published(u.as_bytes(), s.as_bytes()),
+            replica.contains_key(&u),
+            summary.probe_published_key(&u, &s),
             "replica and published view disagree on doc {i}"
         );
     }
@@ -117,7 +117,7 @@ fn delta_updates_reconstruct_the_published_view() {
     // ≤2432 B) beats the full bitmap (32000 bits → 4032 B).
     for i in 0..150 {
         let (u, s) = url(i);
-        summary.insert(u.as_bytes(), s.as_bytes());
+        summary.insert_key(&u, &s);
     }
     let out = summary.publish();
     assert!(!out.full_bitmap, "delta must win at this churn level");
@@ -129,9 +129,9 @@ fn delta_updates_reconstruct_the_published_view() {
     // Round 2: churn — 100 removals, 100 fresh inserts, ship the delta.
     for i in 0..100 {
         let (u, s) = url(i);
-        summary.remove(u.as_bytes(), s.as_bytes());
+        summary.remove_key(&u, &s);
         let (u2, s2) = url(10_000 + i);
-        summary.insert(u2.as_bytes(), s2.as_bytes());
+        summary.insert_key(&u2, &s2);
     }
     let out = summary.publish();
     for d in encode_publish(&summary, out.full_bitmap, out.flips) {
@@ -139,8 +139,8 @@ fn delta_updates_reconstruct_the_published_view() {
     }
     assert_replica_matches(&summary, replica.as_ref().unwrap(), 400);
     let (gone, gs) = url(10);
-    assert!(!replica.as_ref().unwrap().contains(gone.as_bytes()));
-    assert!(!summary.probe_published(gone.as_bytes(), gs.as_bytes()));
+    assert!(!replica.as_ref().unwrap().contains_key(&gone));
+    assert!(!summary.probe_published_key(&gone, &gs));
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn full_bitmap_recovers_from_lost_updates() {
     // First publish is LOST (never applied).
     for i in 0..300 {
         let (u, s) = url(i);
-        summary.insert(u.as_bytes(), s.as_bytes());
+        summary.insert_key(&u, &s);
     }
     let lost = summary.publish();
     drop(lost);
@@ -160,7 +160,7 @@ fn full_bitmap_recovers_from_lost_updates() {
     // Second publish as a full bitmap (the bootstrap/recovery path):
     for i in 300..400 {
         let (u, s) = url(i);
-        summary.insert(u.as_bytes(), s.as_bytes());
+        summary.insert_key(&u, &s);
     }
     let out = summary.publish();
     // Force the full-bitmap form regardless of what publish chose.
@@ -185,7 +185,7 @@ fn redundant_and_reordered_deltas_are_harmless() {
     let mut summary = ProxySummary::with_expected_docs(kind, 4_000);
     for i in 0..400 {
         let (u, s) = url(i);
-        summary.insert(u.as_bytes(), s.as_bytes());
+        summary.insert_key(&u, &s);
     }
     let out = summary.publish();
     assert!(!out.full_bitmap, "delta must win at this churn level");

@@ -16,10 +16,8 @@
 //!   demonstrate the printed repro line.
 
 use summary_cache::bloom::UrlKey;
-use summary_cache::proxy::machine::{
-    DirectoryView, Event, Machine, Output, SendKind, VirtualTime,
-};
-use summary_cache::proxy::router::DirectoryInspect;
+use summary_cache::proxy::machine::{DirectoryView, Event, Output, SendKind, VirtualTime};
+use summary_cache::proxy::router::{DirectoryInspect, Router};
 use summary_cache::proxy::simnet::{Sim, SimConfig};
 use summary_cache::core::{ProxySummary, SummaryKind, UpdatePolicy};
 use summary_cache::wire::icp::IcpMessage;
@@ -168,14 +166,17 @@ impl DirectoryView for NoDocs {
     }
 }
 
-fn sc_machine(id: u32, peers: Vec<u32>, generation: u32) -> Machine {
+/// A single-shard, single-slot router: the unsharded machine.
+fn sc_machine(id: u32, peers: Vec<u32>, generation: u32) -> Router {
     let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
     let mut summary = ProxySummary::with_expected_docs(kind, 64);
     summary.set_generation(generation);
-    Machine::new(
+    Router::new(
         id,
         peers,
         50,
+        1,
+        1,
         Some((summary, UpdatePolicy::Threshold(0.0))),
         VirtualTime::ZERO,
     )
