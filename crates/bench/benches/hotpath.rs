@@ -118,8 +118,8 @@ fn bench_probe_all(b: &mut Bench, results: &mut Vec<(String, Value)>) {
 /// Per-stage attribution of the request path: where the non-probe
 /// nanoseconds live. Each row isolates one stage against warm state —
 /// digest (key construction, fresh vs reused scratch key), probe
-/// (candidate selection over an 8-peer snapshot), shard-event (the
-/// router's Stored/Purged directory routing), delta-publish (a
+/// (candidate selection over an 8-peer snapshot), directory-event (a
+/// Stored/Purged pair against the router's directory), delta-publish (a
 /// threshold-0 publish servicing every peer lane), and encode (one
 /// 320-flip DIRUPDATE datagram). The rows don't sum to
 /// `e2e/ns-per-request` — the simnet run adds scheduling and
@@ -172,8 +172,8 @@ fn bench_breakdown(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     });
     results.push(("e2e/breakdown/probe".into(), Value::Float(ns)));
 
-    // shard-event: route a Stored/Purged pair through the router's
-    // directory slices (no publish — the ledger policy never fires).
+    // directory-event: a Stored/Purged pair against the router's
+    // counting-Bloom directory (no publish — the policy never fires).
     let mk_router = |policy| {
         let mut summary = ProxySummary::with_expected_docs(SummaryKind::recommended(), 256);
         summary.set_generation(1);
@@ -184,7 +184,7 @@ fn bench_breakdown(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     let keys: Vec<UrlKey> = (0..256u32).map(|i| UrlKey::new(&url(i))).collect();
     let mut i = 0usize;
     let mut sink = Vec::new();
-    let ns = b.bench("e2e/breakdown/shard-event", || {
+    let ns = b.bench("e2e/breakdown/directory-event", || {
         let key = &keys[i % keys.len()];
         i += 1;
         router.handle_into(VirtualTime::ZERO, Event::Stored { url: key, evicted: &[] }, &NoDocs, &mut sink);
@@ -192,7 +192,7 @@ fn bench_breakdown(b: &mut Bench, results: &mut Vec<(String, Value)>) {
         black_box(&sink);
         sink.clear();
     });
-    results.push(("e2e/breakdown/shard-event".into(), Value::Float(ns / 2.0)));
+    results.push(("e2e/breakdown/directory-event".into(), Value::Float(ns / 2.0)));
 
     // delta-publish: a threshold-0 ledger publishes on every completed
     // request, servicing all 8 peer lanes immediately (keepalive 0 =

@@ -36,7 +36,6 @@ fn bench_cfg() -> ScenarioConfig {
             crashes: 2,
             partitions: 2,
             settle_ticks: 400,
-            shards: 1,
             fanout_slots: 1,
             initial_seq: 0,
         },

@@ -1,7 +1,7 @@
 //! `sc-check` — the repo's own invariant gate.
 //!
 //! A scope-aware static-analysis engine (see [`lexer`] and [`engine`])
-//! enforcing eleven rules that encode this codebase's architectural
+//! enforcing ten rules that encode this codebase's architectural
 //! contract with the paper:
 //!
 //! 1. **deps** — every dependency in every `Cargo.toml` is path-local;
@@ -20,9 +20,9 @@
 //! 5. **metrics** — a metric name is registered at exactly one source
 //!    site across the workspace; the registry get-or-creates by name,
 //!    so a second site silently aliases.
-//! 6. **sans_io** — `machine.rs` / `simnet.rs` / `shard.rs` /
-//!    `router.rs` stay free of `std::net`, wall clocks and sleeps; I/O
-//!    belongs to the daemon shell and the simnet scheduler.
+//! 6. **sans_io** — `machine.rs` / `simnet.rs` / `router.rs` /
+//!    `trace/src/scenario.rs` stay free of `std::net`, wall clocks and
+//!    sleeps; I/O belongs to the daemon shell and the simnet scheduler.
 //! 7. **hash_once** — no direct `md5(` / `md5_repeated(` on the probe
 //!    path; URL digests happen once, at `UrlKey` construction or inside
 //!    `HashSpec`. In the request-path files (`proxy/src/daemon.rs`,
@@ -44,10 +44,6 @@
 //! 10. **wire** — every `ICP_OP_*` constant in `crates/wire/src/icp.rs`
 //!     appears in an encode-side match arm, a decode-side match arm,
 //!     and at least one test, so an opcode cannot ship half-wired.
-//! 11. **shards** — `proxy/src/shard.rs` contains no `Mutex` or
-//!     `RwLock`: a shard is a single-owner slice of the directory, and
-//!     any cross-shard coordination must surface in the router (or the
-//!     daemon shell) where it is visible, not hide behind a lock.
 //!
 //! Everything is hand-rolled on `std` (plus the path-local `sc-json`
 //! for `--json` output) — no `syn`, no registry crates — so the gate
@@ -181,7 +177,7 @@ fn collect(
     Ok(())
 }
 
-/// Check the workspace rooted at `root` against all eleven rules.
+/// Check the workspace rooted at `root` against all ten rules.
 pub fn check_repo(root: &Path) -> std::io::Result<Report> {
     let mut manifests = Vec::new();
     let mut source_paths = Vec::new();

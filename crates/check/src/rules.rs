@@ -1,4 +1,4 @@
-//! Rules 2–11, expressed on the [`crate::engine`].
+//! Rules 2–10, expressed on the [`crate::engine`].
 //!
 //! Per-file rules emit through a [`Sink`] (suppression-aware). Rules
 //! that need the whole tree — metric uniqueness (5), lock-order
@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// Every rule name `// sc-check: allow(…)` may reference.
-pub const KNOWN_RULES: [&str; 11] = [
+pub const KNOWN_RULES: [&str; 10] = [
     "deps",
     "panic",
     "determinism",
@@ -22,7 +22,6 @@ pub const KNOWN_RULES: [&str; 11] = [
     "locks",
     "alloc",
     "wire",
-    "shards",
 ];
 
 /// Path prefixes (relative, `/`-separated) rule 2 applies to.
@@ -38,13 +37,12 @@ const DETERMINISM_TOKENS: [&str; 5] = [
     "RandomState::new",
 ];
 /// Exact files (relative, `/`-separated) rule 6 applies to: the
-/// sans-I/O protocol modules — the machine facade, the shard/router
-/// runtime it wraps, the deterministic simnet built on them, and the
+/// sans-I/O protocol modules — the machine vocabulary, the router that
+/// decides on it, the deterministic simnet built on them, and the
 /// scenario generators that feed the simnet its workloads.
-const SANS_IO_SCOPES: [&str; 5] = [
+const SANS_IO_SCOPES: [&str; 4] = [
     "crates/proxy/src/machine.rs",
     "crates/proxy/src/simnet.rs",
-    "crates/proxy/src/shard.rs",
     "crates/proxy/src/router.rs",
     "crates/trace/src/scenario.rs",
 ];
@@ -118,12 +116,6 @@ const ALLOC_TOKENS: [&str; 6] = [
 ];
 /// The wire definition file rule 10 (exhaustiveness) applies to.
 const WIRE_FILE: &str = "crates/wire/src/icp.rs";
-/// The shard data plane rule 11 applies to: each shard is owned by
-/// exactly one protocol turn at a time, so in-shard locking is a
-/// design smell, not a safety tool.
-const SHARDS_FILE: &str = "crates/proxy/src/shard.rs";
-/// Lock types rule 11 forbids there.
-const SHARDS_TOKENS: [&str; 2] = ["Mutex", "RwLock"];
 /// Registration call tokens for rule 5: a metric is born where one of
 /// these methods is applied to a name literal. Snapshot *reads* use
 /// `counter_value` / `gauge_value` / `histogram_value` and never match.
@@ -242,19 +234,6 @@ pub fn check_file(f: &SourceFile, out: &mut Vec<Violation>, cross: &mut CrossFil
                     "`{HASH_ONCE_ENTRY_TOKEN}…)` downstream of request entry re-digests a URL the request already keyed; thread the entry `UrlKey` through, or mark a sanctioned entry digest with `// sc-check: allow(hash_once)`"
                 ),
             );
-        }
-    }
-    if unix == SHARDS_FILE {
-        for token in SHARDS_TOKENS {
-            for line in bounded_token_lines(f, token) {
-                sink.emit(
-                    "shards",
-                    line,
-                    format!(
-                        "`{token}` inside a shard; shards are single-owner slices — cross-shard coordination belongs to the router, and shared state behind locks belongs to the daemon shell"
-                    ),
-                );
-            }
         }
     }
     if unix.ends_with("bloom/src/counting.rs") {
@@ -1158,29 +1137,6 @@ mod tests {
              }\n",
         );
         assert!(out.iter().all(|v| v.rule != "locks"), "{out:?}");
-    }
-
-    #[test]
-    fn locks_inside_shard_rs_are_flagged_elsewhere_not() {
-        let src = "struct Shard {\n\
-             \x20   dir: std::sync::Mutex<Directory>,\n\
-             \x20   replicas: RwLock<Replicas>,\n\
-             }\n";
-        let f = SourceFile::parse(
-            PathBuf::from("crates/proxy/src/shard.rs"),
-            src.to_string(),
-        );
-        let mut out = Vec::new();
-        let mut cross = CrossFile::default();
-        check_file(&f, &mut out, &mut cross);
-        let shards: Vec<_> = out.iter().filter(|v| v.rule == "shards").collect();
-        assert_eq!(shards.len(), 2, "{out:?}");
-        assert_eq!(shards[0].line, 2);
-        assert_eq!(shards[1].line, 3);
-
-        // The same tokens one directory over are the daemon's business.
-        let (out, _) = run(src);
-        assert!(out.iter().all(|v| v.rule != "shards"), "{out:?}");
     }
 
     #[test]

@@ -253,29 +253,6 @@ fn redigest_in_daemon_flagged_entry_and_tests_exempt() {
 }
 
 #[test]
-fn lock_in_shard_flagged_tests_exempt() {
-    let out = run_gate(&fixture("lock_in_shard"));
-    assert!(
-        !out.status.success(),
-        "lock types inside a shard must fail the gate"
-    );
-    let text = stdout(&out);
-    assert!(
-        text.contains("shard.rs:5: [shards]") && text.contains("Mutex"),
-        "Mutex field flagged:\n{text}"
-    );
-    assert!(
-        text.contains("shard.rs:6: [shards]") && text.contains("RwLock"),
-        "RwLock field flagged:\n{text}"
-    );
-    assert_eq!(
-        text.matches("[shards]").count(),
-        2,
-        "the cfg(test) locks are exempt:\n{text}"
-    );
-}
-
-#[test]
 fn missing_root_is_a_usage_error() {
     let out = run_gate(Path::new("/nonexistent/definitely-not-a-repo"));
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");

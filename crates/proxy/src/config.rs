@@ -147,9 +147,11 @@ impl ProxyConfig {
         self.update_loss
     }
 
-    /// Shard lanes the runtime partitions the directory, cache, and
-    /// peer-replica space over (never 0; defaults to the machine's
-    /// available parallelism).
+    /// Document-cache stripes: the cache splits into this many
+    /// independently locked parts by `UrlKey` digest, so request
+    /// threads contend only per stripe (never 0; defaults to the
+    /// machine's available parallelism). The protocol state is one
+    /// directory either way.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -184,7 +186,7 @@ pub enum ConfigError {
     ZeroIcpTimeout,
     /// `update_loss` outside `[0, 1)` (1 would drop every update).
     BadUpdateLoss(f64),
-    /// `shards(0)` — the runtime needs at least one lane.
+    /// `shards(0)` — the document cache needs at least one stripe.
     ZeroShards,
 }
 
@@ -294,7 +296,7 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// Set the shard-lane count for the runtime (see
+    /// Set the document-cache stripe count (see
     /// [`ProxyConfig::shards`]). 0 is rejected at [`build`]; unset
     /// defaults to `std::thread::available_parallelism`.
     ///

@@ -2,7 +2,7 @@
 //! the summary-cache machinery of Section VI-B.
 //!
 //! Since the sans-I/O refactor, every protocol *decision* lives in
-//! [`crate::shard`] + [`crate::router`]: the daemon is a thin I/O shell
+//! [`crate::router`]: the daemon is a thin I/O shell
 //! that feeds the [`Router`] real datagrams, real timer ticks, and real
 //! cache events, then carries out the sends and journal/metric effects
 //! it returns. The deterministic [`crate::simnet`] harness drives the
@@ -26,10 +26,10 @@
 //! * an admin TCP endpoint ([`crate::admin`]) exposing the sc-obs
 //!   registry every counter below lives in.
 //!
-//! The document cache is striped by the same `UrlKey` space the router
-//! shards on ([`crate::router::stripe_of`]): a shard's directory slice
-//! and its documents live on the same lane, and cache-lock contention
-//! splits [`ProxyConfig::shards`] ways.
+//! The document cache is striped by `UrlKey` digest
+//! ([`crate::router::stripe_of`]), so cache-lock contention splits
+//! [`ProxyConfig::shards`] ways; the router behind its one lock keeps a
+//! single directory for the whole cache.
 //!
 //! The cache stores document *metadata*; bodies are synthesized at the
 //! sizes recorded, which preserves every quantity the experiments
@@ -127,8 +127,7 @@ struct Inner {
     stats: Arc<ProxyStats>,
     /// The document cache, striped by the router's `UrlKey` space.
     cache: CacheStripes,
-    /// The sharded sans-I/O protocol runtime — all replication/ICP
-    /// decisions.
+    /// The sans-I/O protocol state — all replication/ICP decisions.
     router: Mutex<Router>,
     /// Lock-free read path: the router publishes replica snapshots
     /// here; SC-mode candidate selection reads them without touching
@@ -151,10 +150,9 @@ struct Inner {
     next_reqnum: AtomicU32,
 }
 
-/// The document cache split into [`ProxyConfig::shards`] stripes along
-/// the router's `UrlKey` partition: stripe *i* holds exactly the URLs
-/// whose directory bits live in shard *i*, so a store and its summary
-/// insert touch the same lane and independent lanes never contend.
+/// The document cache split into [`ProxyConfig::shards`] stripes by
+/// `UrlKey` digest, so requests for URLs on different stripes never
+/// contend for a cache lock.
 struct CacheStripes {
     stripes: Vec<Mutex<WebCache<String>>>,
 }
@@ -251,7 +249,7 @@ impl Daemon {
             cfg.id(),
             peer_ids,
             cfg.keepalive_ms(),
-            cfg.shards(),
+            1,
             cfg.fanout_slots(),
             sc,
             VirtualTime::ZERO,
@@ -773,8 +771,7 @@ fn serve_client_on(
     let url = req.target.as_str();
     // THE digest of this request: the URL is hashed exactly once here
     // (into the warm scratch key) and threads through stripe selection,
-    // summary probing, the purge/store ledger events, and the shard
-    // partition. sc-check: allow(hash_once) — this is that one
+    // summary probing, and the purge/store directory events — the one
     // sanctioned digest.
     scratch.key.reset(url.as_bytes());
     let want = DocMeta {
@@ -888,8 +885,7 @@ fn serve_client_on(
 }
 
 fn store_document(inner: &Inner, url: &str, meta: DocMeta, scratch: &mut RequestScratch) {
-    // Evictions come out of the same stripe the URL goes into — the
-    // stripes partition the same key space the directory shards do.
+    // Evictions come out of the same stripe the URL goes into.
     let evicted = lock(inner.cache.stripe(&scratch.key)).store(url.to_string(), meta);
     if let Some(evicted) = evicted {
         // Victims are *other* URLs the request never digested; their

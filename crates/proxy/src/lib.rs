@@ -12,12 +12,9 @@
 //!   gap-triggered resync, failure detection, publish fan-out) is
 //!   phrased in: a pure function of `(virtual time, event)` — no
 //!   sockets, no clocks, no sleeps.
-//! * [`shard`] + [`router`] — the shard-per-core runtime that makes
-//!   those decisions: N lock-free shards partition the local directory
-//!   and the peer-replica space by `UrlKey` digest, the router owns the
-//!   control plane (liveness, request numbering, the publish ledger)
-//!   and turns cross-shard concerns into explicit merge steps. A router
-//!   with one shard is the unsharded machine.
+//! * [`router`] — the state that makes those decisions: the proxy's one
+//!   counting-Bloom directory and its publish ledger, one summary
+//!   replica per peer, liveness, and request numbering.
 //! * [`daemon`] — the proxy itself: an HTTP front end with a
 //!   metadata-only document cache, a UDP ICP endpoint feeding the
 //!   router, and three peering modes ([`config::Mode`]): no
@@ -66,7 +63,8 @@ pub mod origin;
 pub mod replica;
 pub mod router;
 pub mod scratch;
-pub mod shard;
+/// The copy-on-write counter's old path, kept for `benchmark/src/replay.rs`.
+pub mod shard { pub use crate::router::cow_copies; }
 pub mod simnet;
 pub mod stats;
 

@@ -18,13 +18,11 @@
 //! clock and a seeded fault plan. Both drive the *same* decision logic,
 //! which is what makes a simnet seed a faithful protocol schedule.
 //!
-//! Since the shard-per-core redesign the decision logic itself lives in
-//! [`crate::shard`] (partitioned directory + replica state) and
-//! [`crate::router`] (control plane, cross-shard merges); this module
-//! keeps the shared protocol vocabulary — [`Event`], [`Output`],
-//! [`Effect`], [`VirtualTime`], the wire constants. The single-shard
-//! machine is [`crate::router::Router::new`] with one shard and one
-//! fanout slot.
+//! The decision logic itself lives in [`crate::router`] (the local
+//! directory, peer replicas, and control plane); this module keeps the
+//! shared protocol vocabulary — [`Event`], [`Output`], [`Effect`],
+//! [`VirtualTime`], the wire constants. The single machine is
+//! [`crate::router::Router::new`] with one fanout slot.
 //!
 //! Time enters only as [`VirtualTime`] values the caller supplies;
 //! durations (resync backoff, failure timeout) are plain arithmetic on
@@ -305,7 +303,7 @@ mod tests {
         }
     }
 
-    /// A single-shard, single-slot router: the unsharded machine.
+    /// A single-slot SC-mode router.
     fn sc_machine(id: u32, peers: Vec<u32>, generation: u32) -> Router {
         let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
         let mut summary = ProxySummary::with_expected_docs(kind, 64);

@@ -1,19 +1,23 @@
-//! The shard router: the control plane of the shard-per-core runtime.
+//! The router: one proxy's protocol state and every decision made on it.
 //!
-//! The router owns everything that must be globally ordered or that
-//! crosses shard boundaries, and routes everything else to the owning
-//! [`Shard`]:
+//! The daemon holds the whole router behind one `Mutex<Router>`; the
+//! simnet drives the same type from a virtual clock. It owns:
 //!
-//! * **request numbers**: one allocator, so DIRREQ/DIRUPDATE numbering
-//!   is identical at every shard count;
+//! * **the local directory**: the paper's one counting Bloom filter
+//!   over this proxy's cache (Section V-C), fed pre-hashed keys by
+//!   [`Event::Stored`] / [`Event::Purged`];
+//! * **the publish ledger**: generation, baseline bitmap, the shared
+//!   flip log, and the update policy. A publish diffs the directory's
+//!   bit array against the baseline — exactly the
+//!   [`ProxySummary::publish`] arithmetic — and appends the diff to the
+//!   flip log;
+//! * **peer replicas**: one installed Bloom replica per peer plus the
+//!   `(generation, seq)` sequencing state guarding it. Replicas install
+//!   only from full (raw or Golomb–Rice) bitmaps; deltas apply only in
+//!   sequence; a gap discards the replica and sends a DIRREQ resync;
+//! * **request numbers**: one allocator for DIRREQ/DIRUPDATE numbering;
 //! * **peer liveness**: SECHO bookkeeping, the failure sweep, and
 //!   recovery reinitialization (Section VI-B);
-//! * **the publish ledger**: generation, baseline bitmap, the shared
-//!   flip log, and the update policy. A publish is the canonical
-//!   *cross-shard merge step*: the shard directory slices are OR-ed
-//!   word-wise into one full-width bitmap, diffed against the baseline
-//!   — exactly the unsharded [`ProxySummary::publish`] arithmetic —
-//!   and the diff is appended to the flip log;
 //! * **per-peer update lanes**: each peer consumes the flip log at its
 //!   own cursor with its own seq stream, serviced in a stagger slot
 //!   derived from `(proxy, peer)` so keep-alive and update fanout
@@ -22,36 +26,57 @@
 //!   backlog outweighs a bitmap gets a full restatement instead,
 //!   Golomb–Rice coded when the peer negotiated `DIRFULL_GR` support
 //!   via the DIRREQ options word;
-//! * **the replica snapshot cell**: whenever any shard reports
-//!   [`ShardOutput::ReplicasChanged`], the router re-merges every
-//!   shard's installed replicas into one immutable
+//! * **the replica snapshot cell**: whenever the installed replica set
+//!   changes, the router publishes it as one immutable
 //!   [`ReplicaSnapshot`] for the lock-free read path.
 //!
-//! Determinism: the router processes one event at a time and drains
-//! each shard's outputs synchronously, so the output stream for a
-//! given event sequence is identical for every shard count — that is
-//! what lets the simnet assert bit-for-bit equal journals for shards
-//! ∈ {1, 2, 4} under the same seed (see DESIGN.md §13 for the full
-//! argument, including the counter-saturation caveat).
+//! The router processes one event at a time, so a given event sequence
+//! always yields the same output stream — what lets the simnet replay a
+//! seed's journal bit for bit.
 //!
-//! Like the machine it replaces, this module is sans-I/O (sc-check
-//! rule 6 covers it): no sockets, no real clocks, no sleeps.
+//! This module is sans-I/O (sc-check rule 6 covers it): no sockets, no
+//! real clocks, no sleeps.
 
 use crate::machine::{
     Dest, DirectoryView, Effect, Event, Output, Send, SendKind, VirtualTime,
-    FAILURE_KEEPALIVE_PERIODS, FLIPS_PER_DATAGRAM, GR_SEGMENT_BITS,
+    FAILURE_KEEPALIVE_PERIODS, FLIPS_PER_DATAGRAM, GR_SEGMENT_BITS, RESYNC_BACKOFF,
 };
 use crate::replica::{ReplicaCell, ReplicaSnapshot};
-use crate::shard::{mix64, owner_of, shard_of, Shard, ShardEvent, ShardOutput};
-use sc_bloom::{BitVec, Flip, HashSpec, UrlKey};
+use sc_bloom::{BitVec, BloomFilter, CountingBloomFilter, FilterConfig, Flip, HashSpec, UrlKey};
 use sc_util::fxhash::FxHashMap;
 use sc_wire::icp::{
     DirContent, DirUpdate, IcpMessage, DIRFULL_GR_SEGMENT_LEN, DIRUPDATE_HEADER_LEN, HEADER_LEN,
 };
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 use summary_cache_core::{wire_cost, ProxySummary, SummarySnapshot, UpdatePolicy};
+
+thread_local! {
+    /// Copy-on-write deep copies taken when applying delta flips (a
+    /// `make_mut` that found the filter still shared with a published
+    /// snapshot). The batched flip-apply design pins this: with replica
+    /// publication deferred to batch boundaries, a batch of N delta
+    /// datagrams costs at most one copy per touched filter, not N.
+    static COW_COPIES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of replica-filter deep copies this thread's delta
+/// applications have taken so far (monotonic; diff around a workload
+/// to count its copies — same pattern as [`sc_md5::blocks_hashed`]).
+pub fn cow_copies() -> u64 {
+    COW_COPIES.with(|c| c.get())
+}
+
+/// The splitmix64 finalizer — a full-avalanche mix for fanout stagger
+/// slots (deterministic, endian-free, no external state).
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// One read-only introspection surface over a directory owner — the
 /// router and the live [`crate::daemon::Daemon`] both implement it, so
@@ -79,16 +104,23 @@ struct PeerLiveness {
     failed: bool,
 }
 
-/// The publish ledger: the control-plane half of summary-cache mode.
-/// The per-URL counters live in the shards; everything here is global —
-/// the published baseline, the shared flip log the per-peer lanes
-/// consume, the generation lineage, and the policy counters the publish
-/// decision reads. Sequence numbers are *per lane* now: each peer sees
-/// its own gap-free seq stream, which is what lets fanout stagger and
-/// per-peer full restatements coexist (a unicast send can never create
-/// a seq some other peer reads as a gap).
+/// Summary-cache mode's local half: the directory filter, the published
+/// baseline, the shared flip log the per-peer lanes consume, the
+/// generation lineage, and the policy counters the publish decision
+/// reads. Sequence numbers are *per lane*: each peer sees its own
+/// gap-free seq stream, which is what lets fanout stagger and per-peer
+/// full restatements coexist (a unicast send can never create a seq
+/// some other peer reads as a gap).
 struct ScControl {
     spec: HashSpec,
+    /// The local directory: one counting Bloom filter over every cached
+    /// document, at the published spec.
+    filter: CountingBloomFilter,
+    /// Warm flip buffer for directory mutations. A publish diffs the
+    /// filter's bits against the baseline, so per-insert flips are
+    /// discarded — collected here instead of a fresh `Vec` so the
+    /// steady-state store path never allocates.
+    flip_scratch: Vec<Flip>,
     /// The published bitmap — the state at the flip log's head; what a
     /// peer whose lane cursor is current holds.
     baseline: BitVec,
@@ -112,6 +144,61 @@ struct ScControl {
     log_base: u64,
 }
 
+impl ScControl {
+    /// A document keyed by `key` entered the cache. The key arrives
+    /// pre-hashed — no digest happens here.
+    fn insert(&mut self, key: &UrlKey) {
+        self.flip_scratch.clear();
+        self.filter.insert_key_into(key, &mut self.flip_scratch);
+        self.docs += 1;
+        self.fresh += 1;
+    }
+
+    /// A document keyed by `key` left the cache (eviction or purge).
+    fn remove(&mut self, key: &UrlKey) {
+        self.flip_scratch.clear();
+        self.filter.remove_key_into(key, &mut self.flip_scratch);
+        self.docs = self.docs.saturating_sub(1);
+    }
+}
+
+/// One peer's summary replica and the sequencing state guarding it.
+///
+/// A replica is only ever *installed* from a full bitmap; delta flips
+/// apply only when they carry exactly the expected `(generation, seq)`.
+/// Until a bitmap arrives (`filter` is `None`) probes treat the peer as
+/// empty — flips are never guessed onto an empty array.
+#[derive(Default)]
+struct ReplicaState {
+    /// The installed replica; `None` on first contact or after a
+    /// detected gap discarded the previous one. Shared by `Arc` with
+    /// the published [`ReplicaSnapshot`]s; delta flips copy-on-write
+    /// (`Arc::make_mut`) only while a reader holds an old snapshot.
+    filter: Option<Arc<BloomFilter>>,
+    /// Generation of the installed (or last seen) publisher bitmap.
+    generation: u32,
+    /// Seq the next delta from this peer must carry.
+    expected_seq: u32,
+    /// When a DIRREQ was last sent, for backoff.
+    last_resync_request: Option<VirtualTime>,
+    /// A partially assembled split DIRFULL_GR bitmap. Segments sharing
+    /// one `(generation, seq)` stamp splice in order; the assembly only
+    /// becomes the replica once it covers the whole array, so the
+    /// install-from-full-bitmap-only invariant holds under loss and
+    /// reordering (a broken sequence is simply discarded and the next
+    /// resync retries).
+    staging: Option<GrStaging>,
+}
+
+/// In-flight assembly of a segmented compressed bitmap.
+struct GrStaging {
+    generation: u32,
+    seq: u32,
+    bits: BitVec,
+    /// First bit the next segment must start at.
+    next_bit: u32,
+}
+
 /// One peer's update lane: where it stands in the flip log and in its
 /// private seq stream.
 struct PeerLane {
@@ -131,14 +218,14 @@ struct PeerLane {
     slot: u32,
 }
 
-/// The routed protocol state for one proxy: N shards plus the control
-/// plane. [`Router::new`] with one shard and one fanout slot is exactly
-/// the old unsharded machine.
+/// The protocol state for one proxy: its directory, its peers'
+/// replicas, and the control plane around them.
 pub struct Router {
     id: u32,
     peers: Vec<u32>,
     keepalive_ms: u64,
-    shards: Vec<Shard>,
+    /// Peer summary replicas, keyed by peer id.
+    replicas: FxHashMap<u32, ReplicaState>,
     liveness: FxHashMap<u32, PeerLiveness>,
     sc: Option<ScControl>,
     /// Per-peer update lanes (every configured peer has one; only SC
@@ -153,11 +240,11 @@ pub struct Router {
     /// services.
     tick_no: u64,
     /// The lock-free read-path cell: after replica mutations the router
-    /// merges an immutable snapshot of all shards' replicas here, so
-    /// SC-mode candidate selection never takes the router lock.
+    /// publishes an immutable snapshot of the installed replicas here,
+    /// so SC-mode candidate selection never takes the router lock.
     cell: Arc<ReplicaCell>,
-    /// Set when a shard reported a replica-set change that has not yet
-    /// been merged into the cell. Deferring the merge to
+    /// Set when the replica set changed since the last publication to
+    /// the cell. Deferring the publication to
     /// [`Router::flush_replicas`] is what lets a batch of delta
     /// datagrams share one copy-on-write of each touched filter: an
     /// eager per-datagram publish would re-`Arc` every filter, so every
@@ -167,26 +254,30 @@ pub struct Router {
 }
 
 impl Router {
-    /// A router for proxy `id` peering with `peers`, partitioned over
-    /// `shards` lanes with peer fanout staggered across `fanout_slots`
-    /// ticks (both clamp 0 to 1). `sc` carries the summary (with its
-    /// generation already set by the driver — fresh randomness is I/O)
-    /// and publish policy in summary-cache mode; the summary's
-    /// *published* snapshot seeds the ledger, and its Bloom spec sizes
-    /// every shard's directory slice. Non-Bloom summaries are not
-    /// routable (nothing constructs them here; the unsharded publish
-    /// path treated them as unreachable) and degrade to no-SC mode.
-    /// `now` initializes every peer's last-heard time.
+    /// A router for proxy `id` peering with `peers`, with peer fanout
+    /// staggered across `fanout_slots` ticks (0 clamps to 1). `sc`
+    /// carries the summary (with its generation already set by the
+    /// driver — fresh randomness is I/O) and publish policy in
+    /// summary-cache mode; the summary's *published* snapshot seeds the
+    /// ledger, and its Bloom spec sizes the directory filter. Non-Bloom
+    /// summaries are not routable (nothing constructs them here) and
+    /// degrade to no-SC mode. `now` initializes every peer's last-heard
+    /// time.
+    ///
+    /// `_shards` is ignored: a proxy keeps one directory. The argument
+    /// stays only because `benchmark/src/replay.rs` passes it; callers
+    /// in this workspace pass 1, and the allocation pins in
+    /// `tests/zero_alloc.rs` also pass 8 to show the value changes
+    /// nothing.
     pub fn new(
         id: u32,
         peers: Vec<u32>,
         keepalive_ms: u64,
-        shards: usize,
+        _shards: usize,
         fanout_slots: usize,
         sc: Option<(ProxySummary, UpdatePolicy)>,
         now: VirtualTime,
     ) -> Router {
-        let shards = shards.max(1);
         let fanout_slots = fanout_slots.max(1) as u32;
         let liveness = peers
             .iter()
@@ -206,6 +297,12 @@ impl Router {
             };
             Some((summary.seq(), ScControl {
                 spec,
+                filter: CountingBloomFilter::new(FilterConfig {
+                    bits: spec.table_bits(),
+                    hashes: spec.k(),
+                    function_bits: spec.function_bits(),
+                }),
+                flip_scratch: Vec::new(),
                 baseline_ones: bits.count_ones(),
                 baseline: bits,
                 generation: summary.generation(),
@@ -236,16 +333,11 @@ impl Router {
                 )
             })
             .collect();
-        let slice_cfg = sc.as_ref().map(|sc| sc_bloom::FilterConfig {
-            bits: sc.spec.table_bits(),
-            hashes: sc.spec.k(),
-            function_bits: sc.spec.function_bits(),
-        });
         Router {
             id,
             peers,
             keepalive_ms,
-            shards: (0..shards).map(|i| Shard::new(i, slice_cfg)).collect(),
+            replicas: FxHashMap::default(),
             liveness,
             sc,
             lanes,
@@ -260,11 +352,6 @@ impl Router {
     /// This proxy's id.
     pub fn id(&self) -> u32 {
         self.id
-    }
-
-    /// How many shard lanes this router partitions state over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// How many stagger slots the peer fanout is spread over. A driver
@@ -282,8 +369,8 @@ impl Router {
         self.cell.clone()
     }
 
-    /// Publish pending replica changes to the read-path cell, if any
-    /// shard reported one since the last flush. Batch drivers call this
+    /// Publish pending replica changes to the read-path cell, if the
+    /// replica set changed since the last flush. Batch drivers call this
     /// once per event batch (and [`Router::handle`] calls it per event
     /// for single-event callers), so N delta datagrams in one batch
     /// cost one snapshot merge and at most one copy-on-write per
@@ -295,25 +382,25 @@ impl Router {
         }
     }
 
-    /// Merge every shard's installed replicas into one immutable
-    /// snapshot (in configured peer order, matching
-    /// [`Router::candidates_key_into`]'s probe order) and publish it to
-    /// the cell.
+    /// Gather the installed replicas into one immutable snapshot (in
+    /// configured peer order, matching [`Router::candidates_key_into`]'s
+    /// probe order) and publish it to the cell.
     fn publish_replicas(&self) {
         let peers = self
             .peers
             .iter()
-            .filter_map(|&p| {
-                self.shards[owner_of(p, self.shards.len())]
-                    .replica_filter(p)
-                    .map(|f| (p, f.clone()))
-            })
+            .filter_map(|&p| self.replica_filter(p).map(|f| (p, f.clone())))
             .collect();
         self.cell.swap(Arc::new(ReplicaSnapshot::new(peers)));
     }
 
+    /// The installed replica of `peer`, if synced.
+    fn replica_filter(&self, peer: u32) -> Option<&Arc<BloomFilter>> {
+        self.replicas.get(&peer).and_then(|st| st.filter.as_ref())
+    }
+
     /// Feed one event; returns the sends and effects it decided on, in
-    /// order. Identical output stream at every shard count.
+    /// order.
     pub fn handle(&mut self, now: VirtualTime, event: Event<'_>, dir: &dyn DirectoryView) -> Vec<Output> {
         let mut out = Vec::new();
         self.handle_into(now, event, dir, &mut out);
@@ -343,83 +430,20 @@ impl Router {
             Event::Datagram { from, data } => self.on_datagram(now, from, data, dir, out),
             Event::Tick => self.on_tick(now, out),
             Event::Stored { url, evicted } => {
-                if self.sc.is_some() {
-                    self.route_insert(url);
+                if let Some(sc) = self.sc.as_mut() {
+                    sc.insert(url);
                     for victim in evicted {
-                        self.route_remove(victim);
+                        sc.remove(victim);
                     }
                 }
             }
             Event::Purged { url } => {
-                if self.sc.is_some() {
-                    self.route_remove(url);
+                if let Some(sc) = self.sc.as_mut() {
+                    sc.remove(url);
                 }
             }
             Event::RequestDone => self.on_request_done(now, out),
         }
-    }
-
-    /// Insert the document keyed by `key` into the owning shard's
-    /// directory slice and bump the ledger counters (docs, Section V-A
-    /// freshness). The key arrives pre-hashed — no digest happens here.
-    fn route_insert(&mut self, key: &UrlKey) {
-        let shard = shard_of(key, self.shards.len());
-        let mut sink = Vec::new();
-        self.shards[shard].handle(ShardEvent::Insert { url: key }, &mut sink);
-        if let Some(sc) = self.sc.as_mut() {
-            sc.docs += 1;
-            sc.fresh += 1;
-        }
-        debug_assert!(sink.is_empty(), "directory mutations emit no outputs");
-    }
-
-    /// Remove the document keyed by `key` from the owning shard's
-    /// directory slice.
-    fn route_remove(&mut self, key: &UrlKey) {
-        let shard = shard_of(key, self.shards.len());
-        let mut sink = Vec::new();
-        self.shards[shard].handle(ShardEvent::Remove { url: key }, &mut sink);
-        if let Some(sc) = self.sc.as_mut() {
-            sc.docs = sc.docs.saturating_sub(1);
-        }
-        debug_assert!(sink.is_empty(), "directory mutations emit no outputs");
-    }
-
-    /// Materialize a shard's routed outputs: effects pass through,
-    /// resync decisions become DIRREQ sends (request number allocated
-    /// here, so numbering is shard-count independent). Returns whether
-    /// the shard reported a replica-set change.
-    fn drain_shard_outputs(&mut self, souts: Vec<ShardOutput>, out: &mut Vec<Output>) -> bool {
-        let mut replicas_changed = false;
-        for sout in souts {
-            match sout {
-                ShardOutput::Effect(e) => out.push(Output::Effect(e)),
-                ShardOutput::Resync {
-                    peer,
-                    last_generation,
-                } => {
-                    let request_number = self.next_reqnum;
-                    self.next_reqnum = self.next_reqnum.wrapping_add(1);
-                    out.push(Output::Send(Send {
-                        to: Dest::Sender,
-                        msg: IcpMessage::DirReq {
-                            request_number,
-                            sender: self.id,
-                            generation: last_generation,
-                            // We decode DIRFULL_GR, so every resync we
-                            // originate advertises it.
-                            accepts_gr: true,
-                        },
-                        kind: SendKind::Resync {
-                            peer,
-                            last_generation,
-                        },
-                    }));
-                }
-                ShardOutput::ReplicasChanged => replicas_changed = true,
-            }
-        }
-        replicas_changed
     }
 
     // -- read-only views the driver needs ---------------------------------
@@ -441,10 +465,7 @@ impl Router {
     pub fn candidates_key_into(&self, url: &UrlKey, out: &mut Vec<u32>) {
         out.clear();
         for &p in &self.peers {
-            if self.shards[owner_of(p, self.shards.len())]
-                .replica_filter(p)
-                .is_some_and(|f| f.contains_key(url))
-            {
+            if self.replica_filter(p).is_some_and(|f| f.contains_key(url)) {
                 out.push(p);
             }
         }
@@ -452,19 +473,12 @@ impl Router {
 
     /// Is a replica of `peer` currently installed?
     pub fn replica_installed(&self, peer: u32) -> bool {
-        self.shards[owner_of(peer, self.shards.len())].replica_installed(peer)
+        self.replica_filter(peer).is_some()
     }
 
     /// The summary's current generation (SC mode only).
     pub fn generation(&self) -> Option<u32> {
         self.sc.as_ref().map(|sc| sc.generation)
-    }
-
-    /// Saturated-counter increments summed over every shard's slice —
-    /// the only condition under which the shard OR-merge can diverge
-    /// from an unsharded directory (DESIGN.md §13).
-    pub fn saturations(&self) -> u64 {
-        self.shards.iter().map(Shard::local_saturations).sum()
     }
 
     // -- event handlers ---------------------------------------------------
@@ -489,15 +503,7 @@ impl Router {
                 // failure time.
                 out.push(Output::Effect(Effect::PeerRecovered { peer: peer_id }));
                 self.send_full_to(peer_id, out);
-                let owner = owner_of(peer_id, self.shards.len());
-                let mut souts = Vec::new();
-                self.shards[owner].handle(
-                    ShardEvent::PeerReturned { now, peer: peer_id },
-                    &mut souts,
-                );
-                if self.drain_shard_outputs(souts, out) {
-                    self.replicas_dirty = true;
-                }
+                self.request_resync(now, peer_id, out);
             }
         }
         match msg {
@@ -563,8 +569,14 @@ impl Router {
         }
     }
 
-    /// Validate and account a received directory update, then route it
-    /// to the shard owning the sender's replica.
+    /// Validate and account a received directory update, then apply it
+    /// to the sender's replica.
+    ///
+    /// Sequencing discipline: a replica is only ever *installed* from a
+    /// full bitmap, and delta flips apply only when they carry exactly
+    /// the expected `(generation, seq)`. Anything else is evidence of
+    /// loss, reordering, or a publisher restart — the replica is
+    /// discarded and a resync goes out.
     fn apply_update(&mut self, now: VirtualTime, sender: u32, update: DirUpdate, out: &mut Vec<Output>) {
         let Ok(spec) = HashSpec::new(
             update.function_num,
@@ -577,18 +589,184 @@ impl Router {
             return; // not a configured peer: no replica, no resync
         }
         out.push(Output::Effect(Effect::UpdateReceived));
-        let owner = owner_of(sender, self.shards.len());
-        let mut souts = Vec::new();
-        self.shards[owner].handle(
-            ShardEvent::Apply {
-                now,
-                from: sender,
-                spec,
-                update,
+        let st = self.replicas.entry(sender).or_default();
+        let bits = match update.content {
+            DirContent::Bitmap(mut words) => {
+                if words.len() != (spec.table_bits() as usize).div_ceil(64) {
+                    return;
+                }
+                // Mask any overhang bits the sender left set.
+                let rem = spec.table_bits() as usize % 64;
+                if rem != 0 {
+                    if let Some(last) = words.last_mut() {
+                        *last &= (1u64 << rem) - 1;
+                    }
+                }
+                BitVec::from_words(spec.table_bits() as usize, words)
+            }
+            DirContent::CompressedBitmap {
+                first_bit,
+                seg_bits,
+                ones,
+                rice,
+                data,
+            } => {
+                let total = spec.table_bits();
+                if update.bit_array_size != total
+                    || first_bit % 64 != 0
+                    || seg_bits == 0
+                    || first_bit as u64 + seg_bits as u64 > total as u64
+                {
+                    return;
+                }
+                let coded = sc_bloom::CompressedBits {
+                    len: seg_bits,
+                    ones,
+                    rice,
+                    data,
+                };
+                let Ok(segment) = sc_bloom::decompress(&coded) else {
+                    // Malformed code stream: drop the datagram (and any
+                    // partial assembly it would have extended).
+                    st.staging = None;
+                    return;
+                };
+                let staged = st.staging.take_if(|s| {
+                    s.generation == update.generation
+                        && s.seq == update.seq
+                        && s.next_bit == first_bit
+                });
+                let mut assembly = match (first_bit, staged) {
+                    (0, _) => {
+                        // A fresh attempt supersedes whatever was staged.
+                        st.staging = None;
+                        GrStaging {
+                            generation: update.generation,
+                            seq: update.seq,
+                            bits: BitVec::new(total as usize),
+                            next_bit: 0,
+                        }
+                    }
+                    (_, Some(staged)) => staged,
+                    (_, None) => {
+                        // Mid-bitmap segment with no matching prefix: an
+                        // earlier segment was lost, reordered, or belongs
+                        // to a superseded attempt. Discard it but KEEP
+                        // any in-progress assembly — a stale straggler
+                        // must not destroy a live one.
+                        return;
+                    }
+                };
+                for i in segment.iter_ones() {
+                    assembly.bits.set(first_bit as usize + i, true);
+                }
+                assembly.next_bit = first_bit + seg_bits;
+                if assembly.next_bit != total {
+                    st.staging = Some(assembly);
+                    return;
+                }
+                assembly.bits
+            }
+            DirContent::Flips(flips) => {
+                let in_sync = st.generation == update.generation
+                    && st.filter.as_deref().is_some_and(|f| f.spec() == spec);
+                if in_sync && update.seq == st.expected_seq {
+                    st.expected_seq = st.expected_seq.wrapping_add(1);
+                    if let Some(filter) = st.filter.as_mut() {
+                        if !flips.is_empty() {
+                            // Copy-on-write: clones the filter only if a
+                            // reader still holds an older snapshot.
+                            if Arc::strong_count(filter) > 1 {
+                                COW_COPIES.with(|c| c.set(c.get() + 1));
+                            }
+                            let filter = Arc::make_mut(filter);
+                            for f in flips {
+                                if f.index() < spec.table_bits() {
+                                    filter.apply_flip(f.index(), f.set_bit());
+                                }
+                            }
+                            self.replicas_dirty = true;
+                        }
+                    }
+                } else if in_sync && update.seq.wrapping_sub(st.expected_seq) > u32::MAX / 2 {
+                    // duplicate / late datagram from the past: already reflected
+                } else {
+                    // Seq gap ahead, generation or spec change, or no
+                    // replica at all (first contact / awaiting a bitmap).
+                    if st.filter.take().is_some() {
+                        self.replicas_dirty = true;
+                        out.push(Output::Effect(Effect::UpdateGap {
+                            peer: sender,
+                            got_generation: update.generation,
+                            got_seq: update.seq,
+                            expected_generation: st.generation,
+                            expected_seq: st.expected_seq,
+                        }));
+                    }
+                    self.request_resync(now, sender, out);
+                }
+                return;
+            }
+        };
+        // A whole bitmap arrived (raw, or the last GR segment): install.
+        let first_contact = st.filter.is_none();
+        st.filter = Some(Arc::new(BloomFilter::from_parts(spec, bits)));
+        st.generation = update.generation;
+        st.expected_seq = update.seq.wrapping_add(1);
+        st.last_resync_request = None;
+        st.staging = None;
+        self.replicas_dirty = true;
+        out.push(Output::Effect(Effect::ReplicaInstalled {
+            peer: sender,
+            first_contact,
+            generation: update.generation,
+            seq: update.seq,
+            bits: spec.table_bits(),
+        }));
+    }
+
+    /// Ask `peer` — the current datagram's sender — for its full bitmap,
+    /// unless a DIRREQ to it is still inside [`RESYNC_BACKOFF`]. Retries
+    /// ride the next delta or heartbeat that finds the replica still
+    /// missing.
+    fn request_resync(&mut self, now: VirtualTime, peer: u32, out: &mut Vec<Output>) {
+        let st = self.replicas.entry(peer).or_default();
+        if st
+            .last_resync_request
+            .is_some_and(|at| now.saturating_since(at) < RESYNC_BACKOFF)
+        {
+            return;
+        }
+        st.last_resync_request = Some(now);
+        let last_generation = st.generation;
+        let request_number = self.next_reqnum;
+        self.next_reqnum = self.next_reqnum.wrapping_add(1);
+        out.push(Output::Send(Send {
+            to: Dest::Sender,
+            msg: IcpMessage::DirReq {
+                request_number,
+                sender: self.id,
+                generation: last_generation,
+                // We decode DIRFULL_GR, so every resync we originate
+                // advertises it.
+                accepts_gr: true,
             },
-            &mut souts,
-        );
-        if self.drain_shard_outputs(souts, out) {
+            kind: SendKind::Resync {
+                peer,
+                last_generation,
+            },
+        }));
+    }
+
+    /// Forget `peer`'s replica state (the failure sweep declared it
+    /// dead); the read-path cell must be refreshed only if a replica
+    /// was actually installed.
+    fn drop_replica(&mut self, peer: u32) {
+        if self
+            .replicas
+            .remove(&peer)
+            .is_some_and(|st| st.filter.is_some())
+        {
             self.replicas_dirty = true;
         }
     }
@@ -776,8 +954,7 @@ impl Router {
     }
 
     /// Drop the summary replicas of peers we have not heard from
-    /// lately. The sweep itself is a control-plane decision; dropping
-    /// each replica routes to the shard that owns it.
+    /// lately.
     fn sweep_failed_peers(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
         if self.keepalive_ms == 0 {
             return; // no keep-alives, no liveness signal
@@ -795,12 +972,8 @@ impl Router {
             .sc
             .as_ref()
             .map_or(0, |sc| sc.log_base + sc.log.len() as u64);
-        let mut replicas_dropped = false;
         for id in newly_failed {
-            let owner = owner_of(id, self.shards.len());
-            let mut souts = Vec::new();
-            self.shards[owner].handle(ShardEvent::DropReplica { peer: id }, &mut souts);
-            replicas_dropped |= self.drain_shard_outputs(souts, out);
+            self.drop_replica(id);
             // A silent peer must not pin the flip log: snap its lane to
             // the head and mark it for a full restatement. Recovery
             // sends the bitmap anyway, so the skipped flips are safe.
@@ -810,13 +983,10 @@ impl Router {
             }
             out.push(Output::Effect(Effect::PeerFailed { peer: id }));
         }
-        if replicas_dropped {
-            self.replicas_dirty = true;
-        }
     }
 
     /// Post-request publish check (SC mode): when the policy says so,
-    /// merge the shard slices and append the diff to the flip log.
+    /// append the directory's diff against the baseline to the flip log.
     fn on_request_done(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
         let Some(sc) = self.sc.as_mut() else { return };
         sc.requests_since_publish += 1;
@@ -830,44 +1000,29 @@ impl Router {
         self.publish_update(now, out);
     }
 
-    /// The publish merge step: OR every shard's directory slice into
-    /// one full-width bitmap, diff it against the published baseline,
-    /// and append the diff to the shared flip log. Nothing is sent yet
-    /// unless a lane's backlog reached a full packet — the paper's
-    /// "enough changes to fill an IP packet" rule; smaller publishes
-    /// coalesce and ride each peer's next staggered fanout tick, so
-    /// update cost no longer scales with `publishes × N` bursts.
+    /// The publish step: diff the directory's bit array against the
+    /// published baseline and append the diff to the shared flip log.
+    /// Nothing is sent yet unless a lane's backlog reached a full packet
+    /// — the paper's "enough changes to fill an IP packet" rule; smaller
+    /// publishes coalesce and ride each peer's next staggered fanout
+    /// tick, so update cost no longer scales with `publishes × N` bursts.
     fn publish_update(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
-        // Merge the slices first (immutable borrow of the shards ends
-        // before the ledger mutates).
-        let merged = {
-            let Some(sc) = self.sc.as_ref() else { return };
-            let bits = sc.baseline.len();
-            let mut words = vec![0u64; bits.div_ceil(64)];
-            for shard in &self.shards {
-                if let Some(slice) = shard.local_bits() {
-                    for (acc, &w) in words.iter_mut().zip(slice.as_words()) {
-                        *acc |= w;
-                    }
-                }
-            }
-            BitVec::from_words(bits, words)
-        };
         let Some(sc) = self.sc.as_mut() else { return };
         let staleness = UpdatePolicy::staleness(sc.fresh, sc.docs);
         sc.fresh = 0;
         sc.requests_since_publish = 0;
         sc.last_publish = now;
-        let diff = sc.baseline.diff_indices(&merged);
+        let bits = sc.filter.bits();
+        let diff = sc.baseline.diff_indices(bits);
         let appended = diff.len();
         sc.log.extend(diff.iter().map(|&i| {
-            if merged.get(i) {
+            if bits.get(i) {
                 Flip::set(i as u32)
             } else {
                 Flip::clear(i as u32)
             }
         }));
-        sc.baseline = merged;
+        sc.baseline.clone_from(bits);
         sc.baseline_ones = sc.baseline.count_ones();
         let head = sc.log_base + sc.log.len() as u64;
         // Flush any live lane whose backlog now fills a packet; each
@@ -956,14 +1111,14 @@ impl DirectoryInspect for Router {
             .peers
             .iter()
             .copied()
-            .filter(|&p| self.shards[owner_of(p, self.shards.len())].replica_installed(p))
+            .filter(|&p| self.replica_installed(p))
             .collect();
         ids.sort_unstable();
         ids
     }
 
     fn replica_bits(&self, peer: u32) -> Option<BitVec> {
-        self.shards[owner_of(peer, self.shards.len())].replica_bits(peer)
+        self.replica_filter(peer).map(|f| f.bits().clone())
     }
 
     fn published_bits(&self) -> Option<BitVec> {
@@ -975,16 +1130,22 @@ impl DirectoryInspect for Router {
     }
 }
 
-/// Route one stored document's key the way the router would, without a
-/// router — used by drivers that stripe their cache by the same key
-/// space. Takes the request's already-computed [`UrlKey`] so striping
-/// never re-digests the URL (the hash-once discipline, sc-check rule
-/// `hash_once`).
+/// The document-cache stripe owning `key`: the low 64 bits of the key's
+/// (already computed) MD5 digest, reduced mod `stripes`. Takes the
+/// request's [`UrlKey`] so striping never re-digests the URL (the
+/// hash-once discipline, sc-check rule `hash_once`).
+///
+/// [`sc_bloom::HashSpec`] consumes digest bits from the front of the
+/// digest, so taking the *tail* keeps striping and Bloom indices
+/// decorrelated for every spec the paper's experiments use.
 pub fn stripe_of(key: &UrlKey, stripes: usize) -> usize {
     if stripes <= 1 {
         return 0;
     }
-    shard_of(key, stripes)
+    let digest = key.digest();
+    let mut tail = [0u8; 8];
+    tail.copy_from_slice(&digest[8..]);
+    (u64::from_le_bytes(tail) % stripes as u64) as usize
 }
 
 #[cfg(test)]
@@ -999,15 +1160,14 @@ mod tests {
         }
     }
 
-    fn sc_router(id: u32, peers: Vec<u32>, generation: u32, shards: usize) -> Router {
-        sc_router_slotted(id, peers, generation, shards, 1, 64)
+    fn sc_router(id: u32, peers: Vec<u32>, generation: u32) -> Router {
+        sc_router_slotted(id, peers, generation, 1, 64)
     }
 
     fn sc_router_slotted(
         id: u32,
         peers: Vec<u32>,
         generation: u32,
-        shards: usize,
         slots: usize,
         expected_docs: u64,
     ) -> Router {
@@ -1018,7 +1178,7 @@ mod tests {
             id,
             peers,
             50,
-            shards,
+            1,
             slots,
             Some((summary, UpdatePolicy::Threshold(0.0))),
             VirtualTime::ZERO,
@@ -1033,52 +1193,9 @@ mod tests {
         UrlKey::new(url.as_bytes())
     }
 
-    /// Drive the same workload at several shard counts and demand the
-    /// byte-identical output stream — the unit-level version of the
-    /// simnet convergence sweep.
-    #[test]
-    fn output_stream_is_shard_count_invariant() {
-        let encode_all = |outs: &[Output]| -> Vec<Vec<u8>> {
-            outs.iter()
-                .filter_map(|o| match o {
-                    Output::Send(s) => s.msg.encode(99).ok(),
-                    Output::Effect(_) => None,
-                })
-                .collect()
-        };
-        let run = |shards: usize| -> Vec<Vec<u8>> {
-            let mut r = sc_router(1, vec![2, 3], 7, shards);
-            let mut wire = Vec::new();
-            let evicted: Vec<UrlKey> = Vec::new();
-            for i in 0..40u32 {
-                let url = key(&format!("http://server-{}.example/{i}", i % 5));
-                wire.extend(encode_all(&r.handle(
-                    at(u64::from(i)),
-                    Event::Stored { url: &url, evicted: &evicted },
-                    &NoDocs,
-                )));
-                wire.extend(encode_all(&r.handle(at(u64::from(i)), Event::RequestDone, &NoDocs)));
-            }
-            let victims = vec![key("http://server-1.example/6")];
-            wire.extend(encode_all(&r.handle(
-                at(50),
-                Event::Stored { url: &key("http://server-0.example/new"), evicted: &victims },
-                &NoDocs,
-            )));
-            wire.extend(encode_all(&r.handle(at(50), Event::RequestDone, &NoDocs)));
-            wire.extend(encode_all(&r.handle(at(60), Event::Tick, &NoDocs)));
-            wire
-        };
-        let baseline = run(1);
-        assert!(!baseline.is_empty(), "the workload must publish something");
-        for shards in [2usize, 4, 8] {
-            assert_eq!(run(shards), baseline, "shards={shards} diverged from 1-shard wire");
-        }
-    }
-
     #[test]
     fn publish_merges_slices_into_the_ledger() {
-        let mut r = sc_router(1, vec![2], 3, 4);
+        let mut r = sc_router(1, vec![2], 3);
         let evicted: Vec<UrlKey> = Vec::new();
         for i in 0..16u32 {
             let url = key(&format!("http://s/{i}"));
@@ -1091,12 +1208,66 @@ mod tests {
             .any(|o| matches!(o, Output::Effect(Effect::Published { .. })));
         assert!(published, "threshold 0 publishes on the first request: {outs:?}");
         let bits = r.published_bits().expect("SC mode has a ledger");
-        assert!(bits.count_ones() > 0, "the merged baseline holds the inserts");
+        assert!(bits.count_ones() > 0, "the baseline holds the inserts");
+    }
+
+    /// The published bitmap is the paper's one counting filter over the
+    /// cache directory: any mix of stores (with evictions) and purges,
+    /// published under threshold 0, leaves `published_bits` equal to a
+    /// reference filter fed the same keys.
+    #[test]
+    fn publish_matches_a_reference_counting_filter() {
+        sc_util::prop::check("publish_matches_reference", 128, |rng| {
+            let mut r = sc_router(1, vec![2], 7);
+            let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
+            let SummarySnapshot::Bloom { spec, .. } =
+                ProxySummary::with_expected_docs(kind, 64).snapshot_published()
+            else {
+                panic!("a Bloom summary snapshots as Bloom");
+            };
+            let mut reference = CountingBloomFilter::new(FilterConfig {
+                bits: spec.table_bits(),
+                hashes: spec.k(),
+                function_bits: spec.function_bits(),
+            });
+            let mut sink = Vec::new();
+            let mut held: Vec<UrlKey> = Vec::new();
+            let ops = rng.gen_range(1..40u32);
+            for i in 0..ops {
+                // The last op always stores, so the final request has a
+                // fresh document to publish.
+                if i + 1 == ops || held.is_empty() || rng.gen_bool(0.7) {
+                    let url = key(&format!("http://s{}/{i}", rng.gen_range(0..4u32)));
+                    let mut victims = Vec::new();
+                    for _ in 0..rng.gen_range(0..3u32) {
+                        if !held.is_empty() {
+                            victims.push(held.swap_remove(rng.gen_range(0..held.len())));
+                        }
+                    }
+                    r.handle(at(1), Event::Stored { url: &url, evicted: &victims }, &NoDocs);
+                    reference.insert_key_into(&url, &mut sink);
+                    for v in &victims {
+                        reference.remove_key_into(v, &mut sink);
+                    }
+                    held.push(url);
+                } else {
+                    let url = held.swap_remove(rng.gen_range(0..held.len()));
+                    r.handle(at(1), Event::Purged { url: &url }, &NoDocs);
+                    reference.remove_key_into(&url, &mut sink);
+                }
+                if rng.gen_bool(0.25) {
+                    r.handle(at(1), Event::RequestDone, &NoDocs);
+                }
+            }
+            r.handle(at(2), Event::RequestDone, &NoDocs);
+            assert_eq!(r.published_bits().as_ref(), Some(reference.bits()));
+            assert_eq!(r.cached_docs(), held.len() as u64);
+        });
     }
 
     #[test]
-    fn replicas_partition_by_owner_shard() {
-        let mut r = sc_router(1, vec![2, 3, 4, 5], 9, 4);
+    fn replica_snapshot_follows_peer_order() {
+        let mut r = sc_router(1, vec![2, 3, 4, 5], 9);
         // Install a replica for each peer via full bitmaps.
         for p in [2u32, 3, 4, 5] {
             let bitmap = IcpMessage::DirUpdate {
@@ -1120,7 +1291,7 @@ mod tests {
             let bits = r.replica_bits(p).expect("installed");
             assert_eq!(bits.as_words()[0], u64::from(p), "replica {p} intact");
         }
-        // The lock-free snapshot merges across shards in peer order.
+        // The lock-free snapshot lists the replicas in peer order.
         let snap = r.replica_cell().load();
         assert_eq!(
             snap.peers().iter().map(|(p, _)| *p).collect::<Vec<_>>(),
@@ -1129,13 +1300,184 @@ mod tests {
     }
 
     #[test]
-    fn stripe_of_matches_shard_of() {
-        for url in ["http://a/x", "http://b/y", "http://c.example/long/path"] {
-            let key = UrlKey::new(url.as_bytes());
-            for n in [1usize, 2, 4, 8] {
-                assert_eq!(stripe_of(&key, n), shard_of(&key, n));
+    fn stripe_of_is_stable_and_in_range() {
+        for n in [1usize, 2, 3, 4, 8] {
+            for i in 0..64u32 {
+                let key = key(&format!("http://s/{i}"));
+                let a = stripe_of(&key, n);
+                assert_eq!(a, stripe_of(&key, n), "striping must be deterministic");
+                assert!(a < n);
             }
         }
+        let key = key("http://s/one-stripe");
+        assert_eq!(stripe_of(&key, 1), 0);
+        assert_eq!(stripe_of(&key, 0), 0, "degenerate count clamps to one stripe");
+    }
+
+    #[test]
+    fn stripe_of_spreads_keys() {
+        let n = 4usize;
+        let mut seen = vec![0usize; n];
+        for i in 0..256u32 {
+            seen[stripe_of(&key(&format!("http://server-{}.x/{i}", i % 7)), n)] += 1;
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "every stripe should own some keys: {seen:?}"
+        );
+    }
+
+    /// A no-SC router peering with every publisher the replica tests use.
+    fn replica_router() -> Router {
+        Router::new(0, vec![1, 2, 3, 9], 50, 1, 1, None, VirtualTime::ZERO)
+    }
+
+    /// Apply `update` from `from` as a received DIRUPDATE would, and
+    /// return the decisions that follow the `UpdateReceived` accounting.
+    fn apply(r: &mut Router, now: VirtualTime, from: u32, update: DirUpdate) -> Vec<Output> {
+        let mut out = Vec::new();
+        r.apply_update(now, from, update, &mut out);
+        assert!(
+            matches!(out.first(), Some(Output::Effect(Effect::UpdateReceived))),
+            "every configured-peer update is accounted: {out:?}"
+        );
+        out.remove(0);
+        out
+    }
+
+    #[test]
+    fn delta_without_bitmap_resyncs_with_backoff() {
+        let mut r = replica_router();
+        let delta = |seq| DirUpdate {
+            function_num: 4,
+            function_bits: 32,
+            bit_array_size: 512,
+            generation: 7,
+            seq,
+            content: DirContent::Flips(Vec::new()),
+        };
+        let out = apply(&mut r, at(10), 1, delta(3));
+        assert!(
+            matches!(
+                out.as_slice(),
+                [Output::Send(Send { kind: SendKind::Resync { peer: 1, last_generation: 0 }, .. })]
+            ),
+            "first gap decides to resync: {out:?}"
+        );
+        let out = apply(&mut r, at(20), 1, delta(3));
+        assert!(out.is_empty(), "within backoff: no second decision: {out:?}");
+        let out = apply(&mut r, at(300), 1, delta(3));
+        assert_eq!(out.len(), 1, "after backoff the retry rides the next delta");
+        assert!(!r.replica_installed(1), "no install from a delta alone");
+    }
+
+    /// Compress the `[start, start + len)` slice of `bits` into the
+    /// wire fields of one DIRFULL_GR segment.
+    fn gr_segment(bits: &BitVec, start: usize, len: usize) -> DirContent {
+        let mut sub = BitVec::new(len);
+        for i in 0..len {
+            if bits.get(start + i) {
+                sub.set(i, true);
+            }
+        }
+        let c = sc_bloom::compress(&sub);
+        DirContent::CompressedBitmap {
+            first_bit: start as u32,
+            seg_bits: len as u32,
+            ones: c.ones,
+            rice: c.rice,
+            data: c.data,
+        }
+    }
+
+    fn gr_update(generation: u32, seq: u32, content: DirContent) -> DirUpdate {
+        DirUpdate {
+            function_num: 4,
+            function_bits: 32,
+            bit_array_size: 512,
+            generation,
+            seq,
+            content,
+        }
+    }
+
+    fn sample_bits() -> BitVec {
+        let mut bits = BitVec::new(512);
+        for i in [0usize, 17, 63, 64, 200, 255, 256, 300, 511] {
+            bits.set(i, true);
+        }
+        bits
+    }
+
+    #[test]
+    fn compressed_bitmap_installs_like_a_raw_one() {
+        let bits = sample_bits();
+        let mut r = replica_router();
+        let out = apply(&mut r, VirtualTime::ZERO, 2, gr_update(5, 9, gr_segment(&bits, 0, 512)));
+        assert!(r.replica_installed(2), "single GR segment installs");
+        assert_eq!(r.replica_bits(2).unwrap(), bits, "bit-for-bit");
+        assert!(
+            out.iter().any(|o| matches!(
+                o,
+                Output::Effect(Effect::ReplicaInstalled { peer: 2, seq: 9, .. })
+            )),
+            "install effect: {out:?}"
+        );
+        // Sequencing matches the raw-bitmap discipline: the next delta
+        // at seq 10 applies cleanly.
+        let flip = DirContent::Flips(vec![Flip::set(7)]);
+        apply(&mut r, VirtualTime::ZERO, 2, gr_update(5, 10, flip));
+        assert!(r.replica_bits(2).unwrap().get(7), "delta applied after GR install");
+    }
+
+    #[test]
+    fn split_segments_install_only_when_complete_and_in_order() {
+        let bits = sample_bits();
+        let seg = |r: &mut Router, seq: u32, content: DirContent| {
+            apply(r, VirtualTime::ZERO, 3, gr_update(7, seq, content))
+        };
+
+        // In-order halves assemble and install once complete.
+        let mut r = replica_router();
+        seg(&mut r, 4, gr_segment(&bits, 0, 256));
+        assert!(!r.replica_installed(3), "half a bitmap never installs");
+        seg(&mut r, 4, gr_segment(&bits, 256, 256));
+        assert!(r.replica_installed(3));
+        assert_eq!(r.replica_bits(3).unwrap(), bits);
+
+        // A lost first segment leaves the tail orphaned: no install.
+        let mut r = replica_router();
+        seg(&mut r, 4, gr_segment(&bits, 256, 256));
+        assert!(!r.replica_installed(3), "tail without head is discarded");
+
+        // A fresh attempt (first_bit 0) supersedes stale staging.
+        let mut r = replica_router();
+        seg(&mut r, 4, gr_segment(&bits, 0, 256));
+        seg(&mut r, 5, gr_segment(&bits, 0, 256)); // retry at a newer seq
+        seg(&mut r, 4, gr_segment(&bits, 256, 256)); // stale tail: dropped
+        assert!(!r.replica_installed(3), "stale tail must not complete the retry");
+        seg(&mut r, 5, gr_segment(&bits, 256, 256));
+        assert!(r.replica_installed(3), "matching tail completes the retry");
+    }
+
+    #[test]
+    fn drop_replica_reports_changes_only_when_installed() {
+        let mut r = replica_router();
+        r.drop_replica(9);
+        assert!(!r.replicas_dirty, "no replica, nothing changed");
+        let bitmap = DirUpdate {
+            function_num: 4,
+            function_bits: 32,
+            bit_array_size: 512,
+            generation: 3,
+            seq: 0,
+            content: DirContent::Bitmap(vec![0u64; 8]),
+        };
+        apply(&mut r, VirtualTime::ZERO, 9, bitmap);
+        assert!(r.replica_installed(9));
+        r.flush_replicas();
+        r.drop_replica(9);
+        assert!(r.replicas_dirty, "dropping an installed replica must re-publish");
     }
 
     /// The double-digest regression pin: a proxied request costs
@@ -1146,7 +1488,7 @@ mod tests {
     /// stray digest on this path shows up here.
     #[test]
     fn request_path_digests_the_url_exactly_once() {
-        let mut r = sc_router(1, vec![2], 7, 4);
+        let mut r = sc_router(1, vec![2], 7);
         let cell = r.replica_cell();
         let url = "http://server-3.trace.invalid/doc/42";
 
@@ -1183,7 +1525,7 @@ mod tests {
     #[test]
     fn fanout_slots_stagger_peers_across_ticks() {
         let peers = vec![2u32, 3, 4, 5, 6, 7, 8, 9];
-        let mut r = sc_router_slotted(1, peers.clone(), 7, 1, 4, 64);
+        let mut r = sc_router_slotted(1, peers.clone(), 7, 4, 64);
         let mut per_tick: Vec<Vec<u32>> = Vec::new();
         for t in 0..4u64 {
             let outs = r.handle(at(10 + t), Event::Tick, &NoDocs);
@@ -1218,7 +1560,7 @@ mod tests {
 
     #[test]
     fn dirreq_negotiates_compressed_restatements() {
-        let mut r = sc_router(1, vec![2, 3], 7, 1);
+        let mut r = sc_router(1, vec![2, 3], 7);
         let evicted: Vec<UrlKey> = Vec::new();
         for i in 0..16u32 {
             r.handle(
@@ -1280,7 +1622,7 @@ mod tests {
 
     #[test]
     fn small_publishes_coalesce_until_the_fanout_tick() {
-        let mut r = sc_router(1, vec![2, 3], 7, 1);
+        let mut r = sc_router(1, vec![2, 3], 7);
         let evicted: Vec<UrlKey> = Vec::new();
         // Two publishes, each a handful of flips: nothing goes out at
         // publish time.
@@ -1344,7 +1686,7 @@ mod tests {
         // tops FLIPS_PER_DATAGRAM, so the publish flushes immediately,
         // and the per-lane cost choice picks the full bitmap (raw: no
         // negotiation has happened) over an oversized delta.
-        let mut r = sc_router_slotted(1, vec![2], 7, 1, 1, 256);
+        let mut r = sc_router_slotted(1, vec![2], 7, 1, 256);
         let evicted: Vec<UrlKey> = Vec::new();
         for i in 0..256u32 {
             r.handle(

@@ -24,7 +24,7 @@
 //!
 //! `tests/zero_alloc.rs` pins the result with a counting global
 //! allocator: a warm steady-state request performs zero heap
-//! allocations at 1 and at 8 shards.
+//! allocations.
 
 use crate::machine::Output;
 use sc_bloom::UrlKey;

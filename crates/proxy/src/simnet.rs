@@ -1,11 +1,9 @@
 //! Deterministic simulation of a summary-cache cluster — FoundationDB
-//! style: N [`crate::router::Router`]s (each partitioned into
-//! [`SimConfig::shards`] lanes), one virtual clock, one event
+//! style: N [`crate::router::Router`]s, one virtual clock, one event
 //! priority-queue, and a seeded fault plan. Nothing here touches a
 //! socket or the wall clock (the sc-check `sans_io` rule enforces it),
 //! so a seed *is* a schedule: the same seed always produces the same
-//! event journal, byte-for-byte — at *every* shard count, which is the
-//! routed runtime's determinism contract (DESIGN.md §13).
+//! event journal, byte-for-byte.
 //!
 //! The fault plan injects, all from one [`sc_util::Rng`]:
 //!
@@ -97,11 +95,6 @@ pub struct SimConfig {
     /// Settle budget: keep-alive windows to run after the fault window
     /// before declaring the cluster non-convergent.
     pub settle_ticks: usize,
-    /// Shard lanes per simulated proxy. Every count must produce the
-    /// same journal byte-for-byte (the router's determinism contract);
-    /// the default honors the `SC_SIM_SHARDS` override so the whole
-    /// seeded suite can be re-run sharded without code changes.
-    pub shards: usize,
     /// Fanout stagger slots per router: peers are serviced in
     /// `fanout_slots` groups and ticks fire `fanout_slots` times per
     /// keep-alive period, so each peer keeps its once-per-period
@@ -114,26 +107,15 @@ pub struct SimConfig {
     pub initial_seq: u32,
 }
 
-/// The `SC_SIM_SHARDS` override for [`SimConfig::default`]: unset or
-/// unparsable means 1 lane (the historical machine); any positive count
-/// partitions every simulated proxy that many ways.
-fn env_shards() -> usize {
-    env_knob("SC_SIM_SHARDS", 1)
-}
-
 /// The `SC_SIM_PEERS` override for [`SimConfig::default`]: how many
 /// proxies the default cluster simulates (the big-N scaling knob; CI's
 /// big-N smoke sets 64). Unset or unparsable means the historical 4.
 fn env_peers() -> usize {
-    env_knob("SC_SIM_PEERS", 4)
-}
-
-fn env_knob(name: &str, default: usize) -> usize {
-    std::env::var(name)
+    std::env::var("SC_SIM_PEERS")
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(default)
+        .unwrap_or(4)
 }
 
 impl Default for SimConfig {
@@ -153,7 +135,6 @@ impl Default for SimConfig {
             crashes: 2,
             partitions: 2,
             settle_ticks: 400,
-            shards: env_shards(),
             fanout_slots: 1,
             initial_seq: 0,
         }
@@ -532,8 +513,8 @@ impl Sim {
     /// Feed one event to `node`'s router through the reusable output
     /// scratch and dispatch the results. Replica-cell publication is
     /// never flushed here: the simnet probes candidates through the
-    /// shards directly, so deferring the snapshot merge forever keeps
-    /// every delta apply copy-free (`Arc::make_mut` always sees a
+    /// router's replicas directly, so deferring the snapshot forever
+    /// keeps every delta apply copy-free (`Arc::make_mut` always sees a
     /// uniquely owned filter) without changing a single output.
     fn drive(&mut self, node: usize, sender: Option<usize>, ev: Event<'_>) {
         let mut outputs = std::mem::take(&mut self.out_scratch);
@@ -1012,7 +993,7 @@ fn fresh_router(cfg: &SimConfig, node: usize, incarnation: u32) -> Router {
         node as u32,
         peers,
         cfg.keepalive_ms,
-        cfg.shards,
+        1,
         cfg.fanout_slots,
         Some((summary, UpdatePolicy::Threshold(0.0))),
         VirtualTime::ZERO,
@@ -1479,26 +1460,6 @@ mod tests {
         let report = Sim::new(cfg, 42).run();
         assert!(report.converged, "no faults, no excuses: {report:?}");
         assert!(report.replicas_installed > 0);
-    }
-
-    #[test]
-    fn sharded_runs_reproduce_the_single_shard_journal() {
-        let cfg = |shards: usize| SimConfig {
-            local_ops: 60,
-            horizon_ms: 600,
-            shards,
-            ..SimConfig::default()
-        };
-        let baseline = Sim::new(cfg(1), 1234).run();
-        assert!(baseline.converged, "baseline must converge: {baseline:?}");
-        for shards in [2usize, 4] {
-            let sharded = Sim::new(cfg(shards), 1234).run();
-            assert!(sharded.converged, "shards={shards} must converge");
-            assert_eq!(
-                sharded.journal, baseline.journal,
-                "shards={shards} journal diverged from the 1-shard baseline"
-            );
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The acceptance bar for the read-path split: SC-mode candidate
 //! selection must perform **no** acquisition of the mutex guarding the
-//! protocol machine (a single-shard [`Router`]).
+//! protocol machine (the [`Router`]).
 //!
 //! Strategy: install peer replicas through the router, then hold the
 //! router's mutex on the test thread while a reader thread resolves
@@ -48,7 +48,7 @@ fn bitmap_from(peer: u32, generation: u32, urls: &[&[u8]]) -> Vec<u8> {
     .expect("bitmap update encodes")
 }
 
-/// The unsharded machine: one shard, one fanout slot, ICP mode.
+/// One fanout slot, ICP mode.
 fn machine(peers: Vec<u32>) -> Router {
     Router::new(1, peers, 0, 1, 1, None, VirtualTime::ZERO)
 }

@@ -80,7 +80,7 @@ fn apply(replica: &mut Option<BloomFilter>, datagram: &[u8]) {
             rice,
             data,
         } => {
-            // Mirror of the shard's Golomb–Rice splice: decode the
+            // Mirror of the router's Golomb–Rice splice: decode the
             // segment and set its one-bits at the segment offset.
             let coded = summary_cache::bloom::CompressedBits {
                 len: seg_bits,

@@ -38,9 +38,7 @@ fn env_u64(name: &str) -> Option<u64> {
 /// The hermetic config every pinned test runs under: the default
 /// fault plan with every knob written out literally, so no `SC_SIM_*`
 /// environment override can shift a pinned number. (`proxies` is
-/// overwritten by each scenario's node count; `shards` is pinned to 1,
-/// and the router's determinism contract makes any shard count produce
-/// the same journal anyway.)
+/// overwritten by each scenario's node count.)
 fn pinned_cfg() -> ScenarioConfig {
     ScenarioConfig {
         sim: SimConfig {
@@ -58,7 +56,6 @@ fn pinned_cfg() -> ScenarioConfig {
             crashes: 2,
             partitions: 2,
             settle_ticks: 400,
-            shards: 1,
             fanout_slots: 1,
             initial_seq: 0,
         },
