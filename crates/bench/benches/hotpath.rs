@@ -8,6 +8,7 @@
 //! suite runs with a tiny window and writes no file.
 
 use sc_bloom::{FilterConfig, Flip};
+use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_json::Value;
 use sc_proxy::machine::{Event, VirtualTime};
 use sc_proxy::router::Router;
@@ -113,6 +114,42 @@ fn bench_probe_all(b: &mut Bench, results: &mut Vec<(String, Value)>) {
         });
         results.push((format!("probe-all/{peers}-peers/urlkey"), Value::Float(ns)));
     }
+}
+
+/// The document store's two request-path operations on `String` keys,
+/// as the daemon keys them: `cache/lru-hit` is a fresh hit on one of
+/// 1 000 warm 128 B documents, drawn in a seeded random order (the
+/// local-hit path); `cache/store-evict` stores a new document into a
+/// full cache, evicting exactly one victim (the churn path).
+fn bench_cache(b: &mut Bench, results: &mut Vec<(String, Value)>) {
+    let doc = DocMeta { size: 128, last_modified: 0 };
+    let keys: Vec<String> = (0..2_000u32)
+        .map(|i| String::from_utf8(url(i)).expect("ascii url"))
+        .collect();
+    let mut cache: WebCache<String> = WebCache::new(1_000 * doc.size);
+    for k in &keys[..1_000] {
+        cache.store(k.clone(), doc);
+    }
+    let mut rng = sc_util::Rng::seed_from_u64(7);
+    let order: Vec<usize> = (0..4_096).map(|_| rng.gen_range(0..1_000usize)).collect();
+    let mut i = 0usize;
+    let ns = b.bench("cache/lru-hit", || {
+        let key = &keys[order[i % order.len()]];
+        i += 1;
+        assert_eq!(cache.lookup(black_box(key), doc), Lookup::Hit);
+    });
+    results.push(("cache/lru-hit".into(), Value::Float(ns)));
+
+    // Cycling through 2 000 keys against room for 1 000 means every
+    // stored key was evicted 1 000 stores ago: one victim per store.
+    let mut i = 1_000usize;
+    let ns = b.bench("cache/store-evict", || {
+        let key = keys[i % keys.len()].clone();
+        i += 1;
+        let victims = cache.store(black_box(key), doc).expect("cacheable");
+        assert_eq!(victims.len(), 1);
+    });
+    results.push(("cache/store-evict".into(), Value::Float(ns)));
 }
 
 /// Per-stage attribution of the request path: where the non-probe
@@ -292,6 +329,7 @@ fn main() {
     bench_md5_x4(&mut b, &mut results);
     bench_indices(&mut b, &mut results);
     bench_probe_all(&mut b, &mut results);
+    bench_cache(&mut b, &mut results);
     bench_breakdown(&mut b, &mut results);
     bench_simnet(&mut results);
 
