@@ -193,7 +193,7 @@ impl DirectoryView for CacheView<'_> {
         // here, once, to find its stripe.
         // sc-check: allow(hash_once) — this *is* an entry point.
         let key = UrlKey::new(url.as_bytes());
-        lock(self.0.stripe(&key)).contains(&url.to_string())
+        lock(self.0.stripe(&key)).contains(url)
     }
 }
 

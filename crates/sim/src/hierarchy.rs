@@ -11,7 +11,7 @@
 
 use crate::keys::{server_key, url_key};
 use crate::summary_sim::SummaryCacheConfig;
-use sc_cache::{DocMeta, Lookup, WebCache};
+use sc_cache::{Lookup, WebCache};
 use sc_trace::{group_of_client, Trace};
 use std::collections::HashMap;
 use summary_cache_core::{ProxySummary, UrlKey};
@@ -148,10 +148,7 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
         r_out.requests += 1;
         server_of.entry(req.url).or_insert(req.server);
         let home = group_of_client(req.client, trace.groups) as usize;
-        let meta = DocMeta {
-            size: req.size,
-            last_modified: req.last_modified,
-        };
+        let meta = crate::meta(req);
         let mut local_stale = false;
         match children[home].lookup(&req.url, meta) {
             Lookup::Hit => {

@@ -9,8 +9,9 @@
 //! so figures can show both series from a single run.
 
 use crate::keys::{server_key, url_key};
+use crate::meta;
 use crate::metrics::Metrics;
-use sc_cache::{DocMeta, Lookup, WebCache};
+use sc_cache::{Lookup, WebCache};
 use sc_trace::{group_of_client, Trace};
 use std::collections::HashMap;
 use summary_cache_core::{
@@ -71,13 +72,6 @@ struct ProxyState {
     summary: ProxySummary,
     requests_since_publish: u64,
     last_publish_ms: u64,
-}
-
-fn meta(r: &sc_trace::Request) -> DocMeta {
-    DocMeta {
-        size: r.size,
-        last_modified: r.last_modified,
-    }
 }
 
 /// Run the summary-cache simulation over `trace` with
