@@ -2,11 +2,12 @@
 //!
 //! Two properties the hot path must keep:
 //!
-//! * a **warm steady-state request** (key reset, replica-snapshot
-//!   probe, store, request-done, flush with nothing pending) performs
-//!   **zero heap allocations**, whatever shard count the caller
-//!   passes to `Router::new` (the router keeps one directory and
-//!   ignores it; 1 and 8 are pinned);
+//! * a **warm steady-state request** on the thread's `RequestScratch`
+//!   (key reset, replica-snapshot probe, stale purge, store with or
+//!   without an evicted victim, request-done, flush with nothing
+//!   pending) performs **zero heap allocations**, whatever shard count
+//!   the caller passes to `Router::new` (the router keeps one directory
+//!   and ignores it; 1 and 8 are pinned);
 //! * a batch of N delta datagrams applied while a reader holds the
 //!   previous replica snapshot costs **exactly one** copy-on-write of
 //!   the touched filter — the `Arc::make_mut` deep copy happens on the
@@ -17,8 +18,9 @@
 //! harness's own threads) never pollute each other's counts.
 
 use sc_bloom::UrlKey;
-use sc_proxy::machine::{DirectoryView, Event, Output, VirtualTime};
+use sc_proxy::machine::{DirectoryView, Event, VirtualTime};
 use sc_proxy::router::{cow_copies, Router};
+use sc_proxy::scratch::with_scratch;
 use sc_bloom::Flip;
 use sc_wire::icp::{DirContent, DirUpdate, IcpMessage};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,24 +110,41 @@ fn install_replica(r: &mut Router, peer: u32) {
     r.handle(at(1), Event::Datagram { from: Some(peer), data: &dg }, &NoDocs);
 }
 
-/// One steady-state request exactly as the daemon drives it: reset the
-/// warm key, probe the lock-free replica snapshot, store the document,
-/// account the request, flush (a no-op when nothing changed replicas).
-fn one_request(
-    r: &mut Router,
-    key: &mut UrlKey,
-    candidates: &mut Vec<u32>,
-    outputs: &mut Vec<Output>,
-    url: &str,
-) {
-    key.reset(url.as_bytes());
-    let cell = r.replica_cell();
-    cell.load().candidates_key_into(key, candidates);
-    r.handle_into(at(2), Event::Stored { url: key, evicted: &[] }, &NoDocs, outputs);
-    assert!(outputs.is_empty(), "steady store emits nothing: {outputs:?}");
-    r.handle_into(at(2), Event::RequestDone, &NoDocs, outputs);
-    assert!(outputs.is_empty(), "quiet policy never publishes: {outputs:?}");
-    r.flush_replicas();
+/// One request's directory traffic: the URL it stores, the victim the
+/// store evicts (if any), and whether a stale local copy was purged first.
+struct Step {
+    url: String,
+    victim: Option<String>,
+    stale: bool,
+}
+
+/// One steady-state request exactly as the daemon drives it, on the
+/// thread's warm `RequestScratch`: reset the key, probe the lock-free
+/// replica snapshot, purge a stale copy, store the document (evicting
+/// one victim on some requests), account the request, flush (a no-op
+/// when nothing changed replicas). `victim` is a warm key reset per
+/// eviction, so the directory remove re-derives into retained buffers.
+fn one_request(r: &mut Router, step: &Step, victim: &mut UrlKey) {
+    with_scratch(|s| {
+        s.key.reset(step.url.as_bytes());
+        r.replica_cell().load().candidates_key_into(&s.key, &mut s.candidates);
+        if step.stale {
+            r.handle_into(at(2), Event::Purged { url: &s.key }, &NoDocs, &mut s.outputs);
+            assert!(s.outputs.is_empty(), "purge emits nothing: {:?}", s.outputs);
+        }
+        let evicted = match &step.victim {
+            Some(v) => {
+                victim.reset(v.as_bytes());
+                std::slice::from_ref(&*victim)
+            }
+            None => &[],
+        };
+        r.handle_into(at(2), Event::Stored { url: &s.key, evicted }, &NoDocs, &mut s.outputs);
+        assert!(s.outputs.is_empty(), "steady store emits nothing: {:?}", s.outputs);
+        r.handle_into(at(2), Event::RequestDone, &NoDocs, &mut s.outputs);
+        assert!(s.outputs.is_empty(), "quiet policy never publishes: {:?}", s.outputs);
+        r.flush_replicas();
+    });
 }
 
 fn steady_state_allocs(shards: usize) -> u64 {
@@ -133,22 +152,32 @@ fn steady_state_allocs(shards: usize) -> u64 {
     install_replica(&mut r, 2);
     install_replica(&mut r, 3);
 
-    let mut key = UrlKey::new(b"");
-    let mut candidates = Vec::new();
-    let mut outputs = Vec::new();
-    let urls: Vec<String> = (0..400)
-        .map(|i| format!("http://server-{}.trace.invalid/doc/{i}", i % 7))
+    let url = |i: usize| format!("http://server-{}.trace.invalid/doc/{i}", i % 7);
+    // Every even request from 50 on evicts the document stored 50
+    // requests earlier; every tenth re-fetches the previous document
+    // after purging its stale copy.
+    let steps: Vec<Step> = (0..400)
+        .map(|i| {
+            let stale = i % 10 == 5;
+            Step {
+                url: url(if stale { i - 1 } else { i }),
+                victim: (i >= 50 && i % 2 == 0).then(|| url(i - 50)),
+                stale,
+            }
+        })
         .collect();
+    let mut victim = UrlKey::new(b"");
 
-    // Warm every buffer: the key's byte/memo capacity, the candidate
-    // vec, the snapshot cache, the directory's flip scratch.
-    for url in &urls[..350] {
-        one_request(&mut r, &mut key, &mut candidates, &mut outputs, url);
+    // Warm every buffer: the scratch key's byte/memo capacity, the
+    // candidate vec, the snapshot cache, the directory's flip scratch,
+    // the victim key.
+    for step in &steps[..350] {
+        one_request(&mut r, step, &mut victim);
     }
 
     let before = allocs();
-    for url in &urls[350..] {
-        one_request(&mut r, &mut key, &mut candidates, &mut outputs, url);
+    for step in &steps[350..] {
+        one_request(&mut r, step, &mut victim);
     }
     allocs() - before
 }

@@ -4,8 +4,13 @@
 use std::time::Duration;
 use summary_cache::cache::DocMeta;
 use summary_cache::proxy::client::ProxyClient;
+use summary_cache::proxy::config::PeerAddr;
+use summary_cache::proxy::daemon::Daemon;
+use summary_cache::proxy::origin::Origin;
 use summary_cache::proxy::router::DirectoryInspect;
-use summary_cache::proxy::{BenchmarkConfig, Cluster, ClusterConfig, Mode, ReplayMode};
+use summary_cache::proxy::{
+    BenchmarkConfig, Cluster, ClusterConfig, Mode, ProxyConfig, ReplayMode,
+};
 use summary_cache::trace::{GeneratorConfig, TraceGenerator};
 
 fn cfg(proxies: u32, mode: Mode) -> ClusterConfig {
@@ -146,6 +151,46 @@ fn all_miss_icp_round_beats_the_timeout() {
     assert_eq!(s0.remote_hits, 0);
     assert!(s0.icp_queries_sent >= 12, "queries did go out: {s0:?}");
     cluster.shutdown();
+}
+
+/// A query that never leaves the socket counts as an immediate MISS:
+/// the only peer has an IPv6 ICP address, so every `send_to` from the
+/// daemon's IPv4 socket fails (EAFNOSUPPORT) and each miss must go
+/// straight to the origin instead of waiting out `icp_timeout_ms`.
+#[test]
+fn unsendable_icp_queries_resolve_as_immediate_misses() {
+    let origin = Origin::spawn(Duration::from_millis(10)).unwrap();
+    let peer = PeerAddr {
+        id: 1,
+        icp: "[::1]:3130".parse().unwrap(),
+        http: "[::1]:3128".parse().unwrap(),
+    };
+    let config = ProxyConfig::builder()
+        .id(0)
+        .mode(Mode::Icp)
+        .peer(peer)
+        .origin(origin.addr)
+        .icp_timeout_ms(2_000)
+        .keepalive_ms(0)
+        .build()
+        .unwrap();
+    let daemon = Daemon::spawn(config).unwrap();
+    let mut client = ProxyClient::connect(daemon.http_addr, daemon.stats.clone()).unwrap();
+    let t0 = std::time::Instant::now();
+    for i in 0..5 {
+        let url = format!("http://server-0.trace.invalid/v6/{i}");
+        assert_eq!(client.get(&url, DocMeta { size: 100, last_modified: 1 }).unwrap(), 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1_000),
+        "5 misses with no deliverable query took {elapsed:?}"
+    );
+    let s = daemon.stats.snapshot();
+    assert_eq!(s.icp_queries_sent, 0, "{s:?}");
+    assert_eq!(s.remote_hits, 0);
+    daemon.shutdown();
+    origin.shutdown();
 }
 
 /// Regression: once peers are detected as failed, ICP mode must stop
