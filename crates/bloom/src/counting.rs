@@ -60,7 +60,6 @@ impl CountingBloomFilter {
         CountingBloomFilter {
             spec,
             bits: BitVec::new(m),
-            // sc-check: allow(alloc) — one-time construction.
             counters: vec![0; packed_len],
             counter_bits,
             max_count: if counter_bits == 8 {

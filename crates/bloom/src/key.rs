@@ -59,8 +59,6 @@ impl UrlKey {
         UrlKey {
             bytes: bytes.to_vec(),
             digest: md5(bytes),
-            // sc-check: allow(alloc) — key construction is the one place
-            // the hash-once pipeline pays its setup cost.
             memo: RefCell::new(Vec::new()),
         }
     }
@@ -74,8 +72,6 @@ impl UrlKey {
         core::array::from_fn(|l| UrlKey {
             bytes: batch[l].to_vec(),
             digest: digests[l],
-            // sc-check: allow(alloc) — batch construction is setup, the
-            // same one-time cost `new` pays.
             memo: RefCell::new(Vec::new()),
         })
     }
@@ -133,8 +129,8 @@ impl UrlKey {
             }
             return f(&e.indices);
         }
-        // sc-check: allow(alloc) — first-use memoization: this runs once
-        // per (key, spec), never on the repeated-probe path.
+        // First-use memoization: this runs once per (key, spec), never on
+        // the repeated-probe path.
         let mut idx = Vec::new();
         spec.indices_with_digest(&self.bytes, &self.digest, &mut idx);
         memo.push(MemoEntry {

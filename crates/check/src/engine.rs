@@ -14,16 +14,13 @@
 //! * `fn` item boundaries with body byte-ranges (rule 8's guard
 //!   liveness is "binding → end of enclosing block", which needs real
 //!   scopes, and rule 10 needs to know which `match` sits in which
-//!   function);
-//! * `// sc-check: allow(rule)` suppressions with use-tracking, so a
-//!   stale allow is itself a diagnostic.
+//!   function).
 //!
-//! Violations are emitted through [`Sink`], which consults the file's
-//! suppressions before recording anything.
+//! Rules record what they find with [`SourceFile::violation`]; nothing
+//! silences a finding.
 
 use crate::lexer::{self, Token, TokenKind};
 use crate::Violation;
-use std::cell::Cell;
 use std::path::PathBuf;
 
 /// A `fn` item found by the scope walker.
@@ -40,21 +37,6 @@ pub struct FnItem {
     /// opening `{` to one past the closing `}`. `None` for bodyless
     /// declarations (trait methods).
     pub body: Option<(usize, usize)>,
-}
-
-/// One `// sc-check: allow(rule, …)` comment.
-#[derive(Debug)]
-pub struct Suppression {
-    /// The rule names inside `allow(…)`.
-    pub rules: Vec<String>,
-    /// 1-based line of the comment itself.
-    pub line: usize,
-    /// 1-based line the suppression applies to: the comment's own line
-    /// when code precedes it there, otherwise the next line holding any
-    /// significant token.
-    pub target: usize,
-    /// Set once any emission was silenced by this suppression.
-    pub used: Cell<bool>,
 }
 
 /// A parsed, scope-resolved source file.
@@ -77,8 +59,6 @@ pub struct SourceFile {
     pub file_is_test: bool,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Every suppression comment, in source order.
-    pub suppressions: Vec<Suppression>,
 }
 
 impl SourceFile {
@@ -115,7 +95,6 @@ impl SourceFile {
             test_lines: vec![false; line_count],
             file_is_test,
             fns: Vec::new(),
-            suppressions: Vec::new(),
         };
         let sig: Vec<usize> = f
             .tokens
@@ -131,7 +110,6 @@ impl SourceFile {
             .collect();
         let mut cur = 0usize;
         walk(&mut f, &sig, &mut cur, false);
-        parse_suppressions(&mut f);
         f
     }
 
@@ -158,17 +136,14 @@ impl SourceFile {
             .collect()
     }
 
-    /// Check whether an emission of `rule` at `line` is suppressed;
-    /// marks the matching suppression used.
-    pub fn suppressed(&self, rule: &str, line: usize) -> bool {
-        let mut hit = false;
-        for s in &self.suppressions {
-            if s.target == line && s.rules.iter().any(|r| r == rule) {
-                s.used.set(true);
-                hit = true;
-            }
+    /// A `rule` violation at 1-based `line` of this file.
+    pub fn violation(&self, rule: &'static str, line: usize, message: String) -> Violation {
+        Violation {
+            rule,
+            file: self.rel.clone(),
+            line,
+            message,
         }
-        hit
     }
 
     fn mark_test(&mut self, from_line: usize, to_line: usize) {
@@ -177,32 +152,6 @@ impl SourceFile {
                 self.test_lines[l - 1] = true;
             }
         }
-    }
-}
-
-/// Emits violations for one file, honoring its suppressions.
-pub struct Sink<'a> {
-    file: &'a SourceFile,
-    out: &'a mut Vec<Violation>,
-}
-
-impl<'a> Sink<'a> {
-    /// A sink writing `file`'s violations into `out`.
-    pub fn new(file: &'a SourceFile, out: &'a mut Vec<Violation>) -> Sink<'a> {
-        Sink { file, out }
-    }
-
-    /// Record a violation unless a suppression at its line absorbs it.
-    pub fn emit(&mut self, rule: &'static str, line: usize, message: String) {
-        if self.file.suppressed(rule, line) {
-            return;
-        }
-        self.out.push(Violation {
-            rule,
-            file: self.file.rel.clone(),
-            line,
-            message,
-        });
     }
 }
 
@@ -482,77 +431,6 @@ fn predicate_has_test(toks: &[&str]) -> bool {
     false
 }
 
-// ---------------------------------------------------------------------------
-// Suppressions
-// ---------------------------------------------------------------------------
-
-/// Collect `// sc-check: allow(rule, …)` comments. The directive must
-/// be the start of the comment body — doc comments *describing* the
-/// syntax are not directives. The target is the comment's own line when
-/// significant code precedes it on that line, otherwise the next line
-/// with any significant token.
-fn parse_suppressions(f: &mut SourceFile) {
-    let mut found = Vec::new();
-    for (i, t) in f.tokens.iter().enumerate() {
-        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            continue;
-        }
-        let text = t.text(&f.src);
-        // Strip the comment opener; `///`/`//!` doc comments never carry
-        // directives, only prose about them.
-        let body = text
-            .trim_start_matches('/')
-            .trim_start_matches('*')
-            .trim_start();
-        if text.starts_with("///")
-            || text.starts_with("//!")
-            || text.starts_with("/**")
-            || text.starts_with("/*!")
-        {
-            continue;
-        }
-        let Some(rest) = body.strip_prefix("sc-check:") else {
-            continue;
-        };
-        let Some(q) = rest.find("allow(") else {
-            continue;
-        };
-        let inner = rest[q + "allow(".len()..].split(')').next().unwrap_or("");
-        let rules: Vec<String> = inner
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        let significant = |k: TokenKind| {
-            !matches!(
-                k,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        };
-        let code_before = f.tokens[..i]
-            .iter()
-            .rev()
-            .take_while(|o| o.line == t.line)
-            .any(|o| significant(o.kind));
-        let target = if code_before {
-            t.line
-        } else {
-            f.tokens[i + 1..]
-                .iter()
-                .find(|o| significant(o.kind))
-                .map(|o| o.line)
-                .unwrap_or(t.line)
-        };
-        found.push(Suppression {
-            rules,
-            line: t.line,
-            target,
-            used: Cell::new(false),
-        });
-    }
-    f.suppressions = found;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,28 +516,6 @@ mod tests {
         let (lo, hi) = g.body.unwrap();
         assert_eq!(&f.src[lo..lo + 1], "{");
         assert_eq!(&f.src[hi - 1..hi], "}");
-    }
-
-    #[test]
-    fn suppression_targets_same_line_or_next() {
-        let f = parse(
-            "fn a() {\n    work(); // sc-check: allow(panic) reason\n    // sc-check: allow(locks) — next line\n    other();\n}\n",
-        );
-        assert_eq!(f.suppressions.len(), 2);
-        assert_eq!(f.suppressions[0].target, 2, "code before comment: same line");
-        assert_eq!(f.suppressions[1].target, 4, "comment-only line: next code line");
-        assert!(f.suppressed("panic", 2));
-        assert!(f.suppressions[0].used.get());
-        assert!(!f.suppressed("panic", 4), "different rule not suppressed");
-        assert!(f.suppressed("locks", 4));
-    }
-
-    #[test]
-    fn suppression_with_rule_list() {
-        let f = parse("// sc-check: allow(alloc, locks)\nlet x = 1;\n");
-        assert_eq!(f.suppressions[0].rules, vec!["alloc", "locks"]);
-        assert!(f.suppressed("alloc", 2));
-        assert!(f.suppressed("locks", 2));
     }
 
     #[test]

@@ -1,49 +1,41 @@
 //! `sc-check` — the repo's own invariant gate.
 //!
 //! A scope-aware static-analysis engine (see [`lexer`] and [`engine`])
-//! enforcing ten rules that encode this codebase's architectural
-//! contract with the paper:
+//! enforcing eight rules that encode this codebase's architectural
+//! contract with the paper. Each rule keeps its id (in parentheses).
+//! Ids 7 and 9 are retired: the hash-once and zero-alloc request path
+//! they policed lexically is pinned at run time instead, by the MD5
+//! block counters in `core/src/probe.rs`, `bloom/src/key.rs`,
+//! `proxy/src/router.rs` and `proxy/src/daemon.rs`, and by the counting
+//! allocator in `proxy/tests/zero_alloc.rs`.
 //!
-//! 1. **deps** — every dependency in every `Cargo.toml` is path-local;
-//!    no registry crates, so tier-1 verification needs zero network
-//!    ([`manifest`]).
-//! 2. **panic** — no `.unwrap()` / `.expect(` in `crates/proxy/src` or
-//!    `crates/wire/src` runtime paths; a malformed ICP datagram or a
-//!    peer hangup must degrade gracefully, never kill the daemon.
-//! 3. **determinism** — no ambient time or entropy (`Instant::now`,
-//!    `SystemTime::now`, `rand::`, …) in `crates/sim`, `crates/core`,
-//!    `crates/bloom`; simulations replay bit-for-bit from traces and
-//!    seeds.
-//! 4. **counters** — `crates/bloom/src/counting.rs` must not use
-//!    wrapping or bare `+`/`-` arithmetic on the 4-bit counters
-//!    (paper §V-C: saturate, never wrap).
-//! 5. **metrics** — a metric name is registered at exactly one source
-//!    site across the workspace; the registry get-or-creates by name,
-//!    so a second site silently aliases.
-//! 6. **sans_io** — `machine.rs` / `simnet.rs` / `router.rs` /
-//!    `trace/src/scenario.rs` stay free of `std::net`, wall clocks and
-//!    sleeps; I/O belongs to the daemon shell and the simnet scheduler.
-//! 7. **hash_once** — no direct `md5(` / `md5_repeated(` on the probe
-//!    path; URL digests happen once, at `UrlKey` construction or inside
-//!    `HashSpec`. In the request-path files (`proxy/src/daemon.rs`,
-//!    `proxy/src/router.rs`) the rule also hunts `UrlKey::new(`: a
-//!    request's URL is keyed exactly once at entry and the key threads
-//!    through everything downstream, so re-keying sites must justify
-//!    themselves with `// sc-check: allow(hash_once)`.
-//! 8. **locks** — in `crates/proxy/src`, no `MutexGuard` live across
-//!    `thread::sleep`, channel send/recv, socket I/O, a re-acquisition
-//!    of the same lock, or an acquisition order inverting one recorded
-//!    elsewhere. Guard liveness is scope-based: binding → end of the
-//!    enclosing block, truncated by an explicit `drop(guard)`.
-//! 9. **alloc** — the probe hot-path files (`core/src/probe.rs`,
-//!    `bloom/src/{filter,counting,key,hashing}.rs`,
-//!    `proxy/src/replica.rs`) do not allocate per call: no `Vec::new`,
-//!    `vec![`, `.to_string()`, `format!`, `Box::new`, `.clone()`.
-//!    Setup/COW sites opt out with `// sc-check: allow(alloc)`;
-//!    refcount bumps are written `Arc::clone(&x)`.
-//! 10. **wire** — every `ICP_OP_*` constant in `crates/wire/src/icp.rs`
-//!     appears in an encode-side match arm, a decode-side match arm,
-//!     and at least one test, so an opcode cannot ship half-wired.
+//! * **deps** (1) — every dependency in every `Cargo.toml` is path-local;
+//!   no registry crates, so tier-1 verification needs zero network
+//!   ([`manifest`]).
+//! * **panic** (2) — no `.unwrap()` / `.expect(` in `crates/proxy/src` or
+//!   `crates/wire/src` runtime paths; a malformed ICP datagram or a
+//!   peer hangup must degrade gracefully, never kill the daemon.
+//! * **determinism** (3) — no ambient time or entropy (`Instant::now`,
+//!   `SystemTime::now`, `rand::`, …) in `crates/sim`, `crates/core`,
+//!   `crates/bloom`; simulations replay bit-for-bit from traces and
+//!   seeds.
+//! * **counters** (4) — `crates/bloom/src/counting.rs` must not use
+//!   wrapping or bare `+`/`-` arithmetic on the 4-bit counters
+//!   (paper §V-C: saturate, never wrap).
+//! * **metrics** (5) — a metric name is registered at exactly one source
+//!   site across the workspace; the registry get-or-creates by name,
+//!   so a second site silently aliases.
+//! * **sans_io** (6) — `machine.rs` / `simnet.rs` / `router.rs` /
+//!   `trace/src/scenario.rs` stay free of `std::net`, wall clocks and
+//!   sleeps; I/O belongs to the daemon shell and the simnet scheduler.
+//! * **locks** (8) — in `crates/proxy/src`, no `MutexGuard` live across
+//!   `thread::sleep`, channel send/recv, socket I/O, a re-acquisition
+//!   of the same lock, or an acquisition order inverting one recorded
+//!   elsewhere. Guard liveness is scope-based: binding → end of the
+//!   enclosing block, truncated by an explicit `drop(guard)`.
+//! * **wire** (10) — every `ICP_OP_*` constant in `crates/wire/src/icp.rs`
+//!   appears in an encode-side match arm, a decode-side match arm,
+//!   and at least one test, so an opcode cannot ship half-wired.
 //!
 //! Everything is hand-rolled on `std` (plus the path-local `sc-json`
 //! for `--json` output) — no `syn`, no registry crates — so the gate
@@ -51,12 +43,8 @@
 //! (resolved from real item structure: `#[cfg(test)]`,
 //! `cfg(all(test, …))`, `#[test]` fns, un-attributed `mod tests`, and
 //! whole `tests/`/`benches/`/`examples/` files) is exempt from the
-//! source rules.
-//!
-//! Any rule can be silenced at a specific site with a
-//! `// sc-check: allow(rule)` comment on (or directly above) the
-//! offending line; a suppression that never fires is itself reported
-//! (rule id `suppression`), so allows cannot go stale.
+//! source rules. Nothing else is: there is no per-site escape hatch,
+//! so a finding is fixed, not silenced.
 
 pub mod engine;
 pub mod lexer;
@@ -69,7 +57,7 @@ use std::path::{Path, PathBuf};
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Short rule name (`deps`, `panic`, …, `wire`, `suppression`).
+    /// Short rule name (`deps`, `panic`, …, `wire`).
     pub rule: &'static str,
     /// File the violation is in, relative to the checked root.
     pub file: PathBuf,
@@ -177,7 +165,7 @@ fn collect(
     Ok(())
 }
 
-/// Check the workspace rooted at `root` against all ten rules.
+/// Check the workspace rooted at `root` against all eight rules.
 pub fn check_repo(root: &Path) -> std::io::Result<Report> {
     let mut manifests = Vec::new();
     let mut source_paths = Vec::new();
@@ -201,8 +189,7 @@ pub fn check_repo(root: &Path) -> std::io::Result<Report> {
     for f in &files {
         rules::check_file(f, &mut violations, &mut cross);
     }
-    rules::finish(&files, &cross, &mut violations);
-    rules::check_suppressions(&files, &mut violations);
+    rules::finish(&cross, &mut violations);
 
     Ok(Report {
         manifests: manifests.len(),
@@ -255,11 +242,11 @@ mod tests {
     #[test]
     fn violation_display_is_stable() {
         let v = Violation {
-            rule: "alloc",
-            file: PathBuf::from("crates/bloom/src/key.rs"),
+            rule: "panic",
+            file: PathBuf::from("crates/proxy/src/daemon.rs"),
             line: 7,
             message: "msg".to_string(),
         };
-        assert_eq!(v.to_string(), "crates/bloom/src/key.rs:7: [alloc] msg");
+        assert_eq!(v.to_string(), "crates/proxy/src/daemon.rs:7: [panic] msg");
     }
 }

@@ -1,5 +1,5 @@
 //! CLI for the static-analysis gate:
-//! `cargo run -p sc-check [--soak] [--json] [ROOT]` (or
+//! `cargo run -p sc-check [--json] [ROOT]` (or
 //! `cargo check-repo` via the workspace alias).
 //!
 //! Default output is one `file:line: [rule] message` diagnostic per
@@ -8,38 +8,26 @@
 //! prints a single sc-json object (`{ok, manifests, sources,
 //! violations}`) to stdout for CI annotation. Unknown `--flags` are
 //! rejected (exit 2) rather than being misread as ROOT.
-//!
-//! `--soak` additionally runs the simnet property suite over an
-//! extended seed range (default 1000 seeds; override with
-//! `SC_SIM_SEEDS`, or replay one failing seed with `SC_SIM_SEED`)
-//! after a clean gate pass.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Seeds the soak sweeps when `SC_SIM_SEEDS` is not already set —
-/// 5x the in-repo default, still well inside a CI minute.
-const SOAK_SEEDS: &str = "1000";
-
 fn main() -> ExitCode {
-    let mut soak = false;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args_os().skip(1) {
-        if arg == "--soak" {
-            soak = true;
-        } else if arg == "--json" {
+        if arg == "--json" {
             json = true;
         } else if arg.to_string_lossy().starts_with('-') {
             eprintln!(
-                "sc-check: unknown flag {:?}\nusage: sc-check [--soak] [--json] [ROOT]",
+                "sc-check: unknown flag {:?}\nusage: sc-check [--json] [ROOT]",
                 arg.to_string_lossy()
             );
             return ExitCode::from(2);
         } else if root.is_none() {
             root = Some(PathBuf::from(arg));
         } else {
-            eprintln!("sc-check: usage: sc-check [--soak] [--json] [ROOT]");
+            eprintln!("sc-check: usage: sc-check [--json] [ROOT]");
             return ExitCode::from(2);
         }
     }
@@ -53,66 +41,27 @@ fn main() -> ExitCode {
     };
     if json {
         println!("{}", report.to_json().to_pretty());
-        if !report.violations.is_empty() {
-            return ExitCode::FAILURE;
-        }
     } else {
         for v in &report.violations {
             println!("{v}");
         }
-        if !report.violations.is_empty() {
+        if report.violations.is_empty() {
+            println!(
+                "sc-check: ok ({} manifests, {} source files, 0 violations)",
+                report.manifests, report.sources
+            );
+        } else {
             eprintln!(
                 "sc-check: {} violation(s) across {} manifests and {} source files",
                 report.violations.len(),
                 report.manifests,
                 report.sources
             );
-            return ExitCode::FAILURE;
         }
-        println!(
-            "sc-check: ok ({} manifests, {} source files, 0 violations)",
-            report.manifests, report.sources
-        );
     }
-    if soak {
-        return run_soak(&root);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Run the seeded simnet soak in the checked workspace. The seed count
-/// flows through the same `SC_SIM_SEEDS` env the test reads directly,
-/// so an operator override wins over our extended default.
-fn run_soak(root: &std::path::Path) -> ExitCode {
-    let seeds =
-        std::env::var("SC_SIM_SEEDS").unwrap_or_else(|_| SOAK_SEEDS.to_string());
-    eprintln!("sc-check: soak — simnet property suite over {seeds} seeds");
-    let status = std::process::Command::new("cargo")
-        .args([
-            "test",
-            "-q",
-            "--offline",
-            "--test",
-            "simnet_properties",
-            "seeded_soak",
-            "--",
-            "--nocapture",
-        ])
-        .env("SC_SIM_SEEDS", &seeds)
-        .current_dir(root)
-        .status();
-    match status {
-        Ok(s) if s.success() => {
-            eprintln!("sc-check: soak ok ({seeds} seeds)");
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!("sc-check: soak FAILED — see the repro line above");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("sc-check: could not spawn cargo for the soak: {e}");
-            ExitCode::from(2)
-        }
+    if report.violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -1,28 +1,14 @@
-//! Rules 2–10, expressed on the [`crate::engine`].
+//! The source rules (2–6, 8, 10), expressed on the [`crate::engine`].
 //!
-//! Per-file rules emit through a [`Sink`] (suppression-aware). Rules
-//! that need the whole tree — metric uniqueness (5), lock-order
-//! inversion (8), wire exhaustiveness (10) — accumulate into
-//! [`CrossFile`] during the per-file pass and are judged in [`finish`].
+//! Per-file rules push a [`Violation`] for every finding. Rules that
+//! need the whole tree — metric uniqueness (5), lock-order inversion
+//! (8), wire exhaustiveness (10) — accumulate into [`CrossFile`] during
+//! the per-file pass and are judged in [`finish`].
 
-use crate::engine::{Sink, SourceFile};
+use crate::engine::SourceFile;
 use crate::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-
-/// Every rule name `// sc-check: allow(…)` may reference.
-pub const KNOWN_RULES: [&str; 10] = [
-    "deps",
-    "panic",
-    "determinism",
-    "counters",
-    "metrics",
-    "sans_io",
-    "hash_once",
-    "locks",
-    "alloc",
-    "wire",
-];
 
 /// Path prefixes (relative, `/`-separated) rule 2 applies to.
 const PANIC_SCOPES: [&str; 2] = ["crates/proxy/src", "crates/wire/src"];
@@ -48,30 +34,6 @@ const SANS_IO_SCOPES: [&str; 4] = [
 ];
 /// Transport/clock tokens rule 6 forbids in those files.
 const SANS_IO_TOKENS: [&str; 3] = ["std::net", "Instant::now", "thread::sleep"];
-/// Exact files rule 7 applies to: the probe path, where every digest
-/// must come through a `UrlKey` or `HashSpec`, plus the request-path
-/// entry files listed in [`HASH_ONCE_ENTRY_SCOPES`].
-const HASH_ONCE_SCOPES: [&str; 5] = [
-    "crates/core/src/probe.rs",
-    "crates/bloom/src/filter.rs",
-    "crates/bloom/src/counting.rs",
-    "crates/proxy/src/daemon.rs",
-    "crates/proxy/src/router.rs",
-];
-/// Direct digest calls rule 7 forbids in those files. (`md5(` does not
-/// match `md5_repeated(`, hence both tokens.)
-const HASH_ONCE_TOKENS: [&str; 2] = ["md5(", "md5_repeated("];
-/// Request-path files where rule 7 additionally hunts *re-keying*: the
-/// daemon digests a client URL exactly once at request entry and
-/// threads the resulting `UrlKey` through stripes, events, and the
-/// router. Any other `UrlKey::new(` here digests a URL some caller
-/// already keyed. The sanctioned entry digests (request entry, ICP
-/// query answering, eviction victims) carry
-/// `// sc-check: allow(hash_once)`.
-const HASH_ONCE_ENTRY_SCOPES: [&str; 2] =
-    ["crates/proxy/src/daemon.rs", "crates/proxy/src/router.rs"];
-/// The re-keying token rule 7 hunts in those files.
-const HASH_ONCE_ENTRY_TOKEN: &str = "UrlKey::new(";
 /// Path prefix rule 8 (lock discipline) applies to.
 const LOCKS_SCOPE: &str = "crates/proxy/src";
 /// Calls that may block (or sleep) — forbidden while a `MutexGuard` is
@@ -91,28 +53,6 @@ const BLOCKING_TOKENS: [&str; 14] = [
     ".flush(",
     ".accept(",
     ".connect(",
-];
-/// Exact files rule 9 (zero-alloc hot path) applies to: the per-probe
-/// request path, which the sub-µs ROADMAP item needs allocation-free.
-const ALLOC_SCOPES: [&str; 7] = [
-    "crates/core/src/probe.rs",
-    "crates/bloom/src/filter.rs",
-    "crates/bloom/src/counting.rs",
-    "crates/bloom/src/key.rs",
-    "crates/bloom/src/hashing.rs",
-    "crates/proxy/src/replica.rs",
-    "crates/proxy/src/scratch.rs",
-];
-/// Allocation/formatting tokens rule 9 forbids there. `Arc::clone(&x)`
-/// is the sanctioned way to bump a refcount without matching
-/// `.clone()`; setup/COW sites use `// sc-check: allow(alloc)`.
-const ALLOC_TOKENS: [&str; 6] = [
-    "Vec::new(",
-    "vec![",
-    ".to_string()",
-    "format!(",
-    "Box::new(",
-    ".clone()",
 ];
 /// The wire definition file rule 10 (exhaustiveness) applies to.
 const WIRE_FILE: &str = "crates/wire/src/icp.rs";
@@ -170,90 +110,52 @@ pub struct WireConst {
 /// Run every per-file rule over `f`, appending violations to `out` and
 /// whole-tree state to `cross`.
 pub fn check_file(f: &SourceFile, out: &mut Vec<Violation>, cross: &mut CrossFile) {
-    let mut sink = Sink::new(f, out);
     let unix = f.unix.as_str();
 
     if PANIC_SCOPES.iter().any(|s| unix.starts_with(s)) {
         for token in [".unwrap()", ".expect("] {
             for line in f.token_lines(token) {
-                sink.emit(
+                out.push(f.violation(
                     "panic",
                     line,
                     format!(
                         "`{token}` in a runtime path; propagate a Result (a bad datagram must not kill the daemon)"
                     ),
-                );
+                ));
             }
         }
     }
     if DETERMINISM_SCOPES.iter().any(|s| unix.starts_with(s)) {
         for token in DETERMINISM_TOKENS {
             for line in f.token_lines(token) {
-                sink.emit(
+                out.push(f.violation(
                     "determinism",
                     line,
                     format!(
                         "`{token}` introduces ambient nondeterminism; drive time/entropy from the trace or a seeded Rng"
                     ),
-                );
+                ));
             }
         }
     }
     if SANS_IO_SCOPES.contains(&unix) {
         for token in SANS_IO_TOKENS {
             for line in f.token_lines(token) {
-                sink.emit(
+                out.push(f.violation(
                     "sans_io",
                     line,
                     format!(
                         "`{token}` in a sans-I/O protocol module; sockets, wall clocks and sleeps belong to the daemon shell or the simnet scheduler"
                     ),
-                );
+                ));
             }
-        }
-    }
-    if HASH_ONCE_SCOPES.contains(&unix) {
-        for token in HASH_ONCE_TOKENS {
-            for line in f.token_lines(token) {
-                sink.emit(
-                    "hash_once",
-                    line,
-                    format!(
-                        "direct `{token}…)` on the probe path; digests are computed once at UrlKey construction or inside HashSpec — probe via the key/indices APIs"
-                    ),
-                );
-            }
-        }
-    }
-    if HASH_ONCE_ENTRY_SCOPES.contains(&unix) {
-        for line in f.token_lines(HASH_ONCE_ENTRY_TOKEN) {
-            sink.emit(
-                "hash_once",
-                line,
-                format!(
-                    "`{HASH_ONCE_ENTRY_TOKEN}…)` downstream of request entry re-digests a URL the request already keyed; thread the entry `UrlKey` through, or mark a sanctioned entry digest with `// sc-check: allow(hash_once)`"
-                ),
-            );
         }
     }
     if unix.ends_with("bloom/src/counting.rs") {
-        check_counters(f, &mut sink);
-    }
-    if ALLOC_SCOPES.contains(&unix) {
-        for token in ALLOC_TOKENS {
-            for line in bounded_token_lines(f, token) {
-                sink.emit(
-                    "alloc",
-                    line,
-                    format!(
-                        "`{token}…` allocates on the probe hot path; preallocate/reuse a buffer (or `Arc::clone`), or mark a setup/COW site with `// sc-check: allow(alloc)`"
-                    ),
-                );
-            }
-        }
+        check_counters(f, out);
     }
     if unix.starts_with(LOCKS_SCOPE) && !f.file_is_test {
-        check_locks(f, &mut sink, &mut cross.lock_edges);
+        check_locks(f, out, &mut cross.lock_edges);
     }
     for (name, line) in metric_registrations(f) {
         cross
@@ -269,15 +171,8 @@ pub fn check_file(f: &SourceFile, out: &mut Vec<Violation>, cross: &mut CrossFil
 }
 
 /// Judge the whole-tree rules once every file has been scanned.
-pub fn finish(files: &[SourceFile], cross: &CrossFile, out: &mut Vec<Violation>) {
-    let by_rel: BTreeMap<&std::path::Path, &SourceFile> =
-        files.iter().map(|f| (f.rel.as_path(), f)).collect();
+pub fn finish(cross: &CrossFile, out: &mut Vec<Violation>) {
     let mut emit = |rule: &'static str, file: &PathBuf, line: usize, message: String| {
-        if let Some(f) = by_rel.get(file.as_path()) {
-            if f.suppressed(rule, line) {
-                return;
-            }
-        }
         out.push(Violation {
             rule,
             file: file.clone(),
@@ -355,81 +250,20 @@ pub fn finish(files: &[SourceFile], cross: &CrossFile, out: &mut Vec<Violation>)
     }
 }
 
-/// The unused-suppression lint (plus unknown rule names), run last so
-/// suppressions consumed by [`finish`] count as used.
-pub fn check_suppressions(files: &[SourceFile], out: &mut Vec<Violation>) {
-    for f in files {
-        for s in &f.suppressions {
-            for r in &s.rules {
-                if !KNOWN_RULES.contains(&r.as_str()) {
-                    out.push(Violation {
-                        rule: "suppression",
-                        file: f.rel.clone(),
-                        line: s.line,
-                        message: format!(
-                            "unknown rule `{r}` in sc-check allow (known: {})",
-                            KNOWN_RULES.join(", ")
-                        ),
-                    });
-                }
-            }
-            if !s.used.get() && s.rules.iter().any(|r| KNOWN_RULES.contains(&r.as_str())) {
-                out.push(Violation {
-                    rule: "suppression",
-                    file: f.rel.clone(),
-                    line: s.line,
-                    message: format!(
-                        "suppression `allow({})` never fired; remove it",
-                        s.rules.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Like [`SourceFile::token_lines`], but a token starting with an
-/// identifier character must sit on a word boundary — so `Vec::new(`
-/// does not match inside `BitVec::new(`.
-fn bounded_token_lines(f: &SourceFile, token: &str) -> Vec<usize> {
-    let needs_boundary = token
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-    let mut lines = Vec::new();
-    for (idx, line) in f.stripped.lines().enumerate() {
-        let line_no = idx + 1;
-        if f.is_test_line(line_no) {
-            continue;
-        }
-        let mut at = 0usize;
-        while let Some(p) = line[at..].find(token) {
-            let start = at + p;
-            at = start + 1;
-            if needs_boundary && start > 0 && is_ident(line.as_bytes()[start - 1]) {
-                continue;
-            }
-            lines.push(line_no);
-            break; // one violation per token per line
-        }
-    }
-    lines
-}
-
 // ---------------------------------------------------------------------------
 // Rule 4: counter safety
 // ---------------------------------------------------------------------------
 
-fn check_counters(f: &SourceFile, sink: &mut Sink<'_>) {
+fn check_counters(f: &SourceFile, out: &mut Vec<Violation>) {
     for token in ["wrapping_add(", "wrapping_sub("] {
         for line in f.token_lines(token) {
-            sink.emit(
+            out.push(f.violation(
                 "counters",
                 line,
                 format!(
                     "`{token}…)` on a 4-bit counter wraps silently; use saturating_*/checked_* (Section V-C)"
                 ),
-            );
+            ));
         }
     }
     // Counter updates fed by bare infix +/- must instead go through a
@@ -453,12 +287,12 @@ fn check_counters(f: &SourceFile, sink: &mut Sink<'_>) {
                 && (k == 0 || bytes[k - 1] != c)
         });
         if bare_arith && !bounded {
-            sink.emit(
+            out.push(f.violation(
                 "counters",
                 line_no,
                 "bare +/- arithmetic feeding set_count; use saturating_*/checked_* (Section V-C)"
                     .to_string(),
-            );
+            ));
         }
     }
 }
@@ -519,7 +353,7 @@ struct Guard {
     live_from: usize,
 }
 
-fn check_locks(f: &SourceFile, sink: &mut Sink<'_>, edges: &mut Vec<LockEdge>) {
+fn check_locks(f: &SourceFile, out: &mut Vec<Violation>, edges: &mut Vec<LockEdge>) {
     let bytes = f.stripped.as_bytes();
     let closes = brace_matches(bytes);
     for item in &f.fns {
@@ -545,7 +379,7 @@ fn check_locks(f: &SourceFile, sink: &mut Sink<'_>, edges: &mut Vec<LockEdge>) {
                     let enclosing = stack.last().copied().unwrap_or(lo);
                     let block_end = closes.get(&enclosing).copied().unwrap_or(hi).min(hi);
                     if let Some(g) = parse_guard(f, i, hi) {
-                        analyze_live_range(f, sink, edges, &g, block_end);
+                        analyze_live_range(f, out, edges, &g, block_end);
                     }
                     i += 3;
                 }
@@ -760,7 +594,7 @@ fn normalize_lock_target(t: &str) -> String {
 /// explicit `drop(guard)`) for blocking calls and nested acquisitions.
 fn analyze_live_range(
     f: &SourceFile,
-    sink: &mut Sink<'_>,
+    out: &mut Vec<Violation>,
     edges: &mut Vec<LockEdge>,
     g: &Guard,
     block_end: usize,
@@ -773,27 +607,27 @@ fn analyze_live_range(
             let abs = g.live_from + from + p;
             // `thread::sleep` has no call-shape prefix; the dot tokens
             // embed their own boundary.
-            sink.emit(
+            out.push(f.violation(
                 "locks",
                 f.line_of(abs),
                 format!(
                     "`{token}…` while guard `{}` of lock `{}` (taken at line {}) is live; narrow the guard's block or drop() it first",
                     g.name, g.lock_id, g.decl_line
                 ),
-            );
+            ));
             from += p + token.len();
         }
     }
     for (abs, other) in find_acquisitions(&f.stripped, g.live_from, live_end) {
         if other == g.lock_id {
-            sink.emit(
+            out.push(f.violation(
                 "locks",
                 f.line_of(abs),
                 format!(
                     "lock `{}` acquired again while guard `{}` already holds it (taken at line {}); self-deadlock",
                     g.lock_id, g.name, g.decl_line
                 ),
-            );
+            ));
         } else {
             edges.push(LockEdge {
                 first: g.lock_id.clone(),
@@ -1119,8 +953,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cross = CrossFile::default();
         check_file(&f, &mut out, &mut cross);
-        let files = [f];
-        finish(&files, &cross, &mut out);
+        finish(&cross, &mut out);
         let inv: Vec<_> = out.iter().filter(|v| v.message.contains("inversion")).collect();
         assert_eq!(inv.len(), 2, "{out:?}");
         assert_eq!(inv[0].line, 3);
@@ -1171,8 +1004,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cross = CrossFile::default();
         check_file(&f, &mut out, &mut cross);
-        let files = [f];
-        finish(&files, &cross, &mut out);
+        finish(&cross, &mut out);
         let wire: Vec<_> = out.iter().filter(|v| v.rule == "wire").collect();
         assert_eq!(wire.len(), 1, "{out:?}");
         assert_eq!(wire[0].line, 2);

@@ -6,11 +6,6 @@ pub fn decode(buf: &[u8]) -> Result<u8, &'static str> {
     buf.first().copied().ok_or("empty datagram")
 }
 
-pub fn risky(buf: &[u8]) -> u8 {
-    // sc-check: allow(panic) — fixture: exercises a *used* suppression.
-    buf.first().copied().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

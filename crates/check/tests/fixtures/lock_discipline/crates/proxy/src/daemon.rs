@@ -59,12 +59,6 @@ pub fn scoped(s: &Shared, tx: &std::sync::mpsc::Sender<u32>) {
     let _ = tx.send(v);
 }
 
-pub fn deliberate(s: &Shared, tx: &std::sync::mpsc::Sender<u32>) {
-    let g = lock(&s.a);
-    // sc-check: allow(locks) — fixture: a justified, documented hold.
-    let _ = tx.send(*g);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,6 @@ impl ReplicaSnapshot {
     /// A snapshot advertising no peers (daemon start, or no replica
     /// synced yet).
     pub fn empty() -> ReplicaSnapshot {
-        // sc-check: allow(alloc) — construction, not the probe path.
         ReplicaSnapshot { peers: Vec::new() }
     }
 
@@ -94,7 +93,6 @@ thread_local! {
     /// thread talks to a handful of cells (usually one), and entries
     /// are three words each.
     static SNAPSHOT_CACHE: RefCell<Vec<(u64, u64, Arc<ReplicaSnapshot>)>> =
-        // sc-check: allow(alloc) — once-per-thread initializer.
         const { RefCell::new(Vec::new()) };
 }
 

@@ -1133,7 +1133,8 @@ impl DirectoryInspect for Router {
 /// The document-cache stripe owning `key`: the low 64 bits of the key's
 /// (already computed) MD5 digest, reduced mod `stripes`. Takes the
 /// request's [`UrlKey`] so striping never re-digests the URL (the
-/// hash-once discipline, sc-check rule `hash_once`).
+/// hash-once discipline `request_path_digests_the_url_exactly_once`
+/// pins).
 ///
 /// [`sc_bloom::HashSpec`] consumes digest bits from the front of the
 /// digest, so taking the *tail* keeps striping and Bloom indices

@@ -49,9 +49,7 @@ impl RequestScratch {
     pub fn new() -> RequestScratch {
         RequestScratch {
             key: UrlKey::new(b""),
-            // sc-check: allow(alloc) — once-per-thread construction.
             candidates: Vec::new(),
-            // sc-check: allow(alloc) — once-per-thread construction.
             outputs: Vec::new(),
         }
     }
