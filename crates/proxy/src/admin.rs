@@ -15,13 +15,13 @@
 //! accounted into the TCP byte counters the experiment tables report —
 //! scraping the proxy must not perturb the measurements.
 
-use crate::origin::ACCEPT_POLL;
+use crate::net::{read_head, spawn_accept_loop};
 use crate::stats::ProxyStats;
 use sc_json::{ToJson, Value};
 use sc_wire::http;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// How many journal entries `/events` returns at most.
@@ -34,47 +34,27 @@ pub fn serve(
     stats: Arc<ProxyStats>,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    std::thread::spawn(move || {
-        while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_nodelay(true);
-                    let stats = stats.clone();
-                    std::thread::spawn(move || {
-                        let _ = serve_connection(stream, &stats);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => break,
-            }
-        }
-    });
-    Ok(())
+    spawn_accept_loop(listener, shutdown, move |stream| {
+        let _ = serve_connection(stream, &stats);
+    })
 }
 
 /// Answer one request, then close (`Connection: close` semantics — the
 /// scrapers here are curl and the test harness, not a browser).
 fn serve_connection(mut stream: TcpStream, stats: &ProxyStats) -> std::io::Result<()> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let req = loop {
-        match http::parse_request(&buf) {
-            Ok(http::Parse::Done { value, .. }) => break value,
-            Ok(http::Parse::NeedMore) => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(_) => {
-                return respond(&mut stream, 400, "Bad Request", "text/plain", "bad request\n");
-            }
+    let req = match read_head(&mut stream, &mut Vec::new(), http::parse_request) {
+        Ok(Some((req, _))) => req,
+        Ok(None) => return Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            return respond(
+                &mut stream,
+                400,
+                "Bad Request",
+                "text/plain",
+                "bad request\n",
+            );
         }
+        Err(e) => return Err(e),
     };
     // Targets may arrive absolute (proxy-style) or origin-form; route on
     // the path component either way.

@@ -88,7 +88,6 @@ pub struct ProxyConfig {
     keepalive_ms: u64,
     update_loss: f64,
     shards: usize,
-    fanout_slots: usize,
 }
 
 impl ProxyConfig {
@@ -155,16 +154,6 @@ impl ProxyConfig {
     pub fn shards(&self) -> usize {
         self.shards
     }
-
-    /// Stagger slots the update/keep-alive fan-out is spread over
-    /// (never 0; defaults to 1 — every peer serviced on every tick).
-    /// With `s` slots the daemon ticks the router `s` times per
-    /// keep-alive period and each tick services `1/s` of the peers, so
-    /// a big peer group's update bursts de-synchronise instead of all
-    /// landing on the same instant.
-    pub fn fanout_slots(&self) -> usize {
-        self.fanout_slots
-    }
 }
 
 /// Why a [`ProxyConfigBuilder::build`] was rejected.
@@ -230,7 +219,6 @@ pub struct ProxyConfigBuilder {
     keepalive_ms: Option<u64>,
     update_loss: Option<f64>,
     shards: Option<usize>,
-    fanout_slots: Option<usize>,
 }
 
 impl ProxyConfigBuilder {
@@ -306,13 +294,6 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// Set the fan-out stagger slot count (see
-    /// [`ProxyConfig::fanout_slots`]). 0 is clamped to 1.
-    pub fn fanout_slots(mut self, n: usize) -> Self {
-        self.fanout_slots = Some(n);
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ProxyConfig, ConfigError> {
         let cache_bytes = self.cache_bytes.unwrap_or(75 * 1024 * 1024);
@@ -359,7 +340,6 @@ impl ProxyConfigBuilder {
             keepalive_ms: self.keepalive_ms.unwrap_or(1000),
             update_loss,
             shards,
-            fanout_slots: self.fanout_slots.unwrap_or(1).max(1),
         })
     }
 }

@@ -33,11 +33,15 @@
 //! * [`origin`] — the origin-server emulator: answers every GET with the
 //!   size the URL's headers request, after a configurable artificial
 //!   delay (the benchmark's stand-in for Internet latency, Section IV).
-//! * [`client`] — load drivers: the Wisconsin-style synthetic benchmark
-//!   (Pareto sizes, temporal locality, adjustable inherent hit ratio,
-//!   optional disjoint per-proxy document spaces) and the two
+//! * [`client`] — the one HTTP client ([`client::ProxyClient`], also
+//!   the daemon's peer and origin fetcher) and the one load driver
+//!   ([`client::run_plans`]) running the Wisconsin-style synthetic
+//!   benchmark (Pareto sizes, temporal locality, adjustable inherent
+//!   hit ratio, optional disjoint per-proxy document spaces) and the two
 //!   trace-replay modes of Section VII (per-client binding and
 //!   round-robin dispatch).
+//! * `net` (crate-private) — the socket shell every TCP endpoint
+//!   shares: one accept loop and one HTTP head reader.
 //! * [`cluster`] — spins up N proxies + an origin in-process on loopback
 //!   and runs a driver against them, collecting per-proxy statistics.
 //! * [`stats`] — the per-daemon sc-obs registry (counters, per-peer
@@ -59,6 +63,7 @@ pub mod cluster;
 pub mod config;
 pub mod daemon;
 pub mod machine;
+mod net;
 pub mod origin;
 pub mod replica;
 pub mod router;

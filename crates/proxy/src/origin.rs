@@ -8,14 +8,13 @@
 //! encodes sizes in requests), echoing `X-Doc-LM` as `Last-Modified`,
 //! after a configurable delay.
 
-use std::io::{Read, Write};
+use crate::net::{read_head, spawn_accept_loop, write_body};
+use sc_wire::http;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How long the accept loop naps when no connection is waiting.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Counters the origin keeps (for sanity checks in experiments).
 #[derive(Debug, Default)]
@@ -46,31 +45,12 @@ impl Origin {
     pub fn spawn_at(bind: SocketAddr, delay: Duration) -> std::io::Result<Origin> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stats = Arc::new(OriginStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let st = stats.clone();
-        let stop = shutdown.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Request/response exchanges are small; Nagle +
-                        // delayed ACK would add ~40 ms per turn.
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_nonblocking(false);
-                        let st = st.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_conn(stream, delay, st);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        spawn_accept_loop(listener, shutdown.clone(), move |stream| {
+            let _ = serve_conn(stream, delay, &st);
+        })?;
         Ok(Origin {
             addr,
             stats,
@@ -91,43 +71,23 @@ impl Drop for Origin {
 }
 
 /// Serve one connection; supports sequential keep-alive GETs.
-fn serve_conn(
-    mut stream: TcpStream,
-    delay: Duration,
-    stats: Arc<OriginStats>,
-) -> std::io::Result<()> {
+fn serve_conn(mut stream: TcpStream, delay: Duration, stats: &OriginStats) -> std::io::Result<()> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     loop {
-        // Read until a full head is buffered.
-        let req = loop {
-            match sc_wire::http::parse_request(&buf) {
-                Ok(sc_wire::http::Parse::Done { value, consumed }) => {
-                    buf.drain(..consumed);
-                    break value;
-                }
-                Ok(sc_wire::http::Parse::NeedMore) => {
-                    let mut chunk = [0u8; 4096];
-                    let n = stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Ok(()); // clean close between requests
-                    }
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(_) => {
-                    let head =
-                        sc_wire::http::build_response(400, "Bad Request", &[("Content-Length", "0")]);
-                    stream.write_all(head.as_bytes())?;
-                    return Ok(());
-                }
+        let req = match read_head(&mut stream, &mut buf, http::parse_request) {
+            Ok(Some((req, _))) => req,
+            Ok(None) => return Ok(()), // clean close between requests
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let head = http::build_response(400, "Bad Request", &[("Content-Length", "0")]);
+                return stream.write_all(head.as_bytes());
             }
+            Err(e) => return Err(e),
         };
 
-        let size: u64 = sc_wire::http::header(&req.headers, "x-doc-size")
+        let size: u64 = http::header(&req.headers, "x-doc-size")
             .and_then(|v| v.parse().ok())
             .unwrap_or(1024);
-        let lm = sc_wire::http::header(&req.headers, "x-doc-lm")
-            .unwrap_or("0")
-            .to_string();
+        let lm = http::header(&req.headers, "x-doc-lm").unwrap_or("0");
 
         // The paper's artificial Internet latency.
         if !delay.is_zero() {
@@ -137,12 +97,12 @@ fn serve_conn(
         stats.requests.fetch_add(1, Ordering::Relaxed);
         stats.bytes.fetch_add(size, Ordering::Relaxed);
 
-        let head = sc_wire::http::build_response(
+        let head = http::build_response(
             200,
             "OK",
             &[
                 ("Content-Length", &size.to_string()),
-                ("X-Doc-LM", &lm),
+                ("X-Doc-LM", lm),
                 ("Connection", "keep-alive"),
             ],
         );
@@ -151,82 +111,28 @@ fn serve_conn(
     }
 }
 
-/// Write `size` synthesized body bytes in chunks.
-pub fn write_body<W: Write>(w: &mut W, size: u64) -> std::io::Result<()> {
-    const CHUNK: usize = 16 * 1024;
-    static FILL: [u8; CHUNK] = [b'x'; CHUNK];
-    let mut left = size;
-    while left > 0 {
-        let n = (left as usize).min(CHUNK);
-        w.write_all(&FILL[..n])?;
-        left -= n as u64;
-    }
-    Ok(())
-}
-
-/// Read and discard exactly `size` body bytes.
-pub fn drain_body<R: Read>(r: &mut R, size: u64) -> std::io::Result<()> {
-    let mut left = size;
-    let mut chunk = [0u8; 16 * 1024];
-    while left > 0 {
-        let want = (left as usize).min(chunk.len());
-        let n = r.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "body truncated",
-            ));
-        }
-        left -= n as u64;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{ProxyClient, Reply};
+    use sc_cache::DocMeta;
 
-    fn get(addr: SocketAddr, size: u64, lm: &str) -> (u16, u64, String) {
-        let mut s = TcpStream::connect(addr).unwrap();
-        let req = sc_wire::http::build_request(
-            "http://server-0.trace.invalid/doc/1",
-            &[("X-Doc-Size", &size.to_string()), ("X-Doc-LM", lm)],
-        );
-        s.write_all(req.as_bytes()).unwrap();
-        let mut buf = Vec::new();
-        let resp = loop {
-            match sc_wire::http::parse_response(&buf).unwrap() {
-                sc_wire::http::Parse::Done { value, consumed } => {
-                    buf.drain(..consumed);
-                    break value;
-                }
-                sc_wire::http::Parse::NeedMore => {
-                    let mut chunk = [0u8; 4096];
-                    let n = s.read(&mut chunk).unwrap();
-                    assert!(n > 0);
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-            }
+    const URL: &str = "http://server-0.trace.invalid/doc/1";
+
+    fn get(addr: SocketAddr, size: u64, last_modified: u64) -> Reply {
+        let want = DocMeta {
+            size,
+            last_modified,
         };
-        let len = sc_wire::http::content_length(&resp.headers).unwrap();
-        let mut got = buf.len() as u64;
-        let mut chunk = [0u8; 4096];
-        while got < len {
-            let n = s.read(&mut chunk).unwrap();
-            assert!(n > 0);
-            got += n as u64;
-        }
-        let lm_out = sc_wire::http::header(&resp.headers, "x-doc-lm").unwrap().to_string();
-        (resp.status, got, lm_out)
+        ProxyClient::connect(addr).unwrap().get(URL, want).unwrap()
     }
 
     #[test]
     fn serves_requested_size_and_echoes_version() {
         let origin = Origin::spawn(Duration::ZERO).unwrap();
-        let (status, body, lm) = get(origin.addr, 5000, "77");
-        assert_eq!(status, 200);
-        assert_eq!(body, 5000);
-        assert_eq!(lm, "77");
+        let reply = get(origin.addr, 5000, 77);
+        assert_eq!(reply.status, 200);
+        assert_eq!((reply.meta.size, reply.meta.last_modified), (5000, 77));
         assert_eq!(origin.stats.requests.load(Ordering::Relaxed), 1);
         assert_eq!(origin.stats.bytes.load(Ordering::Relaxed), 5000);
     }
@@ -235,8 +141,8 @@ mod tests {
     fn delay_is_applied() {
         let origin = Origin::spawn(Duration::from_millis(80)).unwrap();
         let t0 = std::time::Instant::now();
-        let (status, body, _) = get(origin.addr, 10, "0");
-        assert_eq!((status, body), (200, 10));
+        let reply = get(origin.addr, 10, 0);
+        assert_eq!((reply.status, reply.meta.size), (200, 10));
         assert!(
             t0.elapsed() >= Duration::from_millis(75),
             "reply arrived too fast: {:?}",
@@ -247,36 +153,13 @@ mod tests {
     #[test]
     fn keep_alive_serves_sequential_requests() {
         let origin = Origin::spawn(Duration::ZERO).unwrap();
-        let mut s = TcpStream::connect(origin.addr).unwrap();
+        let mut client = ProxyClient::connect(origin.addr).unwrap();
         for i in 1..=3u64 {
-            let req = sc_wire::http::build_request(
-                "http://server-0.trace.invalid/doc/2",
-                &[("X-Doc-Size", &(i * 100).to_string()), ("X-Doc-LM", "1")],
-            );
-            s.write_all(req.as_bytes()).unwrap();
-            let mut buf = Vec::new();
-            let resp = loop {
-                match sc_wire::http::parse_response(&buf).unwrap() {
-                    sc_wire::http::Parse::Done { value, consumed } => {
-                        buf.drain(..consumed);
-                        break value;
-                    }
-                    sc_wire::http::Parse::NeedMore => {
-                        let mut chunk = [0u8; 4096];
-                        let n = s.read(&mut chunk).unwrap();
-                        assert!(n > 0, "iteration {i}");
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
+            let want = DocMeta {
+                size: i * 100,
+                last_modified: 1,
             };
-            let len = sc_wire::http::content_length(&resp.headers).unwrap();
-            assert_eq!(len, i * 100);
-            let mut left = len - buf.len() as u64;
-            let mut chunk = [0u8; 4096];
-            while left > 0 {
-                let n = s.read(&mut chunk[..(left as usize).min(4096)]).unwrap();
-                left -= n as u64;
-            }
+            assert_eq!(client.get(URL, want).unwrap().meta, want, "iteration {i}");
         }
         assert_eq!(origin.stats.requests.load(Ordering::Relaxed), 3);
     }

@@ -294,6 +294,54 @@ mod tests {
         assert_eq!(parse_request(&buf), Err(HttpError::HeadTooLarge));
     }
 
+    /// Both parsers on `buf`: no panic, and a parsed head never claims
+    /// more bytes than it was given.
+    fn parse_both(buf: &[u8]) {
+        if let Ok(Parse::Done { consumed, .. }) = parse_request(buf) {
+            assert!(consumed <= buf.len());
+        }
+        if let Ok(Parse::Done { consumed, .. }) = parse_response(buf) {
+            assert!(consumed <= buf.len());
+        }
+    }
+
+    #[test]
+    fn prop_parse_never_panics() {
+        use sc_util::prop::{check, vec_of};
+        let heads = [
+            build_request(
+                "http://s.invalid/doc/5",
+                &[("X-Doc-Size", "12"), ("X-Doc-LM", "7")],
+            ),
+            build_response(200, "OK", &[("Content-Length", "12"), ("X-Doc-LM", "7")]),
+        ];
+        // Half the random bytes come from the head alphabet, so the
+        // sweep reaches the line and header parsers, not just NeedMore.
+        const ALPHABET: &[u8] = b"GET HTTP/1.1 200\r\n: x";
+        check("http_parse_random_bytes", 512, |rng| {
+            parse_both(&vec_of(rng, 0..512, |r| {
+                if r.gen_bool(0.5) {
+                    ALPHABET[r.gen_range(0..ALPHABET.len())]
+                } else {
+                    r.gen_range(0u8..=255)
+                }
+            }));
+        });
+        check("http_parse_truncations", 512, |rng| {
+            for head in &heads {
+                parse_both(&head.as_bytes()[..rng.gen_range(0..head.len() + 1)]);
+            }
+        });
+        check("http_parse_one_byte_mutations", 512, |rng| {
+            for head in &heads {
+                let mut bytes = head.clone().into_bytes();
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = rng.gen_range(0u8..=255);
+                parse_both(&bytes);
+            }
+        });
+    }
+
     #[test]
     fn reason_phrase_with_spaces() {
         let head = build_response(404, "Not Found", &[]);

@@ -32,6 +32,11 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
+# Bench targets are built by nothing else (`cargo build` skips them and
+# ci.sh only runs three), so compile every one of them here.
+echo "==> cargo build --release -p sc-bench --benches"
+cargo build --release --offline -p sc-bench --benches
+
 echo "==> sc-check (static-analysis gate)"
 cargo run -p sc-check --offline --quiet
 

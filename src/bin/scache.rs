@@ -21,7 +21,7 @@ use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::time::Duration;
 use summary_cache::core::scalability::{estimate, Deployment};
 use summary_cache::core::UpdatePolicy;
-use summary_cache::proxy::client::{plan_replay, ProxyClient, ReplayMode};
+use summary_cache::proxy::client::{plan_replay, run_plans, ReplayMode};
 use summary_cache::proxy::config::PeerAddr;
 use summary_cache::proxy::daemon::Daemon;
 use summary_cache::proxy::origin::Origin;
@@ -367,36 +367,18 @@ fn cmd_replay(args: &[String]) -> i32 {
         proxies.len(),
         tasks
     );
-    let plans = plan_replay(&trace, tasks, mode);
-    let stats = std::sync::Arc::new(ProxyStats::default());
-    let t0 = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for (tid, plan) in plans.into_iter().enumerate() {
-        if plan.is_empty() {
-            continue;
-        }
-        let addr = proxies[tid % proxies.len()];
-        let stats = stats.clone();
-        handles.push(std::thread::spawn(move || -> std::io::Result<()> {
-            let mut client = ProxyClient::connect(addr, stats)?;
-            for (url, meta) in plan {
-                client.get(&url, meta)?;
-            }
-            Ok(())
-        }));
-    }
-    for h in handles {
-        if let Err(e) = h.join().expect("driver thread") {
+    let (wall, latency) = match run_plans(&proxies, plan_replay(&trace, tasks, mode)) {
+        Ok(run) => run,
+        Err(e) => {
             eprintln!("driver error: {e}");
-            std::process::exit(1);
+            return 1;
         }
-    }
-    let s = stats.snapshot();
+    };
     println!(
         "done in {:.1}s: {} requests, mean latency {:.2} ms",
-        t0.elapsed().as_secs_f64(),
-        s.latency_count,
-        s.avg_latency_ms()
+        wall.as_secs_f64(),
+        latency.samples(),
+        latency.mean() / 1000.0
     );
     0
 }

@@ -36,9 +36,7 @@ fn cluster_cfg() -> ClusterConfig {
 fn silent_peer_replica_is_evicted() {
     let cluster = Cluster::start(&cluster_cfg()).unwrap();
     // Traffic from proxy 1 populates proxy 0's replica of it.
-    let mut c1 =
-        ProxyClient::connect(cluster.daemons[1].http_addr, cluster.daemons[1].stats.clone())
-            .unwrap();
+    let mut c1 = ProxyClient::connect(cluster.daemons[1].http_addr).unwrap();
     c1.get(
         "http://server-1.trace.invalid/doc/1",
         DocMeta { size: 500, last_modified: 1 },
@@ -87,9 +85,8 @@ fn lossy_cluster_reconverges_via_resync() {
     let mut drivers = Vec::new();
     for (pid, d) in cluster.daemons.iter().enumerate() {
         let addr = d.http_addr;
-        let stats = d.stats.clone();
         drivers.push(std::thread::spawn(move || {
-            let mut c = ProxyClient::connect(addr, stats).unwrap();
+            let mut c = ProxyClient::connect(addr).unwrap();
             for i in 0..120 {
                 let url = format!("http://server-{pid}.trace.invalid/doc/{i}");
                 c.get(&url, DocMeta { size: 400, last_modified: 1 }).unwrap();
@@ -137,7 +134,7 @@ fn recovered_peer_receives_full_bitmap() {
     let d0 = &cluster.daemons[0];
 
     // Proxy 0 caches something so its summary is non-empty.
-    let mut c0 = ProxyClient::connect(d0.http_addr, d0.stats.clone()).unwrap();
+    let mut c0 = ProxyClient::connect(d0.http_addr).unwrap();
     c0.get(
         "http://server-0.trace.invalid/doc/9",
         DocMeta { size: 500, last_modified: 1 },

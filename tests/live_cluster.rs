@@ -1,6 +1,8 @@
 //! Live-system integration: real daemons, real sockets, real datagrams
 //! on loopback — the Section VII prototype behaviours.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 use summary_cache::cache::DocMeta;
 use summary_cache::proxy::client::ProxyClient;
@@ -12,6 +14,7 @@ use summary_cache::proxy::{
     BenchmarkConfig, Cluster, ClusterConfig, Mode, ProxyConfig, ReplayMode,
 };
 use summary_cache::trace::{GeneratorConfig, TraceGenerator};
+use summary_cache::wire::http::MAX_HEAD_BYTES;
 
 fn cfg(proxies: u32, mode: Mode) -> ClusterConfig {
     ClusterConfig {
@@ -93,21 +96,17 @@ fn sc_icp_matches_icp_hits_with_fewer_messages() {
 fn remote_stale_hit_falls_through_to_origin() {
     let cluster = Cluster::start(&cfg(2, Mode::Icp)).unwrap();
     let url = "http://server-1.trace.invalid/doc/7";
-    let mut c0 =
-        ProxyClient::connect(cluster.daemons[0].http_addr, cluster.daemons[0].stats.clone())
-            .unwrap();
-    let mut c1 =
-        ProxyClient::connect(cluster.daemons[1].http_addr, cluster.daemons[1].stats.clone())
-            .unwrap();
+    let mut c0 = ProxyClient::connect(cluster.daemons[0].http_addr).unwrap();
+    let mut c1 = ProxyClient::connect(cluster.daemons[1].http_addr).unwrap();
     // Proxy 0 caches version 1.
     assert_eq!(
-        c0.get(url, DocMeta { size: 1000, last_modified: 1 }).unwrap(),
+        c0.get(url, DocMeta { size: 1000, last_modified: 1 }).unwrap().status,
         200
     );
     // Proxy 1's client wants version 2: ICP says proxy 0 has the URL,
     // but the fetched copy is stale.
     assert_eq!(
-        c1.get(url, DocMeta { size: 1000, last_modified: 2 }).unwrap(),
+        c1.get(url, DocMeta { size: 1000, last_modified: 2 }).unwrap().status,
         200
     );
     let s1 = cluster.daemons[1].stats.snapshot();
@@ -127,9 +126,7 @@ fn all_miss_icp_round_beats_the_timeout() {
     config.icp_timeout_ms = 2_000;
     config.origin_delay = Duration::from_millis(10);
     let cluster = Cluster::start(&config).unwrap();
-    let mut c0 =
-        ProxyClient::connect(cluster.daemons[0].http_addr, cluster.daemons[0].stats.clone())
-            .unwrap();
+    let mut c0 = ProxyClient::connect(cluster.daemons[0].http_addr).unwrap();
     // Warm one request through so sockets and threads are all up.
     c0.get(
         "http://server-0.trace.invalid/warm",
@@ -175,11 +172,11 @@ fn unsendable_icp_queries_resolve_as_immediate_misses() {
         .build()
         .unwrap();
     let daemon = Daemon::spawn(config).unwrap();
-    let mut client = ProxyClient::connect(daemon.http_addr, daemon.stats.clone()).unwrap();
+    let mut client = ProxyClient::connect(daemon.http_addr).unwrap();
     let t0 = std::time::Instant::now();
     for i in 0..5 {
         let url = format!("http://server-0.trace.invalid/v6/{i}");
-        assert_eq!(client.get(&url, DocMeta { size: 100, last_modified: 1 }).unwrap(), 200);
+        assert_eq!(client.get(&url, DocMeta { size: 100, last_modified: 1 }).unwrap().status, 200);
     }
     let elapsed = t0.elapsed();
     assert!(
@@ -214,7 +211,7 @@ fn failed_peers_are_not_queried_in_icp_mode() {
     );
 
     let sent_before = d0.stats.snapshot().icp_queries_sent;
-    let mut c0 = ProxyClient::connect(d0.http_addr, d0.stats.clone()).unwrap();
+    let mut c0 = ProxyClient::connect(d0.http_addr).unwrap();
     let t0 = std::time::Instant::now();
     c0.get(
         "http://server-0.trace.invalid/after-failure",
@@ -260,9 +257,7 @@ fn live_cache_respects_capacity() {
     let mut config = cfg(2, Mode::NoIcp);
     config.cache_bytes = 64 * 1024;
     let cluster = Cluster::start(&config).unwrap();
-    let mut c0 =
-        ProxyClient::connect(cluster.daemons[0].http_addr, cluster.daemons[0].stats.clone())
-            .unwrap();
+    let mut c0 = ProxyClient::connect(cluster.daemons[0].http_addr).unwrap();
     for i in 0..50 {
         let url = format!("http://server-0.trace.invalid/doc/{i}");
         c0.get(&url, DocMeta { size: 8 * 1024, last_modified: 1 })
@@ -293,5 +288,46 @@ fn benchmark_hits_inherent_ratio_live() {
         (0.35..0.55).contains(&hr),
         "live hit ratio {hr} should track the 45% inherent ratio"
     );
+    cluster.shutdown();
+}
+
+/// One request, one latency sample: the daemon's own sample is the only
+/// write to `sc_request_latency_us`; the client driving the request keeps
+/// its timing to itself.
+#[test]
+fn each_request_records_one_latency_sample() {
+    const N: u64 = 10;
+    let cluster = Cluster::start(&cfg(1, Mode::NoIcp)).unwrap();
+    let d0 = &cluster.daemons[0];
+    let mut c0 = ProxyClient::connect(d0.http_addr).unwrap();
+    for i in 0..N {
+        let url = format!("http://server-0.trace.invalid/latency/{}", i % 3);
+        c0.get(&url, DocMeta { size: 100, last_modified: 1 }).unwrap();
+    }
+    // The daemon records after writing the reply: wait for the last one.
+    assert!(sc_util::poll::wait_until(Duration::from_secs(5), Duration::from_millis(5), || {
+        d0.stats.snapshot().latency_count >= N
+    }));
+    let s = d0.stats.snapshot();
+    assert_eq!((s.latency_count, s.http_requests), (N, N), "{s:?}");
+    cluster.shutdown();
+}
+
+/// A head that never terminates is cut off past `MAX_HEAD_BYTES`: its
+/// sender gets a 400 and a closed connection, and the daemon serves the
+/// next connection normally.
+#[test]
+fn unterminated_oversized_head_gets_400_and_close() {
+    let cluster = Cluster::start(&cfg(1, Mode::NoIcp)).unwrap();
+    let addr = cluster.daemons[0].http_addr;
+    let mut hostile = TcpStream::connect(addr).unwrap();
+    hostile.write_all(&vec![b'a'; MAX_HEAD_BYTES + 1]).unwrap();
+    let mut reply = String::new();
+    hostile.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply:?}");
+
+    let mut fresh = ProxyClient::connect(addr).unwrap();
+    let meta = DocMeta { size: 100, last_modified: 1 };
+    assert_eq!(fresh.get("http://s.invalid/after", meta).unwrap().status, 200);
     cluster.shutdown();
 }
