@@ -43,10 +43,8 @@ fn run_mode(mode: Mode, hit_ratio: f64) -> ExperimentReport {
     let cpu0 = CpuTimes::now();
     // Same seed across modes: "we use the same seeds ... to ensure
     // comparable results".
-    let wall = cluster
-        .run_benchmark(&bench_cfg(hit_ratio, 0xBEEF))
-        .expect("benchmark run");
-    let report = ExperimentReport::build(mode, wall, &cpu0, &cluster);
+    let (wall, latency) = cluster.run_benchmark(&bench_cfg(hit_ratio, 0xBEEF)).expect("benchmark run");
+    let report = ExperimentReport::build(mode, wall, &latency, &cpu0, &cluster);
     cluster.shutdown();
     report
 }
@@ -64,7 +62,7 @@ fn print_block(reports: &[ExperimentReport]) {
             "{:>8} {:>9} {:>12.2} {:>10.2} {:>10.2} {:>10} {:>12} {:>12}",
             r.mode,
             pct(r.totals.hit_ratio()),
-            r.totals.avg_latency_ms(),
+            r.latency_ms_mean,
             r.cpu_user,
             r.cpu_system,
             r.totals.udp_messages(),
@@ -80,7 +78,7 @@ fn print_block(reports: &[ExperimentReport]) {
             r.mode,
             udp_factor,
             pct(r.totals.total_packets() as f64 / base.totals.total_packets() as f64 - 1.0),
-            pct(r.totals.avg_latency_ms() / base.totals.avg_latency_ms().max(1e-9) - 1.0),
+            pct(r.latency_ms_mean / base.latency_ms_mean.max(1e-9) - 1.0),
             pct(r.cpu_user / base.cpu_user.max(1e-9) - 1.0),
         );
     }

@@ -44,11 +44,9 @@ pub fn run_mode(mode: Mode, trace: &Trace, replay: ReplayMode) -> ExperimentRepo
     };
     let cluster = Cluster::start(&cfg).expect("cluster start");
     let cpu0 = CpuTimes::now();
-    let wall = cluster.run_replay(trace, 20, replay).expect("replay run");
-    // Every number in the report — counters, tail latency included — is
-    // a projection of the per-daemon sc-obs registry snapshots; nothing
-    // is tallied on the side.
-    let report = ExperimentReport::build(mode, wall, &cpu0, &cluster);
+    let (wall, latency) = cluster.run_replay(trace, 20, replay).expect("replay run");
+    // Counters from the daemons' sc-obs registries, latency from the load driver.
+    let report = ExperimentReport::build(mode, wall, &latency, &cpu0, &cluster);
     cluster.shutdown();
     report
 }
@@ -68,7 +66,7 @@ pub fn print_table(reports: &[ExperimentReport]) {
             r.mode,
             pct(r.totals.hit_ratio()),
             pct(r.totals.remote_hits as f64 / n),
-            r.totals.avg_latency_ms(),
+            r.latency_ms_mean,
             r.cpu_user,
             r.cpu_system,
             r.totals.udp_messages(),
@@ -76,7 +74,7 @@ pub fn print_table(reports: &[ExperimentReport]) {
             pct(r.totals.remote_stale_hits as f64 / n),
         );
     }
-    println!("tail latency (cluster-wide distribution):");
+    println!("tail latency (client-side distribution):");
     for r in reports {
         println!(
             "{:>8}  p50 {:>8.2} ms  p95 {:>8.2} ms  p99 {:>8.2} ms",

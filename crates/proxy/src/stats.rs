@@ -385,18 +385,12 @@ impl StatsSnapshot {
         self.udp_messages() + self.tcp_packets()
     }
 
-    /// Mean client latency in milliseconds.
+    /// Mean request latency as the daemons timed it, milliseconds.
     pub fn avg_latency_ms(&self) -> f64 {
         if self.latency_count == 0 {
             return 0.0;
         }
         self.latency_us_sum as f64 / self.latency_count as f64 / 1000.0
-    }
-
-    /// Client latency at percentile `p` (in `[0,1]`), milliseconds,
-    /// from the embedded distribution.
-    pub fn latency_ms(&self, p: f64) -> f64 {
-        self.latency_hist.percentile(p) as f64 / 1000.0
     }
 
     /// Total hit ratio (local + remote).
@@ -589,7 +583,7 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.latency_count, 2, "no bucket dropped");
         assert_eq!(m.latency_us_sum, 2_000_100);
-        assert!(m.latency_ms(1.0) >= 1_800.0, "tail survives the merge");
+        assert!(m.latency_hist.percentile(1.0) >= 1_800_000, "tail survives the merge");
     }
 
     #[test]
@@ -597,7 +591,6 @@ mod tests {
         let s = StatsSnapshot::default();
         assert_eq!(s.avg_latency_ms(), 0.0);
         assert_eq!(s.hit_ratio(), 0.0);
-        assert_eq!(s.latency_ms(0.99), 0.0);
     }
 
     #[test]

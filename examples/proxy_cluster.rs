@@ -36,14 +36,14 @@ fn main() -> std::io::Result<()> {
             update_loss: 0.0,
         };
         let cluster = Cluster::start(&cfg)?;
-        let wall = cluster.run_replay(&trace, 5, ReplayMode::PerClient)?;
+        let (wall, latency) = cluster.run_replay(&trace, 5, ReplayMode::PerClient)?;
         let t = cluster.aggregate();
         println!(
             "{:<7}  hit {:>5.1}%  remote {:>5.1}%  latency {:>6.2} ms  UDP msgs {:>6}  wall {:.2}s",
             mode.label(),
             t.hit_ratio() * 100.0,
             t.remote_hits as f64 / t.http_requests as f64 * 100.0,
-            t.avg_latency_ms(),
+            latency.mean() / 1000.0,
             t.udp_messages(),
             wall.as_secs_f64(),
         );
