@@ -15,7 +15,7 @@ use sc_proxy::router::Router;
 use sc_proxy::simnet::{Sim, SimConfig};
 use sc_util::bench::{black_box, Bench};
 use sc_wire::icp::{DirContent, DirUpdate, IcpMessage};
-use summary_cache_core::{PeerTable, ProxySummary, SummaryKind, UrlKey};
+use summary_cache_core::{filter_candidates_key, ProxySummary, SummaryKind, SummarySnapshot, UrlKey};
 use std::time::Instant;
 
 fn url(i: u32) -> Vec<u8> {
@@ -26,9 +26,9 @@ fn server(i: u32) -> Vec<u8> {
     format!("server-{}.trace.invalid", i / 12).into_bytes()
 }
 
-/// A peer table of `n` Bloom summaries, each holding 200 documents.
-fn table_with_peers(n: u32) -> PeerTable {
-    let mut table = PeerTable::new();
+/// `n` peers' published Bloom summaries, each holding 200 documents.
+fn table_with_peers(n: u32) -> Vec<(u32, SummarySnapshot)> {
+    let mut table = Vec::new();
     for id in 0..n {
         let mut s = ProxySummary::with_expected_docs(SummaryKind::recommended(), 256);
         for j in 0..200u32 {
@@ -36,7 +36,7 @@ fn table_with_peers(n: u32) -> PeerTable {
             s.insert_key(&UrlKey::new(&url(doc)), &UrlKey::new(&server(doc)));
         }
         s.publish();
-        table.install(id, s.snapshot_published());
+        table.push((id, s.snapshot_published()));
     }
     table
 }
@@ -110,7 +110,11 @@ fn bench_probe_all(b: &mut Bench, results: &mut Vec<(String, Value)>) {
         let ns = b.bench(&format!("probe-all/{peers}-peers/urlkey"), || {
             let uk = UrlKey::new(black_box(&probe_url));
             let sk = UrlKey::new(black_box(&probe_server));
-            black_box(table.probe_all_key(&uk, &sk));
+            black_box(filter_candidates_key(
+                table.iter().map(|(id, snap)| (*id, snap)),
+                &uk,
+                &sk,
+            ));
         });
         results.push((format!("probe-all/{peers}-peers/urlkey"), Value::Float(ns)));
     }

@@ -33,7 +33,6 @@ pub struct CountingBloomFilter {
     counters: Vec<u8>,
     counter_bits: u8,
     max_count: u8,
-    keys: u64,
     saturations: u64,
     underflows: u64,
 }
@@ -67,7 +66,6 @@ impl CountingBloomFilter {
             } else {
                 (1u8 << counter_bits) - 1
             },
-            keys: 0,
             saturations: 0,
             underflows: 0,
         }
@@ -109,8 +107,8 @@ impl CountingBloomFilter {
     /// 0→1 to `flips` (which is *not* cleared, so a caller's warm scratch
     /// buffer is reused across calls).
     ///
-    /// The flips are what the owning proxy appends to its
-    /// [`crate::DeltaLog`] for the next directory-update message.
+    /// The flips are what the owning proxy logs for the next
+    /// directory-update message.
     pub fn insert_key_into(&mut self, key: &UrlKey, flips: &mut Vec<Flip>) {
         let spec = self.spec;
         key.with_indices(&spec, |indices| {
@@ -128,7 +126,6 @@ impl CountingBloomFilter {
                 }
             }
         });
-        self.keys += 1;
     }
 
     /// Remove a pre-hashed key, appending the bit positions that flipped
@@ -154,7 +151,6 @@ impl CountingBloomFilter {
                 }
             }
         });
-        self.keys = self.keys.saturating_sub(1);
     }
 
     /// Membership query against the derived bit vector, with a
@@ -169,16 +165,6 @@ impl CountingBloomFilter {
     /// The exported plain-Bloom-filter view (what peers receive).
     pub fn bits(&self) -> &BitVec {
         &self.bits
-    }
-
-    /// Number of keys currently represented (inserts minus removes).
-    pub fn len(&self) -> u64 {
-        self.keys
-    }
-
-    /// True when no keys are represented.
-    pub fn is_empty(&self) -> bool {
-        self.keys == 0
     }
 
     /// Times an increment hit a clamped counter.
@@ -196,15 +182,6 @@ impl CountingBloomFilter {
     /// an N-bit filter" plus N/8 bytes of bits.
     pub fn byte_len(&self) -> usize {
         self.counters.len() + self.bits.byte_len()
-    }
-
-    /// Fraction of bits set in the exported view.
-    pub fn fill_ratio(&self) -> f64 {
-        if self.bits.is_empty() {
-            0.0
-        } else {
-            self.bits.count_ones() as f64 / self.bits.len() as f64
-        }
     }
 }
 
@@ -246,7 +223,6 @@ mod tests {
             remove_flips(&mut f, &url(i));
         }
         assert_eq!(f.bits().count_ones(), 0, "all bits cleared");
-        assert_eq!(f.len(), 0);
         assert_eq!(f.underflows(), 0);
         for i in 0..500 {
             assert!(!f.contains_key(&url(i)));
@@ -454,7 +430,6 @@ mod tests {
                         "without clamping, removing only live keys never underflows"
                     );
                 }
-                assert_eq!(f.len(), live.len() as u64);
             }
         });
     }

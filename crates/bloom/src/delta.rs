@@ -1,14 +1,14 @@
-//! Bit-flip journals for incremental summary updates (Sections V-D, VI-A).
+//! Bit-flip records for incremental summary updates (Sections V-D, VI-A).
 //!
-//! Between directory updates a proxy remembers which filter bits changed.
-//! Each change is an *absolute* assignment — "bit 17 is now 1" — encoded
-//! on the wire as a 32-bit word whose most significant bit is the new
-//! value and whose low 31 bits are the index. Absolute (rather than
+//! Between directory updates a proxy remembers which filter bits changed
+//! (the counting filter's `*_key_into` methods emit them; the proxy's
+//! router keeps the log and ships the net change per peer). Each change
+//! is an *absolute* assignment — "bit 17 is now 1" — encoded on the
+//! wire as a 32-bit word whose most significant bit is the new value
+//! and whose low 31 bits are the index. Absolute (rather than
 //! toggle) semantics is the paper's defence against lost update messages:
 //! a later record simply overwrites the effect of a lost earlier one, so
 //! updates may travel over unreliable transport.
-
-use crate::bits::BitVec;
 
 /// Largest representable bit index: the wire word keeps 31 bits for the
 /// index ("the design limits the hash table size to be less than
@@ -56,123 +56,10 @@ impl Flip {
     }
 }
 
-/// An append-only journal of flips since the last summary update.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaLog {
-    flips: Vec<Flip>,
-}
-
-impl DeltaLog {
-    /// An empty journal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append flips produced by a cache insert/evict.
-    pub fn record(&mut self, flips: &[Flip]) {
-        self.flips.extend_from_slice(flips);
-    }
-
-    /// Number of journal entries (before compaction).
-    pub fn len(&self) -> usize {
-        self.flips.len()
-    }
-
-    /// True if nothing changed since the last update.
-    pub fn is_empty(&self) -> bool {
-        self.flips.is_empty()
-    }
-
-    /// The raw entries, oldest first.
-    pub fn entries(&self) -> &[Flip] {
-        &self.flips
-    }
-
-    /// Collapse the journal to at most one record per bit (the last one
-    /// wins, since records are absolute), dropping records that cancel out
-    /// against `current`: if the bit's final value in the journal equals
-    /// what peers already believe, nothing needs to be sent.
-    ///
-    /// `baseline` is the bit array as of the *last shipped update*.
-    pub fn compact(&self, baseline: &BitVec, current: &BitVec) -> Vec<Flip> {
-        assert_eq!(baseline.len(), current.len());
-        // The journal's final state per bit is exactly current; the delta
-        // worth sending is baseline XOR current.
-        baseline
-            .diff_indices(current)
-            .into_iter()
-            .map(|i| {
-                if current.get(i) {
-                    Flip::set(i as u32)
-                } else {
-                    Flip::clear(i as u32)
-                }
-            })
-            .collect()
-    }
-
-    /// Drop all entries (after shipping an update).
-    pub fn reset(&mut self) {
-        self.flips.clear();
-    }
-
-    /// Wire size in bytes of shipping `n` flips as a delta update:
-    /// 4 bytes per record (the paper's Section V-D cost model charges
-    /// "4 bytes per bit-flip").
-    pub fn delta_bytes(n: usize) -> usize {
-        n * 4
-    }
-}
-
-/// Apply flips to a bit array (receiver side). Out-of-range indices are
-/// reported as errors rather than panicking: they indicate a peer sent an
-/// update for a differently-sized filter, which the receiver must resolve
-/// by requesting a full bitmap.
-pub fn apply_flips(bits: &mut BitVec, flips: &[Flip]) -> Result<usize, FlipError> {
-    let mut changed = 0;
-    for f in flips {
-        let i = f.index() as usize;
-        if i >= bits.len() {
-            return Err(FlipError::OutOfRange {
-                index: f.index(),
-                len: bits.len(),
-            });
-        }
-        if bits.set(i, f.set_bit()) {
-            changed += 1;
-        }
-    }
-    Ok(changed)
-}
-
-/// Errors applying a received delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlipError {
-    /// A flip addressed a bit past the local filter's size.
-    OutOfRange {
-        /// The offending bit index.
-        index: u32,
-        /// The local filter's size in bits.
-        len: usize,
-    },
-}
-
-impl std::fmt::Display for FlipError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlipError::OutOfRange { index, len } => {
-                write!(f, "flip index {index} out of range for {len}-bit filter")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlipError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_util::prop::{check, index_set};
+    use sc_util::prop::check;
 
     #[test]
     fn wire_roundtrip() {
@@ -194,68 +81,6 @@ mod tests {
     #[should_panic(expected = "needs 32 bits")]
     fn rejects_oversized_index() {
         Flip::set(1 << 31);
-    }
-
-    #[test]
-    fn apply_reports_out_of_range() {
-        let mut bits = BitVec::new(8);
-        let err = apply_flips(&mut bits, &[Flip::set(8)]).unwrap_err();
-        assert_eq!(err, FlipError::OutOfRange { index: 8, len: 8 });
-    }
-
-    #[test]
-    fn redundant_flips_are_idempotent() {
-        let mut bits = BitVec::new(8);
-        let changed = apply_flips(&mut bits, &[Flip::set(3), Flip::set(3), Flip::clear(5)]).unwrap();
-        assert_eq!(changed, 1);
-        assert!(bits.get(3));
-    }
-
-    #[test]
-    fn compact_emits_only_net_changes() {
-        let baseline = {
-            let mut b = BitVec::new(16);
-            b.set(1, true);
-            b.set(2, true);
-            b
-        };
-        let current = {
-            let mut b = BitVec::new(16);
-            b.set(2, true);
-            b.set(9, true);
-            b
-        };
-        let mut log = DeltaLog::new();
-        // Journal with churn: bit 9 set, bit 1 cleared, bit 4 set then cleared.
-        log.record(&[Flip::set(9), Flip::clear(1), Flip::set(4), Flip::clear(4)]);
-        let compacted = log.compact(&baseline, &current);
-        let mut patched = baseline.clone();
-        apply_flips(&mut patched, &compacted).unwrap();
-        assert_eq!(patched, current);
-        assert_eq!(compacted.len(), 2, "bit 4's churn cancels out");
-    }
-
-    #[test]
-    fn delta_bytes_cost_model() {
-        assert_eq!(DeltaLog::delta_bytes(0), 0);
-        assert_eq!(DeltaLog::delta_bytes(10), 40);
-    }
-
-    #[test]
-    fn prop_compact_replay_reaches_current() {
-        check("delta_compact_replay_reaches_current", 256, |rng| {
-            let base = index_set(rng, 128, 0..40);
-            let cur = index_set(rng, 128, 0..40);
-            let mut baseline = BitVec::new(128);
-            let mut current = BitVec::new(128);
-            for &i in &base { baseline.set(i, true); }
-            for &i in &cur { current.set(i, true); }
-            let log = DeltaLog::new();
-            let delta = log.compact(&baseline, &current);
-            let mut patched = baseline.clone();
-            apply_flips(&mut patched, &delta).unwrap();
-            assert_eq!(patched, current);
-        });
     }
 
     #[test]

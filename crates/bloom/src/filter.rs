@@ -110,15 +110,6 @@ impl BloomFilter {
         self.bits.set(index as usize, value)
     }
 
-    /// Replace the whole bit array (a full-bitmap update).
-    ///
-    /// # Panics
-    /// If the new bitmap's length differs from the spec's table size.
-    pub fn replace_bits(&mut self, bits: BitVec) {
-        assert_eq!(bits.len(), self.spec.table_bits() as usize);
-        self.bits = bits;
-    }
-
     /// Discard all keys.
     pub fn clear(&mut self) {
         self.bits.clear();

@@ -76,18 +76,6 @@ impl UrlKey {
         })
     }
 
-    /// Digest `keys` into `out`, four lanes at a time (scalar for the
-    /// final partial chunk).
-    pub fn batch_into(keys: &[&[u8]], out: &mut Vec<UrlKey>) {
-        let mut chunks = keys.chunks_exact(4);
-        for c in &mut chunks {
-            out.extend(UrlKey::new_batch([c[0], c[1], c[2], c[3]]));
-        }
-        for k in chunks.remainder() {
-            out.push(UrlKey::new(k));
-        }
-    }
-
     /// Re-point this key at new bytes, reusing every allocation: the
     /// byte buffer keeps its capacity and memoized index sets are
     /// invalidated in place, to be re-derived into the same buffers on
@@ -204,21 +192,6 @@ mod tests {
             assert_eq!(batch[l].digest(), scalar.digest(), "lane {l}");
             assert_eq!(batch[l].bytes(), *url);
             assert_eq!(batch[l].indices(&spec), scalar.indices(&spec));
-        }
-    }
-
-    #[test]
-    fn batch_into_handles_partial_chunks() {
-        for n in [0usize, 1, 3, 4, 5, 9] {
-            let urls: Vec<Vec<u8>> =
-                (0..n).map(|i| format!("http://s/{i}").into_bytes()).collect();
-            let refs: Vec<&[u8]> = urls.iter().map(|u| u.as_slice()).collect();
-            let mut out = Vec::new();
-            UrlKey::batch_into(&refs, &mut out);
-            assert_eq!(out.len(), n);
-            for (k, u) in out.iter().zip(&urls) {
-                assert_eq!(k.digest(), UrlKey::new(u).digest());
-            }
         }
     }
 

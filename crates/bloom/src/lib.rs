@@ -31,7 +31,7 @@
 //! bit position: insertion increments, deletion decrements, and the bit is
 //! 1 iff the counter is non-zero. Each proxy maintains the counting filter
 //! locally and broadcasts only the induced bit flips to its peers
-//! (see [`delta::DeltaLog`]).
+//! (see [`Flip`]).
 //!
 //! # Quick start
 //!
@@ -61,7 +61,7 @@ pub mod rabin;
 pub use bits::BitVec;
 pub use compress::{compress, decompress, rice_parameter, CompressedBits};
 pub use counting::CountingBloomFilter;
-pub use delta::{DeltaLog, Flip};
+pub use delta::Flip;
 pub use filter::{BloomFilter, FilterConfig};
 pub use hashing::HashSpec;
 pub use key::UrlKey;

@@ -60,7 +60,8 @@ const TABLE: [u64; 256] = {
 };
 
 /// Rabin fingerprint of a byte string: the string's bits reduced modulo
-/// [`POLY`] in GF(2). Table-driven, one lookup + shift + xor per byte.
+/// the fixed degree-64 irreducible polynomial `x^64 + x^4 + x^3 + x + 1`
+/// in GF(2). Table-driven, one lookup + shift + xor per byte.
 pub fn fingerprint(data: &[u8]) -> u64 {
     let mut f: u64 = 0;
     for &byte in data {

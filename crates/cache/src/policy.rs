@@ -3,7 +3,7 @@
 //! replacement algorithms may give different results" (citing Cao &
 //! Irani's GreedyDual-Size); `cargo run -p sc-bench --bin replacement`
 //! measures it. [`crate::WebCache`] evicts the minimum priority under
-//! every policy; they differ only in [`Policy::priority`].
+//! every policy; they differ only in the priority each one assigns.
 
 /// Which replacement policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

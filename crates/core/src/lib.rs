@@ -19,15 +19,15 @@
 //! Summaries are **not** kept fresh: a proxy publishes a new
 //! [`SummarySnapshot`] only when the fraction of documents not yet
 //! reflected crosses an [`UpdatePolicy`] threshold (Section V-A). Peers
-//! hold the snapshots in a [`PeerTable`] and probe them on local misses;
-//! the tolerated errors are *false hits* (wasted query) and *false
-//! misses* (lost remote hit), never incorrect documents.
+//! hold the snapshots and probe them on local misses with
+//! [`filter_candidates_key`]; the tolerated errors are *false hits*
+//! (wasted query) and *false misses* (lost remote hit), never incorrect
+//! documents.
 //!
 //! [`wire_cost`] carries the paper's Section V-D message-size model and
 //! [`scalability`] the Section V-F extrapolation; both feed the
 //! experiment harnesses.
 
-pub mod peer;
 pub mod probe;
 pub mod representation;
 pub mod scalability;
@@ -35,7 +35,6 @@ pub mod summary;
 pub mod update;
 pub mod wire_cost;
 
-pub use peer::{PeerId, PeerTable};
 pub use probe::{filter_candidates_key, SummaryProbe};
 pub use representation::{SummaryKind, SummarySnapshot};
 pub use summary::{ProxySummary, PublishOutcome};

@@ -1,13 +1,11 @@
 //! One probe abstraction for every summary view.
 //!
-//! The protocol asks the same question in four places — "might this URL
-//! be cached at that proxy?" — of four different data structures: a
-//! peer's installed [`SummarySnapshot`], a plain Bloom filter decoded
-//! off the wire, and the live / published sides of one's own
-//! [`ProxySummary`]. [`SummaryProbe`] unifies them so the proxy query
-//! path, [`crate::PeerTable::probe_all_key`] and the simulators share one
-//! candidate-selection routine ([`filter_candidates_key`]) instead of
-//! parallel inherent methods.
+//! The protocol asks the same question of two data structures — "might
+//! this URL be cached at that proxy?" — a peer's installed
+//! [`SummarySnapshot`] and the published side of one's own
+//! [`ProxySummary`]. [`SummaryProbe`] unifies them so the simulators
+//! share one candidate-selection routine ([`filter_candidates_key`])
+//! instead of parallel inherent methods.
 
 use crate::representation::SummarySnapshot;
 use crate::summary::ProxySummary;
@@ -39,26 +37,6 @@ impl SummaryProbe for SummarySnapshot {
     }
 }
 
-/// A raw Bloom filter (e.g. freshly decoded from a `DIRFULL` message)
-/// probes by URL alone; the server component is the snapshot-level
-/// refinement and is ignored here.
-impl SummaryProbe for sc_bloom::BloomFilter {
-    fn probe_key(&self, url: &UrlKey, _server: &UrlKey) -> bool {
-        self.contains_key(url)
-    }
-}
-
-/// The *live* side of a [`ProxySummary`] — what a peer would learn by
-/// actually sending the query. Obtained from [`ProxySummary::live`].
-#[derive(Clone, Copy)]
-pub struct LiveView<'a>(pub(crate) &'a ProxySummary);
-
-impl SummaryProbe for LiveView<'_> {
-    fn probe_key(&self, url: &UrlKey, server: &UrlKey) -> bool {
-        self.0.probe_live_key(url, server)
-    }
-}
-
 /// The *published* side of a [`ProxySummary`] — what peers currently
 /// believe. Obtained from [`ProxySummary::published`].
 #[derive(Clone, Copy)]
@@ -72,11 +50,10 @@ impl SummaryProbe for PublishedView<'_> {
 
 /// The candidate-selection step every sharing scheme performs: keep the
 /// peers whose summaries answer the probe positively, in iteration
-/// order. Used by [`crate::PeerTable::probe_all_key`], the proxy
-/// daemon's SC-mode fan-out and the trace-driven simulators. The URL is
-/// hashed once when the request is admitted, and every peer probe reuses
-/// the key's digest and memoized index set — `1` MD5 derivation per
-/// request instead of `2 × k × peers`.
+/// order. Used by the trace-driven simulators over `(id, summary)`
+/// pairs. The URL is hashed once when the request is admitted, and
+/// every peer probe reuses the key's digest and memoized index set —
+/// `1` MD5 derivation per request instead of `2 × k × peers`.
 pub fn filter_candidates_key<Id, P, I>(peers: I, url: &UrlKey, server: &UrlKey) -> Vec<Id>
 where
     P: SummaryProbe,
@@ -119,16 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn views_split_live_from_published() {
-        let mut s = summary_with(&[(b"http://a/x", b"a")], SummaryKind::recommended());
-        let (u, srv) = keys(b"http://a/x", b"a");
-        assert!(s.live().probe_key(&u, &srv));
-        assert!(!s.published().probe_key(&u, &srv), "not yet published");
-        s.publish();
-        assert!(s.published().probe_key(&u, &srv));
-    }
-
-    #[test]
     fn snapshot_and_filter_probe_through_the_trait() {
         let mut s = summary_with(&[(b"http://a/x", b"a")], SummaryKind::ExactDirectory);
         s.publish();
@@ -137,10 +104,10 @@ mod tests {
         assert!(SummaryProbe::probe_key(&snap, &x, &a));
         assert!(!SummaryProbe::probe_key(&snap, &UrlKey::new(b"http://a/y"), &a));
 
-        let mut f =
-            sc_bloom::BloomFilter::new(sc_bloom::FilterConfig::with_load_factor(64, 8, 4));
-        f.insert_key(&x);
-        assert!(SummaryProbe::probe_key(&f, &x, &UrlKey::new(b"ignored")));
+        let mut bloom = summary_with(&[(b"http://a/x", b"a")], SummaryKind::recommended());
+        assert!(!SummaryProbe::probe_key(&bloom.published(), &x, &a), "not yet published");
+        bloom.publish();
+        assert!(SummaryProbe::probe_key(&bloom.published(), &x, &a));
     }
 
     /// Key-based candidate selection agrees with a reference digested
@@ -191,7 +158,7 @@ mod tests {
     /// probe would, costs 8 blocks at 8 peers (k=4, w=32) — 4× more.
     #[test]
     fn key_probe_all_at_8_peers_cuts_md5_blocks_3x() {
-        let mut table = crate::PeerTable::new();
+        let mut peers = Vec::new();
         for id in 0..8u32 {
             let urls: Vec<(Vec<u8>, Vec<u8>)> = (0..10)
                 .map(|j| {
@@ -205,7 +172,7 @@ mod tests {
                 urls.iter().map(|(u, s)| (u.as_slice(), s.as_slice())).collect();
             let mut s = summary_with(&refs, SummaryKind::recommended());
             s.publish();
-            table.install(id, s.snapshot_published());
+            peers.push((id, s.snapshot_published()));
         }
         let url = b"http://peer3/doc7"; // short: one MD5 block per digest
         let server = b"peer3";
@@ -214,12 +181,14 @@ mod tests {
         let (uk, sk) = keys(url, server);
         let key_blocks = sc_md5::blocks_hashed() - before;
         let before = sc_md5::blocks_hashed();
-        let by_key = table.probe_all_key(&uk, &sk);
+        let by_key = filter_candidates_key(peers.iter().map(|(id, snap)| (*id, snap)), &uk, &sk);
         let probe_blocks = sc_md5::blocks_hashed() - before;
 
         let before = sc_md5::blocks_hashed();
-        let reference: Vec<u32> = (0..8u32)
-            .filter(|&id| reference_probe(table.get(id).expect("installed"), url, server))
+        let reference: Vec<u32> = peers
+            .iter()
+            .filter(|(_, snap)| reference_probe(snap, url, server))
+            .map(|(id, _)| *id)
             .collect();
         let reference_blocks = sc_md5::blocks_hashed() - before;
 

@@ -2,9 +2,9 @@
 //! chosen representation, answers probes against the *last published*
 //! state, and produces update messages when published.
 
+use crate::expected_docs;
 use crate::representation::{bloom_bits, SummaryKind, SummarySnapshot};
 use crate::wire_cost;
-use crate::{expected_docs, AVG_DOC_BYTES};
 use sc_bloom::{BitVec, CountingBloomFilter, FilterConfig, Flip, UrlKey};
 use sc_md5::Digest;
 use std::collections::{HashMap, HashSet};
@@ -25,7 +25,7 @@ pub struct PublishOutcome {
     pub flips: Vec<Flip>,
     /// How stale the peer-visible view was just before this publish:
     /// the fraction of the directory not yet reflected
-    /// ([`UpdatePolicy::staleness`]), for observability gauges.
+    /// ([`crate::UpdatePolicy::staleness`]), for observability gauges.
     pub staleness: f64,
     /// The summary's generation at publish time (see
     /// [`ProxySummary::set_generation`]).
@@ -248,16 +248,6 @@ impl ProxySummary {
         self.docs = self.docs.saturating_sub(1);
     }
 
-    /// Does the *live* directory contain `url`? (What a peer would learn
-    /// by actually sending the query.)
-    pub fn probe_live_key(&self, url: &UrlKey, server: &UrlKey) -> bool {
-        match &self.state {
-            State::Exact { set, .. } => set.contains(url.digest()),
-            State::Server { counts, .. } => counts.contains_key(server.digest()),
-            State::Bloom { filter, .. } => filter.contains_key(url),
-        }
-    }
-
     /// Does the *published* view (what peers currently hold) indicate
     /// `url`? This is the probe peers evaluate locally before deciding
     /// to query.
@@ -355,12 +345,6 @@ impl ProxySummary {
         }
     }
 
-    /// The live directory as a [`crate::SummaryProbe`] — what a peer
-    /// would learn by actually sending the query.
-    pub fn live(&self) -> crate::probe::LiveView<'_> {
-        crate::probe::LiveView(self)
-    }
-
     /// The published view as a [`crate::SummaryProbe`] — the probe peers
     /// evaluate locally before deciding to query.
     pub fn published(&self) -> crate::probe::PublishedView<'_> {
@@ -407,11 +391,6 @@ impl ProxySummary {
             State::Bloom { baseline, .. } => baseline.byte_len(),
         }
     }
-
-    /// Sanity constant used by sizing helpers.
-    pub const fn avg_doc_bytes() -> u64 {
-        AVG_DOC_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +423,6 @@ mod tests {
             let mut s = ProxySummary::new(kind, 1 << 20);
             let (u, srv) = url(1);
             s.insert_key(&u, &srv);
-            assert!(s.probe_live_key(&u, &srv), "{kind:?}");
             assert!(
                 !s.probe_published_key(&u, &srv),
                 "{kind:?}: peers must not see unpublished inserts"
@@ -462,7 +440,7 @@ mod tests {
             s.insert_key(&u, &srv);
             s.publish();
             s.remove_key(&u, &srv);
-            assert!(!s.probe_live_key(&u, &srv), "{kind:?}");
+            assert_eq!(s.docs(), 0, "{kind:?}");
             assert!(
                 s.probe_published_key(&u, &srv),
                 "{kind:?}: a false hit until the next publish, as in the paper"
@@ -651,7 +629,6 @@ mod tests {
             for i in 0..60 {
                 let (uk, sk) = url(i);
                 let want = reference.probe_key(&uk, &sk);
-                assert_eq!(s.probe_live_key(&uk, &sk), want, "{kind:?} live doc {i}");
                 assert_eq!(s.probe_published_key(&uk, &sk), want, "{kind:?} published doc {i}");
             }
         }

@@ -2,9 +2,9 @@
 //!
 //! The paper's primary trigger is a *threshold*: publish when the
 //! fraction of cached documents not yet reflected in peers' summaries
-//! reaches 1–10 %. A time-based trigger is equivalent once converted via
-//! the request rate and miss ratio; and the Section V-A NLANR
-//! sub-experiment uses a raw request-count trigger. All three are here.
+//! reaches 1–10 %. A time-based trigger, the Section V-A NLANR
+//! sub-experiment's raw request-count trigger and the Section VI-B
+//! prototype's packet-fill trigger are here too.
 
 
 /// The update trigger.
@@ -68,21 +68,6 @@ impl UpdatePolicy {
             UpdatePolicy::EveryFreshDocs(n) => fresh_docs >= n,
         }
     }
-
-    /// Convert a time interval to the equivalent threshold, as Section
-    /// V-A prescribes: "based on request rate and typical cache miss
-    /// ratio, one can calculate how many new documents enter the cache
-    /// during each time interval and their percentage".
-    pub fn threshold_for_interval(
-        interval_ms: u64,
-        requests_per_sec: f64,
-        miss_ratio: f64,
-        cached_docs: u64,
-    ) -> f64 {
-        assert!(requests_per_sec >= 0.0 && (0.0..=1.0).contains(&miss_ratio));
-        let new_docs = requests_per_sec * miss_ratio * (interval_ms as f64 / 1000.0);
-        new_docs / cached_docs.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -126,13 +111,5 @@ mod tests {
         assert!((UpdatePolicy::staleness(25, 1000) - 0.025).abs() < 1e-12);
         assert_eq!(UpdatePolicy::staleness(10, 5), 1.0, "clamped");
         assert_eq!(UpdatePolicy::staleness(3, 0), 1.0, "empty cache floored at 1 doc");
-    }
-
-    #[test]
-    fn interval_to_threshold_conversion() {
-        // 10 req/s, 40% misses, 5 minutes, 60k cached docs:
-        // 10*0.4*300 = 1200 new docs = 2% of the cache.
-        let t = UpdatePolicy::threshold_for_interval(300_000, 10.0, 0.4, 60_000);
-        assert!((t - 0.02).abs() < 1e-9, "{t}");
     }
 }

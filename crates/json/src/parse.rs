@@ -354,4 +354,42 @@ mod tests {
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(parse(&ok).is_ok());
     }
+
+    /// Hostile text returns `Ok` or `Err`, never panics: random bytes
+    /// drawn half from the JSON alphabet, truncations and one-byte
+    /// mutations of valid documents (lossily decoded to `&str`).
+    #[test]
+    fn prop_parse_never_panics() {
+        use sc_util::prop::{check, vec_of};
+        let docs = [
+            r#"{"a":[1,-2.5e3,true,null],"b":{"c":"x\u00e9\n"},"d":18446744073709551616}"#,
+            r#"[{"k":"\ud83d\ude00"},0.0,-0,"",[[]],{}]"#,
+        ];
+        const ALPHABET: &[u8] = b"{}[],:\"\\u0123456789.eE+-truefalsenull ";
+        let parse_bytes = |bytes: &[u8]| {
+            let _ = Value::parse(&String::from_utf8_lossy(bytes));
+        };
+        check("json_parse_random_bytes", 512, |rng| {
+            parse_bytes(&vec_of(rng, 0..512, |r| {
+                if r.gen_bool(0.5) {
+                    ALPHABET[r.gen_range(0..ALPHABET.len())]
+                } else {
+                    r.gen_range(0u8..=255)
+                }
+            }));
+        });
+        check("json_parse_truncations", 512, |rng| {
+            for doc in docs {
+                parse_bytes(&doc.as_bytes()[..rng.gen_range(0..doc.len() + 1)]);
+            }
+        });
+        check("json_parse_one_byte_mutations", 512, |rng| {
+            for doc in docs {
+                let mut bytes = doc.as_bytes().to_vec();
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = rng.gen_range(0u8..=255);
+                parse_bytes(&bytes);
+            }
+        });
+    }
 }

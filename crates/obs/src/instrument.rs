@@ -1,5 +1,5 @@
 //! The instrument handles: atomic counters, gauges, and log-bucketed
-//! histograms, plus the scoped [`Timer`].
+//! histograms.
 //!
 //! Handles are cheap `Arc` clones around shared atomic storage; the hot
 //! path (`incr`/`add`/`set`/`record`) is a single relaxed atomic RMW with
@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Buckets per power of two (16 ⇒ ~4.4 % bucket width).
 pub const SUBBUCKETS: u64 = 16;
@@ -136,16 +135,6 @@ impl Histogram {
         self.core.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Start a scoped timer that records elapsed microseconds into this
-    /// histogram when dropped (or explicitly [`Timer::stop`]ped).
-    pub fn start_timer(&self) -> Timer {
-        Timer {
-            hist: self.clone(),
-            started: Instant::now(),
-            armed: true,
-        }
-    }
-
     /// Freeze the current bucket counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts: Vec<u64> = self
@@ -229,38 +218,6 @@ impl HistogramSnapshot {
         HistogramSnapshot {
             counts,
             sum: self.sum.saturating_add(other.sum),
-        }
-    }
-}
-
-/// A scoped timer: created by [`Histogram::start_timer`], records the
-/// elapsed microseconds into its histogram when dropped.
-#[derive(Debug)]
-pub struct Timer {
-    hist: Histogram,
-    started: Instant,
-    armed: bool,
-}
-
-impl Timer {
-    /// Stop now, record, and return the elapsed microseconds.
-    pub fn stop(mut self) -> u64 {
-        let us = self.started.elapsed().as_micros() as u64;
-        self.hist.record(us);
-        self.armed = false;
-        us
-    }
-
-    /// Abandon the timer without recording anything.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.started.elapsed().as_micros() as u64);
         }
     }
 }
@@ -391,20 +348,6 @@ mod tests {
         }
         let id = sa.merged(&HistogramSnapshot::default());
         assert_eq!(id, sa, "empty snapshot is the merge identity");
-    }
-
-    #[test]
-    fn timer_records_on_drop_and_stop() {
-        let h = Histogram::new();
-        {
-            let _t = h.start_timer();
-        }
-        assert_eq!(h.snapshot().samples(), 1, "drop records");
-        let us = h.start_timer().stop();
-        assert_eq!(h.snapshot().samples(), 2, "stop records");
-        assert!(us < 1_000_000, "a stopped timer reports sane elapsed time");
-        h.start_timer().discard();
-        assert_eq!(h.snapshot().samples(), 2, "discard records nothing");
     }
 
     #[test]

@@ -163,21 +163,6 @@ impl Journal {
         let skip = st.events.len().saturating_sub(n);
         st.events.iter().skip(skip).cloned().collect()
     }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.lock().events.len()
-    }
-
-    /// True when nothing has been recorded (or everything was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever recorded, including dropped ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.lock().next_seq
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +179,6 @@ mod tests {
         assert_eq!(evs[0].seq, 0);
         assert_eq!(evs[1].seq, 1);
         assert_eq!(evs[1].kind, EventKind::FalseHit);
-        assert_eq!(j.total_recorded(), 2);
     }
 
     #[test]
@@ -204,9 +188,8 @@ mod tests {
             j.record(EventKind::DeltaPublished, None, format!("pub {i}"));
         }
         let evs = j.recent(10);
-        assert_eq!(j.len(), 3);
+        assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].seq, 2, "oldest two dropped");
-        assert_eq!(j.total_recorded(), 5);
         assert_eq!(j.recent(1).len(), 1);
         assert_eq!(j.recent(1)[0].seq, 4, "recent(n) returns the newest n");
     }

@@ -10,8 +10,6 @@
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
 //!   [`Histogram`]s, registered get-or-create by `(name, labels)` and
 //!   lock-free on the hot path;
-//! * [`Timer`] — a scoped timer recording elapsed microseconds into a
-//!   histogram on drop;
 //! * [`Journal`] — a bounded ring buffer of structured protocol
 //!   [`Event`]s (query sent, false hit, delta published, ...);
 //! * [`Snapshot`] — a frozen registry view with a Prometheus-style text
@@ -30,8 +28,7 @@ mod journal;
 mod registry;
 
 pub use instrument::{
-    bucket_floor, bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Timer, BUCKETS,
-    SUBBUCKETS,
+    bucket_floor, bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS, SUBBUCKETS,
 };
 pub use journal::{Event, EventKind, Journal};
 pub use registry::{InstrumentSnapshot, Observation, Registry, Snapshot};

@@ -214,17 +214,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Number of distinct instruments (a labeled series counts once per
-    /// label set).
-    pub fn len(&self) -> usize {
-        self.instruments.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.instruments.is_empty()
-    }
-
     fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&InstrumentSnapshot> {
         self.instruments
             .iter()
@@ -257,11 +246,6 @@ impl Snapshot {
             Some(&Observation::Gauge(v)) => Some(v),
             _ => None,
         }
-    }
-
-    /// Unlabeled gauge `name` (`None` if absent).
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauge_value_with(name, &[])
     }
 
     /// Histogram `name` merged across every label set (empty if absent).
@@ -388,7 +372,7 @@ mod tests {
         a.incr();
         b.incr();
         assert_eq!(r.snapshot().counter_value("x_total"), 2, "same storage");
-        assert_eq!(r.snapshot().len(), 1);
+        assert_eq!(r.snapshot().instruments.len(), 1);
     }
 
     #[test]
@@ -397,7 +381,7 @@ mod tests {
         r.counter_with("peer_q", &[("peer", "1")]).add(3);
         r.counter_with("peer_q", &[("peer", "2")]).add(4);
         let s = r.snapshot();
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.instruments.len(), 2);
         assert_eq!(s.counter_value("peer_q"), 7, "sum across label sets");
         assert_eq!(s.counter_value_with("peer_q", &[("peer", "2")]), 4);
         assert_eq!(s.counter_value_with("peer_q", &[("peer", "9")]), 0);
@@ -411,7 +395,7 @@ mod tests {
         g.set(9.0);
         let s = r.snapshot();
         assert_eq!(s.counter_value("mixed"), 1, "original storage intact");
-        assert_eq!(s.gauge_value("mixed"), None, "clashing gauge not registered");
+        assert_eq!(s.gauge_value_with("mixed", &[]), None, "clashing gauge not registered");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Proxy deployment configuration.
 
 use std::net::SocketAddr;
-use summary_cache_core::{SummaryKind, UpdatePolicy};
+use summary_cache_core::UpdatePolicy;
 
 /// Cooperation mode — the three columns of Table II.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,21 +40,6 @@ impl Mode {
             Mode::NoIcp => "no-ICP",
             Mode::Icp => "ICP",
             Mode::SummaryCache { .. } => "SC-ICP",
-        }
-    }
-
-    /// The summary kind used by SC-ICP (None otherwise).
-    pub fn summary_kind(&self) -> Option<SummaryKind> {
-        match *self {
-            Mode::SummaryCache {
-                load_factor,
-                hashes,
-                ..
-            } => Some(SummaryKind::Bloom {
-                load_factor,
-                hashes,
-            }),
-            _ => None,
         }
     }
 }
@@ -253,12 +238,6 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// Append one peer.
-    pub fn peer(mut self, peer: PeerAddr) -> Self {
-        self.peers.push(peer);
-        self
-    }
-
     /// Set the origin-server address (required).
     pub fn origin(mut self, origin: SocketAddr) -> Self {
         self.origin = Some(origin);
@@ -400,11 +379,11 @@ mod tests {
             ConfigError::NoPeersInScMode
         );
         assert_eq!(
-            b().peer(peer(1)).peer(peer(1)).build().unwrap_err(),
+            b().peers(vec![peer(1), peer(1)]).build().unwrap_err(),
             ConfigError::DuplicatePeerId(1)
         );
         assert_eq!(
-            b().id(3).peer(peer(3)).build().unwrap_err(),
+            b().id(3).peers(vec![peer(3)]).build().unwrap_err(),
             ConfigError::PeerIsSelf(3)
         );
         assert_eq!(
@@ -427,18 +406,5 @@ mod tests {
         assert!(b().build().expect("valid").shards() >= 1, "default is available parallelism");
         let err = ConfigError::DuplicatePeerId(7).to_string();
         assert!(err.contains("7"), "{err}");
-    }
-
-    #[test]
-    fn summary_kind_only_for_sc() {
-        assert!(Mode::NoIcp.summary_kind().is_none());
-        assert!(Mode::Icp.summary_kind().is_none());
-        assert_eq!(
-            Mode::summary_cache_default().summary_kind(),
-            Some(SummaryKind::Bloom {
-                load_factor: 8,
-                hashes: 4
-            })
-        );
     }
 }

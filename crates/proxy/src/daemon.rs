@@ -207,17 +207,6 @@ fn now(inner: &Inner) -> VirtualTime {
 }
 
 impl Daemon {
-    /// Bind ephemeral loopback sockets and start the daemon.
-    ///
-    /// For clusters, bind the sockets first (so every daemon can know
-    /// every peer's address up front) and use [`Daemon::spawn_on`].
-    pub fn spawn(cfg: ProxyConfig) -> std::io::Result<Daemon> {
-        let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
-        let listener = TcpListener::bind(loopback)?;
-        let udp = UdpSocket::bind(loopback)?;
-        Self::spawn_on(cfg, listener, udp)
-    }
-
     /// Start the daemon on pre-bound sockets. The daemon is ready to
     /// serve (including its admin endpoint) as soon as this returns.
     pub fn spawn_on(
@@ -1102,13 +1091,18 @@ mod tests {
         let cfg = ProxyConfig::builder()
             .id(1)
             .mode(Mode::summary_cache_default())
-            .peer(peer)
+            .peers(vec![peer])
             .origin(origin.addr)
             .cache_bytes(8 << 20)
             .keepalive_ms(0)
             .build()
             .expect("config");
-        let daemon = Daemon::spawn(cfg).expect("daemon");
+        let daemon = Daemon::spawn_on(
+            cfg,
+            TcpListener::bind(loopback).expect("http"),
+            UdpSocket::bind(loopback).expect("icp"),
+        )
+        .expect("daemon");
 
         let listener = TcpListener::bind(loopback).expect("listener");
         let addr = listener.local_addr().expect("listener addr");

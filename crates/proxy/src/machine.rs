@@ -40,18 +40,13 @@ use std::time::Duration;
 /// fill an IP packet").
 pub const FLIPS_PER_DATAGRAM: usize = 320;
 
-/// Payload budget for one update datagram: comfortably under ICP's
-/// 64 KiB frame limit and what a UDP/IPv4 stack will actually carry.
-/// Full-bitmap restatements whose coded form exceeds it are split into
-/// word-aligned DIRFULL_GR segments.
-pub const UDP_PAYLOAD_BUDGET: usize = 60_000;
-
 /// Bits per DIRFULL_GR segment when a compressed full bitmap must be
 /// split. Golomb–Rice coding of `n` bits is at worst ~2 bits per set
 /// bit plus the quotient stream — bounded by `2n` coded bits — so a
-/// 200k-bit segment never exceeds ~50 KB, inside
-/// [`UDP_PAYLOAD_BUDGET`]. Multiple of 64 keeps every segment boundary
-/// word-aligned, which the receiver's splice path requires.
+/// 200k-bit segment never exceeds ~50 KB: comfortably under ICP's
+/// 64 KiB frame limit and what a UDP/IPv4 stack will actually carry.
+/// Multiple of 64 keeps every segment boundary word-aligned, which the
+/// receiver's splice path requires.
 pub const GR_SEGMENT_BITS: usize = 200_000;
 
 /// Minimum spacing between DIRREQs to one peer: resyncs are idempotent,
@@ -78,16 +73,6 @@ impl VirtualTime {
     /// A time `us` microseconds past the epoch.
     pub fn from_micros(us: u64) -> VirtualTime {
         VirtualTime(us)
-    }
-
-    /// Microseconds since the epoch.
-    pub fn as_micros(self) -> u64 {
-        self.0
-    }
-
-    /// This time advanced by `d` (saturating).
-    pub fn saturating_add(self, d: Duration) -> VirtualTime {
-        VirtualTime(self.0.saturating_add(d.as_micros() as u64))
     }
 
     /// Elapsed duration since `earlier` (zero if `earlier` is later).

@@ -58,11 +58,6 @@ impl ReplicaSnapshot {
         ReplicaSnapshot { peers }
     }
 
-    /// Number of installed replicas in this snapshot.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// The `(peer, filter)` pairs, in probe order.
     pub fn peers(&self) -> &[(u32, Arc<BloomFilter>)] {
         &self.peers
@@ -190,7 +185,7 @@ mod tests {
     fn empty_cell_has_no_candidates() {
         let cell = ReplicaCell::new();
         let snap = cell.load();
-        assert_eq!(snap.peer_count(), 0);
+        assert_eq!(snap.peers().len(), 0);
         assert!(advertisers(&snap, b"http://a/x").is_empty(), "out is cleared first");
     }
 
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn cached_reads_see_new_epoch_after_swap() {
         let cell = ReplicaCell::new();
-        assert_eq!(cell.load().peer_count(), 0);
+        assert_eq!(cell.load().peers().len(), 0);
         let e0 = cell.epoch();
         cell.swap(Arc::new(ReplicaSnapshot::new(vec![(
             7,
@@ -228,7 +223,7 @@ mod tests {
         )])));
         assert_eq!(cell.epoch(), e0 + 1);
         // The same thread's cached entry must refresh, not serve stale.
-        assert_eq!(cell.load().peer_count(), 1);
+        assert_eq!(cell.load().peers().len(), 1);
     }
 
     #[test]
@@ -236,8 +231,8 @@ mod tests {
         let a = ReplicaCell::new();
         let b = ReplicaCell::new();
         a.swap(Arc::new(ReplicaSnapshot::new(vec![(1, filter_with(&[b"u"]))])));
-        assert_eq!(a.load().peer_count(), 1);
-        assert_eq!(b.load().peer_count(), 0);
+        assert_eq!(a.load().peers().len(), 1);
+        assert_eq!(b.load().peers().len(), 0);
     }
 
     #[test]
@@ -253,8 +248,8 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         let snap = cell.load();
                         // Snapshots only ever grow in this test.
-                        assert!(snap.peer_count() >= last);
-                        last = snap.peer_count();
+                        assert!(snap.peers().len() >= last);
+                        last = snap.peers().len();
                     }
                 })
             })
@@ -268,6 +263,6 @@ mod tests {
         for r in readers {
             r.join().expect("reader thread panicked");
         }
-        assert_eq!(cell.load().peer_count(), 50);
+        assert_eq!(cell.load().peers().len(), 50);
     }
 }

@@ -194,6 +194,9 @@ struct ReplicaState {
 struct GrStaging {
     generation: u32,
     seq: u32,
+    /// The spec every segment of this assembly must carry; `bits` is
+    /// sized by it.
+    spec: HashSpec,
     bits: BitVec,
     /// First bit the next segment must start at.
     next_bit: u32,
@@ -476,11 +479,6 @@ impl Router {
         self.replica_filter(peer).is_some()
     }
 
-    /// The summary's current generation (SC mode only).
-    pub fn generation(&self) -> Option<u32> {
-        self.sc.as_ref().map(|sc| sc.generation)
-    }
-
     // -- event handlers ---------------------------------------------------
 
     fn on_datagram(
@@ -634,6 +632,7 @@ impl Router {
                 let staged = st.staging.take_if(|s| {
                     s.generation == update.generation
                         && s.seq == update.seq
+                        && s.spec == spec
                         && s.next_bit == first_bit
                 });
                 let mut assembly = match (first_bit, staged) {
@@ -643,6 +642,7 @@ impl Router {
                         GrStaging {
                             generation: update.generation,
                             seq: update.seq,
+                            spec,
                             bits: BitVec::new(total as usize),
                             next_bit: 0,
                         }
@@ -651,9 +651,9 @@ impl Router {
                     (_, None) => {
                         // Mid-bitmap segment with no matching prefix: an
                         // earlier segment was lost, reordered, or belongs
-                        // to a superseded attempt. Discard it but KEEP
-                        // any in-progress assembly — a stale straggler
-                        // must not destroy a live one.
+                        // to a superseded attempt or another spec. Discard
+                        // it but KEEP any in-progress assembly — a stale
+                        // straggler must not destroy a live one.
                         return;
                     }
                 };
@@ -1062,8 +1062,8 @@ impl Router {
 /// The DIRUPDATE payload(s) restating the whole published bitmap:
 /// word-aligned Golomb–Rice segments when the receiver negotiated
 /// support, one raw bitmap otherwise. Segmentation keeps every coded
-/// datagram under [`crate::machine::UDP_PAYLOAD_BUDGET`] (a 200k-bit
-/// segment codes to at most ~50 KB even at worst-case fill).
+/// datagram inside one UDP frame (a 200k-bit segment codes to at most
+/// ~50 KB even at worst-case fill; see [`GR_SEGMENT_BITS`]).
 fn full_contents(sc: &ScControl, accepts_gr: bool) -> Vec<DirContent> {
     if !accepts_gr {
         return vec![DirContent::Bitmap(sc.baseline.as_words().to_vec())];
@@ -1459,6 +1459,121 @@ mod tests {
         assert!(!r.replica_installed(3), "stale tail must not complete the retry");
         seg(&mut r, 5, gr_segment(&bits, 256, 256));
         assert!(r.replica_installed(3), "matching tail completes the retry");
+    }
+
+    /// A continuation that claims a different spec than the staged
+    /// assembly (here a larger `bit_array_size` at the same
+    /// `(generation, seq)`) would write past the staged bitmap. It is
+    /// discarded like any other broken sequence, and the staged
+    /// assembly survives it.
+    #[test]
+    fn gr_continuation_with_a_different_spec_is_discarded() {
+        let mut r = Router::new(1, vec![2], 1000, 1, 1, None, VirtualTime::ZERO);
+        let segment = |bit_array_size: u32, bits: &BitVec, start: usize, len: usize| {
+            let update = DirUpdate {
+                bit_array_size,
+                ..gr_update(7, 1, gr_segment(bits, start, len))
+            };
+            IcpMessage::DirUpdate { request_number: 1, sender: 2, update }
+                .encode(2)
+                .expect("encodes")
+        };
+        let small = BitVec::new(128);
+        let mut large = BitVec::new(1024);
+        large.set(564, true);
+        for data in [segment(128, &small, 0, 64), segment(1024, &large, 64, 512)] {
+            r.handle(at(1), Event::Datagram { from: Some(2), data: &data }, &NoDocs);
+        }
+        assert!(!r.replica_installed(2), "mismatched segments never install");
+        let tail = segment(128, &small, 64, 64);
+        r.handle(at(1), Event::Datagram { from: Some(2), data: &tail }, &NoDocs);
+        assert_eq!(r.replica_bits(2).map(|b| b.len()), Some(128), "the staged spec completes");
+    }
+
+    /// Never-panics sweep over the update path: seeded sequences of
+    /// DIRUPDATE datagrams — raw bitmaps, deltas and DIRFULL_GR segments
+    /// at random sizes, offsets, generations and seqs, plus truncated and
+    /// byte-mutated copies — from configured and unknown senders go
+    /// through `Router::handle`. Nothing may panic, and every installed
+    /// replica and staged assembly stays sized by its own spec.
+    #[test]
+    fn prop_update_path_never_panics() {
+        use sc_util::prop::{check, vec_of};
+        check("router_update_path_never_panics", 512, |rng| {
+            let mut r = Router::new(1, vec![2, 3], 1000, 1, 1, None, VirtualTime::ZERO);
+            // Sizes and offsets come mostly from small sets, and half the
+            // GR segments continue the previous one's (generation, seq)
+            // at its end bit — under whatever size this one claims.
+            let pick = |rng: &mut sc_util::Rng, common: &[u32], any: std::ops::RangeInclusive<u32>| {
+                if rng.gen_bool(0.8) {
+                    common[rng.gen_range(0..common.len())]
+                } else {
+                    rng.gen_range(any)
+                }
+            };
+            let mut last_gr: Option<(u32, u32, u32, u32)> = None;
+            for step in 0..rng.gen_range(1..24u64) {
+                let mut stamp = (rng.gen_range(1..3u32), rng.gen_range(0..3u32));
+                let sender = pick(rng, &[2, 3], 9..=9);
+                let mut bits = pick(rng, &[64, 128, 256, 512, 1024], 1..=2048);
+                let content = match rng.gen_range(0..4u32) {
+                    0 => {
+                        let words = (bits as usize).div_ceil(64) + rng.gen_range(0..2usize);
+                        DirContent::Bitmap(vec_of(rng, words..words + 1, |r| r.next_u64()))
+                    }
+                    1 => DirContent::Flips(vec_of(rng, 0..16, |r| {
+                        let i = r.gen_range(0..bits * 2);
+                        if r.gen_bool(0.5) { Flip::set(i) } else { Flip::clear(i) }
+                    })),
+                    _ => {
+                        let mut start = pick(rng, &[0, 64, 128, 256, 512], 0..=bits);
+                        if let Some((generation, seq, size, next_bit)) =
+                            last_gr.filter(|_| rng.gen_bool(0.6))
+                        {
+                            (stamp, start) = ((generation, seq), next_bit);
+                            if rng.gen_bool(0.5) {
+                                bits = size;
+                            }
+                        }
+                        let len = pick(rng, &[64, 128, 256, 512], 1..=bits);
+                        let mut src = BitVec::new((start + len) as usize);
+                        for _ in 0..rng.gen_range(0..16u32) {
+                            src.set(rng.gen_range(start..start + len) as usize, true);
+                        }
+                        last_gr = Some((stamp.0, stamp.1, bits, start + len));
+                        gr_segment(&src, start as usize, len as usize)
+                    }
+                };
+                let update = DirUpdate {
+                    function_num: pick(rng, &[4], 1..=6) as u16,
+                    function_bits: pick(rng, &[32], 1..=32) as u16,
+                    bit_array_size: bits,
+                    generation: stamp.0,
+                    seq: stamp.1,
+                    content,
+                };
+                let msg = IcpMessage::DirUpdate { request_number: step as u32, sender, update };
+                let Ok(mut data) = msg.encode(sender) else { continue };
+                match rng.gen_range(0..6u32) {
+                    0 => data.truncate(rng.gen_range(0..data.len())),
+                    1 => {
+                        let at = rng.gen_range(0..data.len());
+                        data[at] = rng.gen_range(0u8..=255);
+                    }
+                    _ => {}
+                }
+                r.handle(at(step), Event::Datagram { from: Some(sender), data: &data }, &NoDocs);
+                for (peer, st) in &r.replicas {
+                    if let Some(f) = &st.filter {
+                        assert_eq!(f.bits().len(), f.spec().table_bits() as usize, "replica {peer}");
+                    }
+                    if let Some(g) = &st.staging {
+                        assert_eq!(g.bits.len(), g.spec.table_bits() as usize, "staging {peer}");
+                        assert!(g.next_bit < g.spec.table_bits(), "staging {peer} is incomplete");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

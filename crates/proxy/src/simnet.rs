@@ -35,7 +35,7 @@
 //!   it produces none.
 //!
 //! The same harness doubles as the **scenario driver**: build with
-//! [`Sim::with_scenario`] (or call [`run_scenario`] / [`run_named`]) to
+//! [`Sim::with_scenario`] (or call [`run_scenario`]) to
 //! replay a composable, seeded [`sc_trace::scenario::Scenario`] —
 //! client requests, scripted crashes, evict-everywhere storms — on top
 //! of the random fault plan, and get back a [`ScenarioReport`]: the
@@ -53,7 +53,6 @@ use sc_trace::model::render_url;
 use sc_trace::scenario::{Scenario, ScenarioKind};
 use sc_util::Rng;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::fmt::Write as _;
 use std::rc::Rc;
 use summary_cache_core::{ProxySummary, SummaryKind, UpdatePolicy};
 
@@ -428,14 +427,6 @@ impl Sim {
         let order = self.order;
         self.order += 1;
         self.queue.push(QueueEntry { at, order, ev });
-    }
-
-    /// Like [`Sim::run`], but also hands back each node's router for
-    /// post-run inspection (which replica diverged, and by how much).
-    pub fn run_with_state(self) -> (SimReport, Vec<Router>) {
-        let mut sim = self;
-        let report = sim.run_inner();
-        (report, sim.nodes.into_iter().map(|n| n.router).collect())
     }
 
     /// Run the fault window, then settle; returns the report. Panics
@@ -1000,11 +991,6 @@ fn fresh_router(cfg: &SimConfig, node: usize, incarnation: u32) -> Router {
     )
 }
 
-/// Convenience: build and run one simulation with the default config.
-pub fn run_seed(seed: u64) -> SimReport {
-    Sim::new(SimConfig::default(), seed).run()
-}
-
 /// The fault-plan datagram opcode label a [`SendKind`] is counted
 /// under in the per-scenario message distribution.
 fn op_name(kind: &SendKind) -> &'static str {
@@ -1305,80 +1291,6 @@ impl ScenarioReport {
     pub fn false_hit_ratio(&self) -> f64 {
         self.false_hits as f64 / self.requests.max(1) as f64
     }
-
-    /// Wasted queries over all queries sent.
-    pub fn wasted_query_ratio(&self) -> f64 {
-        self.wasted_queries as f64 / self.queries_sent.max(1) as f64
-    }
-
-    /// One-line reproduction command for a failing seeded run.
-    pub fn repro(&self) -> String {
-        format!(
-            "SC_SIM_SEED={:#x} SC_SIM_PEERS={} cargo test --test scenario_properties -- --nocapture",
-            self.seed, self.proxies
-        )
-    }
-
-    /// Render the human-readable good-ruler table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== scenario {} · seed {:#x} · {} proxies · {} ==",
-            self.name,
-            self.seed,
-            self.proxies,
-            if self.converged {
-                "converged"
-            } else {
-                "DID NOT CONVERGE"
-            }
-        );
-        let _ = writeln!(
-            out,
-            "requests {} (unserved {})  hit {:.1}% (local {} remote {})  false-hit {:.2}%  origin {}",
-            self.requests,
-            self.unserved,
-            100.0 * self.hit_ratio(),
-            self.local_hits,
-            self.remote_hits,
-            100.0 * self.false_hit_ratio(),
-            self.origin_fetches
-        );
-        let _ = writeln!(
-            out,
-            "queries {} (wasted {})  latency p50/p90/p99/max {}/{}/{}/{} us",
-            self.queries_sent,
-            self.wasted_queries,
-            self.latency_p50_us,
-            self.latency_p90_us,
-            self.latency_p99_us,
-            self.latency_max_us
-        );
-        let ops: Vec<String> = self
-            .datagrams_by_op
-            .iter()
-            .map(|(op, n)| format!("{op} {n}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "datagrams: {}; dropped {}  update-bytes {}  resyncs {}  stale-after-settle {}",
-            ops.join(", "),
-            self.datagrams_dropped,
-            self.update_bytes_sent,
-            self.resyncs_requested,
-            self.stale_advertised_after_settle
-        );
-        let _ = writeln!(out, "window  reqs  local  remote  false  stale/live");
-        for w in &self.windows {
-            let _ = writeln!(
-                out,
-                "  w{:<4} {:>5} {:>6} {:>7} {:>6}  {}/{}",
-                w.idx, w.requests, w.local_hits, w.remote_hits, w.false_hits, w.stale_pairs, w.live_pairs
-            );
-        }
-        out
-    }
 }
 
 /// Everything a scenario run hands back: the good-ruler report, the
@@ -1430,17 +1342,6 @@ pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Scen
     }
 }
 
-/// Build and run the named canned scenario (see
-/// [`sc_trace::scenario::scenario_names`]) at the default config —
-/// `SC_SIM_PEERS` proxies, default fault plan. `None` for an unknown
-/// name.
-pub fn run_named(name: &str, seed: u64) -> Option<ScenarioOutcome> {
-    let cfg = ScenarioConfig::default();
-    let nodes = cfg.sim.proxies as u32;
-    let scenario = sc_trace::scenario::by_name(name, nodes, seed)?;
-    Some(run_scenario(cfg, seed, &scenario))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1464,7 +1365,7 @@ mod tests {
 
     #[test]
     fn default_plan_processes_thousands_of_events_and_converges() {
-        let report = run_seed(7);
+        let report = Sim::new(SimConfig::default(), 7).run();
         assert!(report.converged, "seed 7 must converge: {report:?}");
         assert!(
             report.events_processed >= 1_000,
@@ -1558,18 +1459,13 @@ mod tests {
     #[test]
     fn false_hit_storm_produces_false_hits_then_quiesces_clean() {
         let scenario = sc_trace::scenario::false_hit_storm(4, 3);
-        let out = run_scenario(quiet_scn_cfg(), 3, &scenario);
-        assert!(out.report.converged, "quiet storm must settle: {}", out.report.render());
-        assert!(out.report.evictions > 0, "the storm evicted nothing:\n{}", out.report.render());
-        assert!(
-            out.report.false_hits > 0,
-            "evict-everywhere must produce false hits:\n{}",
-            out.report.render()
-        );
+        let r = &run_scenario(quiet_scn_cfg(), 3, &scenario).report;
+        assert!(r.converged, "quiet storm must settle:\n{r:#?}");
+        assert!(r.evictions > 0, "the storm evicted nothing:\n{r:#?}");
+        assert!(r.false_hits > 0, "evict-everywhere must produce false hits:\n{r:#?}");
         assert_eq!(
-            out.report.stale_advertised_after_settle, 0,
-            "stale advertisements survived settle:\n{}",
-            out.report.render()
+            r.stale_advertised_after_settle, 0,
+            "stale advertisements survived settle:\n{r:#?}"
         );
     }
 
@@ -1591,8 +1487,7 @@ mod tests {
         assert_eq!(
             r.local_hits + r.remote_hits + r.origin_fetches + r.unserved,
             r.requests,
-            "request outcomes must partition:\n{}",
-            r.render()
+            "request outcomes must partition:\n{r:#?}"
         );
         assert!(r.latency_max_us >= r.latency_p50_us);
     }

@@ -128,11 +128,6 @@ impl Default for ProxyStats {
 }
 
 impl ProxyStats {
-    /// Instruments for a proxy with no peers (no per-peer series).
-    pub fn new() -> ProxyStats {
-        Self::default()
-    }
-
     /// Instruments for a proxy peering with `peer_ids`: the global
     /// series plus one labeled series set per peer.
     pub fn with_peers(peer_ids: &[u32]) -> ProxyStats {
@@ -224,16 +219,6 @@ impl ProxyStats {
         if let Some(p) = peer.and_then(|id| self.peers.get(&id)) {
             p.udp_bytes_recv.add(bytes as u64);
         }
-    }
-
-    /// Record a sent UDP datagram of `bytes` (unattributed).
-    pub fn udp_out(&self, bytes: usize) {
-        self.udp_out_to(None, bytes);
-    }
-
-    /// Record a received UDP datagram of `bytes` (unattributed).
-    pub fn udp_in(&self, bytes: usize) {
-        self.udp_in_from(None, bytes);
     }
 
     /// Record TCP bytes written.
@@ -494,9 +479,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters() {
         let s = ProxyStats::default();
-        s.udp_out(100);
-        s.udp_out(50);
-        s.udp_in(70);
+        s.udp_out_to(None, 100);
+        s.udp_out_to(None, 50);
+        s.udp_in_from(None, 70);
         s.tcp_out(3000);
         s.tcp_in(1461);
         s.latency(2000);

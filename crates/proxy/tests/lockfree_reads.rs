@@ -96,11 +96,11 @@ fn candidate_selection_completes_while_machine_lock_is_held() {
 fn snapshot_tracks_machine_replica_mutations() {
     let mut machine = machine(vec![2]);
     let cell = machine.replica_cell();
-    assert_eq!(cell.load().peer_count(), 0, "empty before any bitmap");
+    assert_eq!(cell.load().peers().len(), 0, "empty before any bitmap");
 
     feed(&mut machine, 2, &bitmap_from(2, 7, &[b"http://a/x"]));
     let snap = cell.load();
-    assert_eq!(snap.peer_count(), 1);
+    assert_eq!(snap.peers().len(), 1);
     assert_eq!(advertisers(&snap, b"http://a/x"), vec![2]);
 
     // A delta with a gapped seq discards the replica; the snapshot must
@@ -120,7 +120,7 @@ fn snapshot_tracks_machine_replica_mutations() {
     .encode(2)
     .expect("delta encodes");
     feed(&mut machine, 2, &gapped);
-    assert_eq!(cell.load().peer_count(), 0, "gap discard reaches readers");
+    assert_eq!(cell.load().peers().len(), 0, "gap discard reaches readers");
 }
 
 #[test]

@@ -32,18 +32,6 @@ pub struct SummaryCacheConfig {
     pub multicast_updates: bool,
 }
 
-impl SummaryCacheConfig {
-    /// The paper's recommended configuration (Section V-E): Bloom at
-    /// load factor 8, four hashes, 1 % threshold.
-    pub fn recommended() -> Self {
-        SummaryCacheConfig {
-            kind: SummaryKind::recommended(),
-            policy: UpdatePolicy::recommended(),
-            multicast_updates: false,
-        }
-    }
-}
-
 /// Everything one run produces.
 #[derive(Debug, Clone)]
 pub struct SummarySimResult {

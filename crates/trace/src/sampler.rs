@@ -52,11 +52,6 @@ impl Zipf {
         Zipf { cdf, map }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draw a rank in `0..n` (0 = most popular). Ignores the
     /// permutation — rank order is fixed at construction.
     pub fn sample(&self, rng: &mut Rng) -> usize {
@@ -139,11 +134,6 @@ impl BoundedPareto {
             min: min as f64,
             max: max as f64,
         }
-    }
-
-    /// The Wisconsin-benchmark shape: α = 1.1, 1 KB floor, 8 MB ceiling.
-    pub fn wisconsin() -> Self {
-        Self::new(1.1, 1024, 8 * 1024 * 1024)
     }
 
     /// Draw a size in bytes (inverse-CDF method).
@@ -287,7 +277,7 @@ mod tests {
 
     #[test]
     fn pareto_within_bounds_and_heavy_tailed() {
-        let p = BoundedPareto::wisconsin();
+        let p = BoundedPareto::new(1.1, 1024, 8 * 1024 * 1024);
         let mut rng = Rng::seed_from_u64(4);
         let samples: Vec<u64> = (0..50_000).map(|_| p.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&s| (1024..=8 * 1024 * 1024).contains(&s)));

@@ -40,6 +40,8 @@ pub enum SquidError {
         /// What was wrong with it.
         message: String,
     },
+    /// The trace was asked for zero proxy groups.
+    NoGroups,
 }
 
 impl std::fmt::Display for SquidError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for SquidError {
         match self {
             SquidError::Io(e) => write!(f, "I/O error: {e}"),
             SquidError::Parse { line, message } => write!(f, "line {line}: {message}"),
+            SquidError::NoGroups => write!(f, "a trace needs at least one proxy group"),
         }
     }
 }
@@ -75,7 +78,9 @@ pub struct ImportStats {
 /// Parse a Squid native access log into a trace partitioned for
 /// `groups` proxies.
 pub fn load_squid_log<R: Read>(r: R, name: &str, groups: u32) -> Result<(Trace, ImportStats), SquidError> {
-    assert!(groups > 0);
+    if groups == 0 {
+        return Err(SquidError::NoGroups);
+    }
     let mut stats = ImportStats::default();
     let mut clients: HashMap<String, u32> = HashMap::new();
     let mut urls: HashMap<String, u64> = HashMap::new();
@@ -237,6 +242,46 @@ mod tests {
             Err(SquidError::Parse { line, .. }) => assert_eq!(line, 1),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_groups_is_an_error_not_a_panic() {
+        let err = load_squid_log(SAMPLE.as_bytes(), "s", 0).unwrap_err();
+        assert!(matches!(err, SquidError::NoGroups), "{err:?}");
+    }
+
+    /// Hostile logs return `Ok` or `Err`, never panic: random bytes drawn
+    /// half from the log alphabet, truncations and one-byte mutations of
+    /// a valid log, at 1–8 groups.
+    #[test]
+    fn prop_load_never_panics() {
+        use sc_util::prop::{check, vec_of};
+        const ALPHABET: &[u8] = b"0123456789. /:-GET http://TCP_MISS\n#";
+        let load = |bytes: &[u8], groups: u32| {
+            let _ = load_squid_log(bytes, "fuzz", groups);
+        };
+        check("squid_load_random_bytes", 512, |rng| {
+            let bytes = vec_of(rng, 0..512, |r| {
+                if r.gen_bool(0.5) {
+                    ALPHABET[r.gen_range(0..ALPHABET.len())]
+                } else {
+                    r.gen_range(0u8..=255)
+                }
+            });
+            load(&bytes, rng.gen_range(1..=8));
+        });
+        check("squid_load_truncations", 512, |rng| {
+            load(
+                &SAMPLE.as_bytes()[..rng.gen_range(0..SAMPLE.len() + 1)],
+                rng.gen_range(1..=8),
+            );
+        });
+        check("squid_load_one_byte_mutations", 512, |rng| {
+            let mut bytes = SAMPLE.as_bytes().to_vec();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] = rng.gen_range(0u8..=255);
+            load(&bytes, rng.gen_range(1..=8));
+        });
     }
 
     #[test]

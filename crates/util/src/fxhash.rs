@@ -18,7 +18,7 @@
 //! assert_eq!(m.get(&7), Some(&"seven"));
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx multiplier: a random-looking odd 64-bit constant
@@ -97,9 +97,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `collect()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using the Fx hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +135,8 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert_eq!(m.get(&7), Some(&14));
-        let s: FxHashSet<[u8; 16]> = [[0u8; 16], [1u8; 16]].into_iter().collect();
+        let s: std::collections::HashSet<[u8; 16], FxBuildHasher> =
+            [[0u8; 16], [1u8; 16]].into_iter().collect();
         assert!(s.contains(&[1u8; 16]));
     }
 }

@@ -11,8 +11,9 @@
 //!   `thread_rng`, so simulations stay replayable);
 //! * [`prop`] — a minimal property-test harness replacing `proptest`
 //!   (seeded cases, shrink-free, failure messages name the failing seed);
-//! * [`bench`] — a minimal wall-clock micro-benchmark harness replacing
-//!   `criterion` (used by the `harness = false` bench targets);
+//! * [`bench`](mod@bench) — a minimal wall-clock micro-benchmark
+//!   harness replacing `criterion` (used by the `harness = false` bench
+//!   targets);
 //! * [`poll`] — a shared convergence loop: virtual-clock stepping for
 //!   the deterministic simnet, real-clock deadline polling for live
 //!   integration tests;

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use summary_cache::bloom::analysis;
-use summary_cache::core::{PeerTable, ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
+use summary_cache::core::{filter_candidates_key, ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
 
 fn main() {
     // Proxy B summarizes its directory at the paper's recommended
@@ -33,20 +33,22 @@ fn main() {
         update.changes, update.update_bytes
     );
 
-    // Proxy A holds B's snapshot in its peer table.
-    let mut peers = PeerTable::new();
-    peers.install(1, proxy_b.snapshot_published());
+    // Proxy A holds B's published snapshot, keyed by B's peer id.
+    let peers = [(1u32, proxy_b.snapshot_published())];
+    let probe_all = |url: &UrlKey, server: &UrlKey| {
+        filter_candidates_key(peers.iter().map(|(id, snap)| (*id, snap)), url, server)
+    };
 
     // A's local miss for a document B has: the probe says "ask B".
     let url = UrlKey::new(b"http://b-site.example/index.html");
-    let hit = peers.probe_all_key(&url, &server);
+    let hit = probe_all(&url, &server);
     println!("probe for /index.html      -> query peers {hit:?}");
     assert_eq!(hit, vec![1]);
 
     // A's local miss for a document nobody has: no queries at all —
     // where ICP would have multicast to every neighbour.
     let url = UrlKey::new(b"http://elsewhere.example/x");
-    let miss = peers.probe_all_key(&url, &UrlKey::new(b"elsewhere.example"));
+    let miss = probe_all(&url, &UrlKey::new(b"elsewhere.example"));
     println!("probe for unknown document -> query peers {miss:?} (ICP would ask everyone)");
     assert!(miss.is_empty());
 
@@ -58,7 +60,7 @@ fn main() {
     );
     println!(
         "memory for B's summary at A: {} bytes for {} documents",
-        peers.memory_bytes(),
+        peers[0].1.memory_bytes(),
         proxy_b.docs()
     );
 }

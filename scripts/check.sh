@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build, test, run the sc-check gate, then build
-# and test the benchmark package.
+# Tier-1 verification: build, test, run the sc-check and rustdoc gates,
+# then build and test the benchmark package.
 #
 # Everything runs offline — the workspace has zero registry
 # dependencies (sc-check's `deps` rule enforces exactly that), so no
@@ -39,6 +39,11 @@ cargo build --release --offline -p sc-bench --benches
 
 echo "==> sc-check (static-analysis gate)"
 cargo run -p sc-check --offline --quiet
+
+# Doc links are checked too: a deleted item must not leave a dangling
+# intra-doc link behind.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 # The benchmark package (its own workspace and lock file) compiles
 # against public paths in crates/*; build it so a rename fails here.

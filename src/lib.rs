@@ -9,14 +9,14 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`bloom`] — Bloom filters, counting Bloom filters, the MD5-derived
-//!   hash family, delta journals, and the false-positive analysis;
+//!   hash family, bit-flip records, and the false-positive analysis;
 //! * [`md5`] — RFC 1321 MD5, implemented from scratch;
 //! * [`cache`] — byte-budget LRU caches with the paper's web policy;
 //! * [`trace`] — calibrated synthetic workloads standing in for the
 //!   paper's five proprietary traces;
 //! * [`core`] — the summary-cache protocol: directory summaries
-//!   (exact / server-name / Bloom), update policies, peer tables, the
-//!   wire-cost model and the Section V-F scalability calculator;
+//!   (exact / server-name / Bloom), update policies, candidate selection,
+//!   the wire-cost model and the Section V-F scalability calculator;
 //! * [`wire`] — ICPv2 (RFC 2186) plus the paper's `ICP_OP_DIRUPDATE`
 //!   extension, and a minimal HTTP/1.x codec;
 //! * [`sim`] — trace-driven simulators for Figs. 1–2 and 5–8;
@@ -32,7 +32,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use summary_cache::core::{ProxySummary, SummaryKind, PeerTable, PeerId, UrlKey};
+//! use summary_cache::core::{filter_candidates_key, ProxySummary, SummaryKind, UrlKey};
 //!
 //! // Each URL is digested once; every summary operation reuses the key.
 //! let (a, b) = (UrlKey::new(b"http://example.com/a"), UrlKey::new(b"http://example.com/b"));
@@ -44,10 +44,10 @@
 //! mine.publish();
 //!
 //! // …and peers probe the published snapshot before querying anyone.
-//! let mut peers = PeerTable::new();
-//! peers.install(1 as PeerId, mine.snapshot_published());
-//! assert_eq!(peers.probe_all_key(&a, &server), vec![1]);
-//! assert!(peers.probe_all_key(&b, &server).is_empty());
+//! let peers = [(1u32, mine.snapshot_published())];
+//! let probe = |url: &UrlKey| filter_candidates_key(peers.iter().map(|(id, s)| (*id, s)), url, &server);
+//! assert_eq!(probe(&a), vec![1]);
+//! assert!(probe(&b).is_empty());
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and

@@ -165,13 +165,19 @@ fn unsendable_icp_queries_resolve_as_immediate_misses() {
     let config = ProxyConfig::builder()
         .id(0)
         .mode(Mode::Icp)
-        .peer(peer)
+        .peers(vec![peer])
         .origin(origin.addr)
         .icp_timeout_ms(2_000)
         .keepalive_ms(0)
         .build()
         .unwrap();
-    let daemon = Daemon::spawn(config).unwrap();
+    let loopback = "127.0.0.1:0";
+    let daemon = Daemon::spawn_on(
+        config,
+        std::net::TcpListener::bind(loopback).unwrap(),
+        std::net::UdpSocket::bind(loopback).unwrap(),
+    )
+    .unwrap();
     let mut client = ProxyClient::connect(daemon.http_addr).unwrap();
     let t0 = std::time::Instant::now();
     for i in 0..5 {

@@ -71,7 +71,10 @@ fn apply(replica: &mut Option<BloomFilter>, datagram: &[u8]) {
             }
         }
         DirContent::Bitmap(words) => {
-            f.replace_bits(BitVec::from_words(spec.table_bits() as usize, words));
+            *f = BloomFilter::from_parts(
+                spec,
+                BitVec::from_words(spec.table_bits() as usize, words),
+            );
         }
         DirContent::CompressedBitmap {
             first_bit,

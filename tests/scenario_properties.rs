@@ -107,22 +107,9 @@ fn headline(r: &ScenarioReport) -> Headline {
 fn check_pinned(scenario: &Scenario, seed: u64, cfg: ScenarioConfig, want: Headline) {
     let out = run_scenario(cfg, seed, scenario);
     let r = &out.report;
-    assert!(
-        r.converged,
-        "{} did not converge; repro: {}\n{}",
-        r.name,
-        r.repro(),
-        r.render()
-    );
+    assert!(r.converged, "{} did not converge:\n{r:#?}", r.name);
     let got = headline(r);
-    assert_eq!(
-        got,
-        want,
-        "{} headline numbers drifted; repro: {}\n{}",
-        r.name,
-        r.repro(),
-        r.render()
-    );
+    assert_eq!(got, want, "{} headline numbers drifted:\n{r:#?}", r.name);
     // The outcome accounting identity always holds, pinned or not.
     assert_eq!(
         r.local_hits + r.remote_hits + r.origin_fetches + r.unserved,
@@ -318,18 +305,12 @@ fn storm_quiesces_with_every_stale_advertisement_cleared() {
     cfg.sim.cache_docs = 512;
     let out = run_scenario(cfg, seed, &scenario);
     let r = &out.report;
-    assert!(r.converged, "quiet storm must settle; repro: {}", r.repro());
-    assert!(r.evictions > 0, "the storm evicted nothing:\n{}", r.render());
-    assert!(
-        r.false_hits > 0,
-        "evict-everywhere produced no false hits:\n{}",
-        r.render()
-    );
+    assert!(r.converged, "quiet storm must settle:\n{r:#?}");
+    assert!(r.evictions > 0, "the storm evicted nothing:\n{r:#?}");
+    assert!(r.false_hits > 0, "evict-everywhere produced no false hits:\n{r:#?}");
     assert_eq!(
         r.stale_advertised_after_settle, 0,
-        "stale advertisements survived settle; repro: {}\n{}",
-        r.repro(),
-        r.render()
+        "stale advertisements survived settle:\n{r:#?}"
     );
     // Independent recount from the final cluster state.
     let evicted: BTreeSet<String> = scenario
@@ -369,8 +350,9 @@ fn check_sweep_seed(name: &str, seed: u64) {
     let r = &out.report;
     assert!(
         r.converged,
-        "{name} did not reconverge under the fault plan; repro: {}",
-        r.repro()
+        "{name} did not reconverge under the fault plan; repro: SC_SIM_SEED={seed:#x} \
+         SC_SIM_PEERS={} cargo test --test scenario_properties -- --nocapture",
+        r.proxies
     );
     assert_eq!(r.requests, scenario.requests(), "{name}: requests lost");
     assert_eq!(
