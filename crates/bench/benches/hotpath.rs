@@ -7,6 +7,9 @@
 //! `BENCH_hotpath.json` at the repo root. Under plain `cargo test` the
 //! suite runs with a tiny window and writes no file.
 
+// A timing harness: it reads the wall clock by design.
+#![allow(clippy::disallowed_methods)]
+
 use sc_bloom::{FilterConfig, Flip};
 use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_json::Value;

@@ -166,7 +166,7 @@ fn model_for(n: u32) -> (f64, u64) {
     let docs = 48u64; // SimConfig::default cache_docs
     let e = estimate(Deployment {
         proxies: n,
-        cache_bytes: docs * 8 << 10, // expected_docs() divides by 8 KB
+        cache_bytes: (docs * 8) << 10, // expected_docs() divides by 8 KB
         load_factor: 8,
         hashes: 4,
         threshold: 1.0 / docs as f64,

@@ -10,6 +10,9 @@
 //! `BENCH_scenarios.json` at the repo root. The ruler numbers are
 //! deterministic; only the ns/request timing varies between hosts.
 
+// A timing harness: it reads the wall clock by design.
+#![allow(clippy::disallowed_methods)]
+
 use sc_json::Value;
 use sc_proxy::simnet::{run_scenario, ScenarioConfig, SimConfig};
 use sc_trace::scenario;

@@ -17,11 +17,11 @@
 pub mod policy;
 pub mod web;
 
+pub use policy::Policy;
+pub use web::{DocMeta, Lookup, WebCache, MAX_CACHEABLE_BYTES};
+
 /// [`WebCache`] under its default policy, LRU.
 #[cfg(test)]
 mod lru {
     mod tests;
 }
-
-pub use policy::Policy;
-pub use web::{DocMeta, Lookup, WebCache, MAX_CACHEABLE_BYTES};

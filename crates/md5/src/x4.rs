@@ -240,7 +240,7 @@ mod tests {
         // driver's dead-weight lanes must not inflate the count.
         let long = vec![0u8; 200];
         let before = blocks_hashed();
-        let _ = md5_x4([b"a", b"bb", &vec![0u8; 64], &long]);
+        let _ = md5_x4([b"a", b"bb", &[0u8; 64], &long]);
         assert_eq!(blocks_hashed() - before, 8);
     }
 }

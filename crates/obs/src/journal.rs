@@ -121,6 +121,7 @@ impl Default for Journal {
 
 impl Journal {
     /// A journal keeping at most `capacity` events (min 1).
+    #[allow(clippy::disallowed_methods)] // events carry wall-clock age
     pub fn new(capacity: usize) -> Journal {
         Journal {
             capacity: capacity.max(1),

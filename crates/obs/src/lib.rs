@@ -20,8 +20,8 @@
 //! Metric names follow the Prometheus convention: `sc_` prefix,
 //! `_total` suffix on counters, unit suffix on histograms (`_us`,
 //! `_bytes`). Per-peer series reuse one name with a `peer` label.
-//! `sc-check`'s `metrics` rule enforces that each name has exactly one
-//! registration site in the workspace.
+//! The `metrics` rule in `tests/source_rules.rs` enforces that each name
+//! has exactly one registration site in the workspace.
 
 mod instrument;
 mod journal;

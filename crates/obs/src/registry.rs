@@ -46,9 +46,9 @@ impl Storage {
 /// returns handles to the same storage, so components can look up shared
 /// instruments without coordinating. Asking for an existing name with a
 /// *different* instrument kind returns a detached handle that records
-/// nowhere — a registry never panics at runtime. (`sc-check`'s `metrics`
-/// rule keeps that an un-hittable corner: each metric name may appear at
-/// only one registration site in the workspace.)
+/// nowhere — a registry never panics at runtime. (The `metrics` rule in
+/// `tests/source_rules.rs` keeps that an un-hittable corner: each metric
+/// name may appear at only one registration site in the workspace.)
 #[derive(Debug)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,

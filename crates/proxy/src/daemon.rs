@@ -39,8 +39,9 @@
 //! measure (message counts, byte counts, CPU, latency).
 //!
 //! Everything here is plain `std`: `std::net` sockets, `std::thread`,
-//! `std::sync` — the workspace's dependency firewall (`sc-check`) keeps
-//! it that way.
+//! `std::sync` — `tests/source_rules.rs` fails if a lock file names a
+//! registry crate. This module is one of the socket shells that opt out
+//! of the sans-I/O lints in `crates/clippy.toml` (see `lib.rs`).
 
 use crate::client::ProxyClient;
 use crate::config::{Mode, PeerAddr, ProxyConfig};
@@ -1062,7 +1063,7 @@ mod tests {
         let used = stripes
             .stripes
             .iter()
-            .filter(|s| lock(s).len() > 0)
+            .filter(|s| !lock(s).is_empty())
             .count();
         assert!(used > 1, "32 URLs spread over >1 of 4 stripes");
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! A working summary-cache web proxy over `std::net` + threads, plus
 //! everything needed to reproduce the paper's live experiments
@@ -57,13 +58,25 @@
 //! which depend on payload contents — only on their sizes, which are
 //! preserved exactly.
 
+// Serves /metrics over a TCP listener.
+#[allow(clippy::disallowed_types)]
 pub mod admin;
+// HTTP client: TCP connects and timing.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod client;
+// In-process loopback cluster: sockets and polling.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod cluster;
 pub mod config;
+// The socket shell: UDP, TCP, timers, real time.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod daemon;
 pub mod machine;
+// The shared accept loop and HTTP head reader.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod net;
+// Origin emulator: TCP listener and artificial delay.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod origin;
 pub mod replica;
 pub mod router;

@@ -12,7 +12,7 @@
 //!   journal/metric [`Effect`]s.
 //!
 //! There are no sockets, no `Instant::now()`, and no sleeps in this
-//! module (the sc-check `sans_io` rule enforces exactly that): the live
+//! module (`crates/clippy.toml` makes clippy reject them): the live
 //! daemon feeds the machine from its real UDP socket and clock, and the
 //! deterministic [`crate::simnet`] harness feeds it from a virtual
 //! clock and a seeded fault plan. Both drive the *same* decision logic,
@@ -48,6 +48,12 @@ pub const FLIPS_PER_DATAGRAM: usize = 320;
 /// Multiple of 64 keeps every segment boundary word-aligned, which the
 /// receiver's splice path requires.
 pub const GR_SEGMENT_BITS: usize = 200_000;
+
+/// Largest summary table, in bits, a received DIRUPDATE may describe
+/// (2^27 bits: a 16 MiB bitmap). A spec above it is dropped unread: a
+/// full restatement is staged at the table's size, so an unchecked
+/// `bit_array_size` would let one datagram choose the allocation.
+pub const MAX_WIRE_TABLE_BITS: u32 = 1 << 27;
 
 /// Minimum spacing between DIRREQs to one peer: resyncs are idempotent,
 /// but a burst of gapped deltas must not become a burst of bitmap

@@ -22,7 +22,7 @@
 //!   own cursor with its own seq stream, serviced in a stagger slot
 //!   derived from `(proxy, peer)` so keep-alive and update fanout
 //!   spreads across ticks instead of bursting — the big-N scaling
-//!   design (DESIGN.md §14). A lane far enough behind that the delta
+//!   design (DESIGN.md §13). A lane far enough behind that the delta
 //!   backlog outweighs a bitmap gets a full restatement instead,
 //!   Golomb–Rice coded when the peer negotiated `DIRFULL_GR` support
 //!   via the DIRREQ options word;
@@ -34,12 +34,13 @@
 //! always yields the same output stream — what lets the simnet replay a
 //! seed's journal bit for bit.
 //!
-//! This module is sans-I/O (sc-check rule 6 covers it): no sockets, no
-//! real clocks, no sleeps.
+//! This module is sans-I/O — no sockets, no real clocks, no sleeps — and
+//! clippy enforces it: `crates/clippy.toml` disallows them.
 
 use crate::machine::{
     Dest, DirectoryView, Effect, Event, Output, Send, SendKind, VirtualTime,
-    FAILURE_KEEPALIVE_PERIODS, FLIPS_PER_DATAGRAM, GR_SEGMENT_BITS, RESYNC_BACKOFF,
+    FAILURE_KEEPALIVE_PERIODS, FLIPS_PER_DATAGRAM, GR_SEGMENT_BITS, MAX_WIRE_TABLE_BITS,
+    RESYNC_BACKOFF,
 };
 use crate::replica::{ReplicaCell, ReplicaSnapshot};
 use sc_bloom::{BitVec, BloomFilter, CountingBloomFilter, FilterConfig, Flip, HashSpec, UrlKey};
@@ -583,6 +584,9 @@ impl Router {
         ) else {
             return; // malformed spec: drop, as with any bad datagram
         };
+        if spec.table_bits() > MAX_WIRE_TABLE_BITS {
+            return; // past the wire limit: drop before staging anything
+        }
         if !self.peers.contains(&sender) {
             return; // not a configured peer: no replica, no resync
         }
@@ -613,6 +617,7 @@ impl Router {
                 if update.bit_array_size != total
                     || first_bit % 64 != 0
                     || seg_bits == 0
+                    || seg_bits as usize > GR_SEGMENT_BITS
                     || first_bit as u64 + seg_bits as u64 > total as u64
                 {
                     return;
@@ -1459,6 +1464,42 @@ mod tests {
         assert!(!r.replica_installed(3), "stale tail must not complete the retry");
         seg(&mut r, 5, gr_segment(&bits, 256, 256));
         assert!(r.replica_installed(3), "matching tail completes the retry");
+    }
+
+    /// A GR segment may claim any table and segment size, and the
+    /// sender field picks the replica, so any UDP source could make the
+    /// receiver allocate `bit_array_size` bits twice over (512 MiB each
+    /// at `u32::MAX`). A segment longer than [`GR_SEGMENT_BITS`] or a
+    /// table above [`MAX_WIRE_TABLE_BITS`] is dropped before anything
+    /// is allocated.
+    #[test]
+    fn oversized_gr_claims_stage_and_install_nothing() {
+        let seg = GR_SEGMENT_BITS as u32;
+        for (bit_array_size, seg_bits) in [
+            (2 * seg, 2 * seg),              // one segment no publisher sends
+            (MAX_WIRE_TABLE_BITS + 64, seg), // a table past the wire limit
+            (u32::MAX, u32::MAX),
+        ] {
+            let mut r = replica_router();
+            let content = DirContent::CompressedBitmap {
+                first_bit: 0,
+                seg_bits,
+                ones: 0,
+                rice: 0,
+                data: Vec::new(),
+            };
+            let update = DirUpdate {
+                bit_array_size,
+                ..gr_update(1, 1, content)
+            };
+            r.apply_update(VirtualTime::ZERO, 2, update, &mut Vec::new());
+            let claim = format!("{bit_array_size}-bit table, {seg_bits}-bit segment");
+            assert!(
+                r.replicas.get(&2).is_none_or(|st| st.staging.is_none()),
+                "{claim}: nothing staged"
+            );
+            assert!(!r.replica_installed(2), "{claim}: nothing installed");
+        }
     }
 
     /// A continuation that claims a different spec than the staged

@@ -1,7 +1,7 @@
 //! Deterministic simulation of a summary-cache cluster — FoundationDB
 //! style: N [`crate::router::Router`]s, one virtual clock, one event
 //! priority-queue, and a seeded fault plan. Nothing here touches a
-//! socket or the wall clock (the sc-check `sans_io` rule enforces it),
+//! socket or the wall clock (`crates/clippy.toml` disallows both),
 //! so a seed *is* a schedule: the same seed always produces the same
 //! event journal, byte-for-byte.
 //!

@@ -212,7 +212,7 @@ fn delta_batch_costs_exactly_one_cow_copy() {
     let mut outputs = Vec::new();
     for seq in 1..=10u32 {
         let dg = IcpMessage::DirUpdate {
-            request_number: u32::from(seq),
+            request_number: seq,
             sender: 2,
             update: DirUpdate {
                 function_num: 4,

@@ -24,7 +24,7 @@
 //! along. The final schedule is stably sorted by timestamp, so equal
 //! stamps keep phase-insertion order. Same `(constructor, nodes, seed)`
 //! → byte-identical schedule, always. Generators are clock- and
-//! socket-free (sc-check rule 6 `sans_io` covers this module): virtual
+//! socket-free (`crates/clippy.toml` disallows clocks and sockets): virtual
 //! time is data here, never `Instant`.
 
 use crate::model::{render_url, Request, Trace, UrlId};

@@ -21,8 +21,12 @@
 //!   keyed by trusted values (peer ids, digests), where SipHash's DoS
 //!   resistance buys nothing.
 
+// The micro-benchmark harness times real work on the wall clock.
+#[allow(clippy::disallowed_methods)]
 pub mod bench;
 pub mod fxhash;
+// `wait_until` drives live tests on the real clock: it sleeps.
+#[allow(clippy::disallowed_methods)]
 pub mod poll;
 pub mod prop;
 pub mod rng;

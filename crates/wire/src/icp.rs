@@ -127,79 +127,68 @@ pub const DIRFULL_GR_SEGMENT_LEN: usize = 13;
 pub const ICP_FLAG_GR_OK: u32 = 0x0000_0001;
 
 /// Wire byte for [`Opcode::Query`] (RFC 2186).
-pub const ICP_OP_QUERY: u8 = 1;
+pub const ICP_OP_QUERY: u8 = Opcode::Query as u8;
 /// Wire byte for [`Opcode::Hit`] (RFC 2186).
-pub const ICP_OP_HIT: u8 = 2;
+pub const ICP_OP_HIT: u8 = Opcode::Hit as u8;
 /// Wire byte for [`Opcode::Miss`] (RFC 2186).
-pub const ICP_OP_MISS: u8 = 3;
+pub const ICP_OP_MISS: u8 = Opcode::Miss as u8;
 /// Wire byte for [`Opcode::Err`] (RFC 2186).
-pub const ICP_OP_ERR: u8 = 4;
+pub const ICP_OP_ERR: u8 = Opcode::Err as u8;
 /// Wire byte for [`Opcode::Secho`] (RFC 2186).
-pub const ICP_OP_SECHO: u8 = 10;
+pub const ICP_OP_SECHO: u8 = Opcode::Secho as u8;
 /// Wire byte for [`Opcode::MissNoFetch`] (RFC 2186).
-pub const ICP_OP_MISS_NOFETCH: u8 = 21;
+pub const ICP_OP_MISS_NOFETCH: u8 = Opcode::MissNoFetch as u8;
 /// Wire byte for [`Opcode::Denied`] (RFC 2186).
-pub const ICP_OP_DENIED: u8 = 22;
+pub const ICP_OP_DENIED: u8 = Opcode::Denied as u8;
 /// Wire byte for [`Opcode::DirUpdate`] (summary-cache extension).
-pub const ICP_OP_DIRUPDATE: u8 = 32;
+pub const ICP_OP_DIRUPDATE: u8 = Opcode::DirUpdate as u8;
 /// Wire byte for [`Opcode::DirFull`] (summary-cache extension).
-pub const ICP_OP_DIRFULL: u8 = 33;
+pub const ICP_OP_DIRFULL: u8 = Opcode::DirFull as u8;
 /// Wire byte for [`Opcode::DirReq`] (summary-cache extension).
-pub const ICP_OP_DIRREQ: u8 = 34;
+pub const ICP_OP_DIRREQ: u8 = Opcode::DirReq as u8;
 /// Wire byte for [`Opcode::DirFullGr`] (summary-cache extension):
 /// a Golomb–Rice-coded full-bitmap segment.
-pub const ICP_OP_DIRFULL_GR: u8 = 35;
+pub const ICP_OP_DIRFULL_GR: u8 = Opcode::DirFullGr as u8;
 
-/// Message opcodes. 1–22 are RFC 2186; 32–34 are the summary-cache
-/// extension range. The wire bytes live in the `ICP_OP_*` constants,
-/// which the gate's wire-exhaustiveness rule requires to appear in both
-/// [`Opcode::to_u8`] and [`Opcode::from_u8`] and in at least one test —
-/// a new opcode cannot ship half-wired.
+/// Message opcodes. 1–22 are RFC 2186; 32–35 are the summary-cache
+/// extension range. Each discriminant is the wire byte and each
+/// `ICP_OP_*` constant is read off its variant, so no constant can name
+/// a byte that has no variant. A test holds [`Opcode::from_u8`] to
+/// every variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Opcode {
     /// Membership query for a URL.
-    Query,
+    Query = 1,
     /// Fresh copy present.
-    Hit,
+    Hit = 2,
     /// Not cached.
-    Miss,
+    Miss = 3,
     /// Protocol error.
-    Err,
+    Err = 4,
     /// Source echo — the keep-alive Squid peers exchange.
-    Secho,
+    Secho = 10,
     /// Not cached, and the responder declines to fetch it.
-    MissNoFetch,
+    MissNoFetch = 21,
     /// Request refused.
-    Denied,
+    Denied = 22,
     /// Paper Section VI-A: incremental directory update (bit flips).
-    DirUpdate,
+    DirUpdate = 32,
     /// Companion full-bitmap update (bootstrap / recovery), in the
     /// spirit of Squid 1.2's cache digests.
-    DirFull,
+    DirFull = 33,
     /// Resync request: "send me your full bitmap" — emitted on first
     /// contact or when a seq gap / generation change is detected.
-    DirReq,
+    DirReq = 34,
     /// Golomb–Rice-coded full-bitmap segment: the compressed answer to
     /// a DIRREQ whose sender advertised [`ICP_FLAG_GR_OK`].
-    DirFullGr,
+    DirFullGr = 35,
 }
 
 impl Opcode {
     /// Encode this opcode as its wire byte.
     pub fn to_u8(self) -> u8 {
-        match self {
-            Opcode::Query => ICP_OP_QUERY,
-            Opcode::Hit => ICP_OP_HIT,
-            Opcode::Miss => ICP_OP_MISS,
-            Opcode::Err => ICP_OP_ERR,
-            Opcode::Secho => ICP_OP_SECHO,
-            Opcode::MissNoFetch => ICP_OP_MISS_NOFETCH,
-            Opcode::Denied => ICP_OP_DENIED,
-            Opcode::DirUpdate => ICP_OP_DIRUPDATE,
-            Opcode::DirFull => ICP_OP_DIRFULL,
-            Opcode::DirReq => ICP_OP_DIRREQ,
-            Opcode::DirFullGr => ICP_OP_DIRFULL_GR,
-        }
+        self as u8
     }
 
     /// Decode an opcode byte.
@@ -417,7 +406,6 @@ impl IcpMessage {
     pub fn encode_into(&self, sender: u32, out: &mut Vec<u8>) -> Result<(), IcpError> {
         out.clear();
         out.resize(HEADER_LEN, 0);
-        let mut body = out;
         let mut options = 0u32;
         let (opcode, request_number, sender_host) = match self {
             IcpMessage::Query {
@@ -425,32 +413,32 @@ impl IcpMessage {
                 requester,
                 url,
             } => {
-                put_u32(&mut body, *requester);
-                put_url(&mut body, url);
+                put_u32(out, *requester);
+                put_url(out, url);
                 (Opcode::Query, *request_number, sender)
             }
             IcpMessage::Hit { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::Hit, *request_number, sender)
             }
             IcpMessage::Miss { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::Miss, *request_number, sender)
             }
             IcpMessage::MissNoFetch { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::MissNoFetch, *request_number, sender)
             }
             IcpMessage::Denied { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::Denied, *request_number, sender)
             }
             IcpMessage::Err { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::Err, *request_number, sender)
             }
             IcpMessage::Secho { request_number, url } => {
-                put_url(&mut body, url);
+                put_url(out, url);
                 (Opcode::Secho, *request_number, sender)
             }
             IcpMessage::DirUpdate {
@@ -458,23 +446,23 @@ impl IcpMessage {
                 sender: s,
                 update,
             } => {
-                put_u16(&mut body, update.function_num);
-                put_u16(&mut body, update.function_bits);
-                put_u32(&mut body, update.bit_array_size);
-                put_u32(&mut body, update.generation);
-                put_u32(&mut body, update.seq);
+                put_u16(out, update.function_num);
+                put_u16(out, update.function_bits);
+                put_u32(out, update.bit_array_size);
+                put_u32(out, update.generation);
+                put_u32(out, update.seq);
                 let opcode = match &update.content {
                     DirContent::Flips(flips) => {
-                        put_u32(&mut body, flips.len() as u32);
+                        put_u32(out, flips.len() as u32);
                         for f in flips {
-                            put_u32(&mut body, f.to_wire());
+                            put_u32(out, f.to_wire());
                         }
                         Opcode::DirUpdate
                     }
                     DirContent::Bitmap(words) => {
-                        put_u32(&mut body, words.len() as u32);
+                        put_u32(out, words.len() as u32);
                         for w in words {
-                            put_u64_le(&mut body, *w);
+                            put_u64_le(out, *w);
                         }
                         Opcode::DirFull
                     }
@@ -485,12 +473,12 @@ impl IcpMessage {
                         rice,
                         data,
                     } => {
-                        put_u32(&mut body, data.len() as u32);
-                        put_u32(&mut body, *first_bit);
-                        put_u32(&mut body, *seg_bits);
-                        put_u32(&mut body, *ones);
-                        put_u8(&mut body, *rice);
-                        body.extend_from_slice(data);
+                        put_u32(out, data.len() as u32);
+                        put_u32(out, *first_bit);
+                        put_u32(out, *seg_bits);
+                        put_u32(out, *ones);
+                        put_u8(out, *rice);
+                        out.extend_from_slice(data);
                         Opcode::DirFullGr
                     }
                 };
@@ -502,25 +490,25 @@ impl IcpMessage {
                 generation,
                 accepts_gr,
             } => {
-                put_u32(&mut body, *generation);
+                put_u32(out, *generation);
                 if *accepts_gr {
                     options |= ICP_FLAG_GR_OK;
                 }
                 (Opcode::DirReq, *request_number, *s)
             }
         };
-        let total = body.len();
+        let total = out.len();
         if total > u16::MAX as usize {
-            body.clear();
+            out.clear();
             return Err(IcpError::TooLarge(total));
         }
-        body[0] = opcode.to_u8();
-        body[1] = ICP_VERSION;
-        body[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-        body[4..8].copy_from_slice(&request_number.to_be_bytes());
-        body[8..12].copy_from_slice(&options.to_be_bytes());
-        body[12..16].copy_from_slice(&0u32.to_be_bytes()); // option data
-        body[16..20].copy_from_slice(&sender_host.to_be_bytes());
+        out[0] = opcode.to_u8();
+        out[1] = ICP_VERSION;
+        out[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        out[4..8].copy_from_slice(&request_number.to_be_bytes());
+        out[8..12].copy_from_slice(&options.to_be_bytes());
+        out[12..16].copy_from_slice(&0u32.to_be_bytes()); // option data
+        out[16..20].copy_from_slice(&sender_host.to_be_bytes());
         Ok(())
     }
 
@@ -706,30 +694,50 @@ mod tests {
 
     #[test]
     fn every_opcode_constant_roundtrips_through_both_sides() {
-        for (op, byte) in [
-            (Opcode::Query, ICP_OP_QUERY),
-            (Opcode::Hit, ICP_OP_HIT),
-            (Opcode::Miss, ICP_OP_MISS),
-            (Opcode::Err, ICP_OP_ERR),
-            (Opcode::Secho, ICP_OP_SECHO),
-            (Opcode::MissNoFetch, ICP_OP_MISS_NOFETCH),
-            (Opcode::Denied, ICP_OP_DENIED),
-            (Opcode::DirUpdate, ICP_OP_DIRUPDATE),
-            (Opcode::DirFull, ICP_OP_DIRFULL),
-            (Opcode::DirReq, ICP_OP_DIRREQ),
-            (Opcode::DirFullGr, ICP_OP_DIRFULL_GR),
-        ] {
+        let listed = [
+            Opcode::Query,
+            Opcode::Hit,
+            Opcode::Miss,
+            Opcode::Err,
+            Opcode::Secho,
+            Opcode::MissNoFetch,
+            Opcode::Denied,
+            Opcode::DirUpdate,
+            Opcode::DirFull,
+            Opcode::DirReq,
+            Opcode::DirFullGr,
+        ];
+        for (slot, &op) in listed.iter().enumerate() {
+            // No `_` arm: a new variant does not compile until it is
+            // given its constant and its slot in `listed` here.
+            let (at, byte) = match op {
+                Opcode::Query => (0, ICP_OP_QUERY),
+                Opcode::Hit => (1, ICP_OP_HIT),
+                Opcode::Miss => (2, ICP_OP_MISS),
+                Opcode::Err => (3, ICP_OP_ERR),
+                Opcode::Secho => (4, ICP_OP_SECHO),
+                Opcode::MissNoFetch => (5, ICP_OP_MISS_NOFETCH),
+                Opcode::Denied => (6, ICP_OP_DENIED),
+                Opcode::DirUpdate => (7, ICP_OP_DIRUPDATE),
+                Opcode::DirFull => (8, ICP_OP_DIRFULL),
+                Opcode::DirReq => (9, ICP_OP_DIRREQ),
+                Opcode::DirFullGr => (10, ICP_OP_DIRFULL_GR),
+            };
+            assert_eq!(at, slot, "{op:?} sits at its slot in the list");
             assert_eq!(op.to_u8(), byte);
-            assert_eq!(Opcode::from_u8(byte), Some(op));
+            assert_eq!(Opcode::from_u8(byte), Some(op), "{op:?} decodes");
         }
+        // Every byte `from_u8` accepts is a listed variant's own byte.
+        let decodable = (0..=u8::MAX).filter_map(Opcode::from_u8);
+        for op in decodable.clone() {
+            assert!(listed.contains(&op), "{op:?} is missing from the list");
+        }
+        assert_eq!(decodable.count(), listed.len());
         // The RFC 2186 / summary-cache extension values are wire
         // contract, not implementation detail.
         assert_eq!(ICP_OP_QUERY, 1);
         assert_eq!(ICP_OP_DIRUPDATE, 32);
         assert_eq!(ICP_OP_DIRFULL_GR, 35);
-        for unused in [0u8, 5, 9, 23, 31, 36, 255] {
-            assert_eq!(Opcode::from_u8(unused), None);
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-1 verification: build, test, run the sc-check and rustdoc gates,
+# Tier-1 verification: build, test, run the clippy and rustdoc gates,
 # then build and test the benchmark package.
 #
 # Everything runs offline — the workspace has zero registry
-# dependencies (sc-check's `deps` rule enforces exactly that), so no
-# step here ever touches the network.
+# dependencies (the `deps` rule in tests/source_rules.rs enforces
+# exactly that), so no step here ever touches the network.
 #
 #   scripts/check.sh            # from the workspace root
 #   scripts/check.sh --soak     # + simnet property suite over an
@@ -28,7 +28,8 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 # `default-members` covers the whole workspace: every crate's unit
-# tests, the proxy's integration pins and sc-check's own gate tests.
+# tests, the proxy's integration pins, and the root clippy and
+# source-rule gates (tests/gate.rs, tests/source_rules.rs).
 echo "==> cargo test -q"
 cargo test -q --offline
 
@@ -37,8 +38,11 @@ cargo test -q --offline
 echo "==> cargo build --release -p sc-bench --benches"
 cargo build --release --offline -p sc-bench --benches
 
-echo "==> sc-check (static-analysis gate)"
-cargo run -p sc-check --offline --quiet
+# The architecture gate: crates/clippy.toml bans clocks, sleeps and
+# sockets outside the socket shells; sc-proxy and sc-wire deny
+# unwrap/expect outside tests. Warm, this step takes well under a second.
+echo "==> cargo clippy (warnings are errors)"
+cargo clippy --workspace --all-targets --offline --quiet -- -D warnings
 
 # Doc links are checked too: a deleted item must not leave a dangling
 # intra-doc link behind.

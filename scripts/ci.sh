@@ -1,12 +1,12 @@
 #!/bin/sh
-# One-command local CI: build → test → gate → scenario sweep → bench smoke.
+# One-command local CI: build → test → clippy gate → scenario sweep → bench smoke.
 #
 #   scripts/ci.sh           # 10-seed smokes (a few minutes)
 #   scripts/ci.sh --soak    # full 200-seed fault sweeps (tens of minutes)
 #
-# Chains the tier-1 verification (scripts/check.sh, which builds,
-# runs every test suite including sc-check's own, the gate, and the
-# benchmark package's fast tests) with the benchmark's one-window smoke
+# Chains the tier-1 verification (scripts/check.sh, which builds, runs
+# every test suite, the clippy and rustdoc gates, and the benchmark
+# package's fast tests) with the benchmark's one-window smoke
 # test, a big-N convergence smoke (the 200-seed soak narrowed to 10
 # seeds at 64 proxies, every fault class on), the adversarial scenario
 # suite at the same scale (pinned ruler regressions plus the

@@ -47,7 +47,7 @@ fn families(page: &str) -> BTreeSet<String> {
     page.lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .map(|l| {
-            l.split(|c| c == '{' || c == ' ')
+            l.split(['{', ' '])
                 .next()
                 .unwrap_or("")
                 .to_string()
