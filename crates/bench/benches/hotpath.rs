@@ -207,6 +207,7 @@ fn bench_breakdown(b: &mut Bench, results: &mut Vec<(String, Value)>) {
                 (p, std::sync::Arc::new(f))
             })
             .collect(),
+        (0..8u32).collect(),
     );
     let ukey = UrlKey::new(&probe_url);
     let mut candidates = Vec::new();

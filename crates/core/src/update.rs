@@ -14,7 +14,9 @@ pub enum UpdatePolicy {
     /// The paper recommends 0.01–0.10.
     Threshold(f64),
     /// Publish every `n` user requests (the Section V-A "delay being 2
-    /// and 10 user requests" sub-experiment).
+    /// and 10 user requests" sub-experiment). On the proxy daemon and
+    /// the simnet a "request" is one that changed the directory (stored
+    /// or purged a document); a local hit does not count.
     EveryRequests(u64),
     /// Publish when `elapsed_ms` since the last publish reaches this.
     EveryMillis(u64),

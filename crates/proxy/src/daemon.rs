@@ -14,25 +14,24 @@
 //! * a TCP accept loop (`net::spawn_accept_loop`) serving
 //!   clients (and peers fetching remote hits), one thread per
 //!   connection;
-//! * a UDP **ingest** thread: receives ICP datagrams and queues them on
-//!   a bounded channel (back-pressure, never unbounded growth);
-//! * a **protocol** thread: drains the ingest queue in batches, locks
-//!   the router once per batch, and turns each datagram into routed
-//!   events — one lock acquisition amortized over the whole batch. Its
-//!   queue wait ends at the next keep-alive deadline, where it delivers
-//!   [`Event::Tick`] (SECHO pings, failure sweep, anti-entropy
-//!   heartbeat), so every router input but client requests arrives on
-//!   this one thread;
-//! * an **egress** thread: drains the bounded send queue the protocol
-//!   side fills, puts datagrams on the wire, and does the per-kind
-//!   byte/journal accounting off the router lock;
+//! * a UDP **ingest** thread: receives ICP datagrams and queues them for
+//!   the protocol thread;
+//! * a **protocol** thread, the router's one owner: it drains one
+//!   bounded input queue (datagrams, directory changes from request
+//!   threads) in batches, flushing the replica snapshot once per batch,
+//!   and delivers [`Event::Tick`] when a keep-alive falls due. It puts
+//!   the router's sends on the wire itself, in the order decided;
 //! * an admin TCP endpoint ([`crate::admin`]) exposing the sc-obs
 //!   registry every counter below lives in.
 //!
+//! As on a simnet node, a store or a stale purge queues its event plus
+//! one `RequestDone`, and a local hit runs no router code. Request
+//! threads read peer replicas and live peers from the [`ReplicaCell`].
+//!
 //! The document cache is striped by `UrlKey` digest
 //! ([`crate::router::stripe_of`]), so cache-lock contention splits
-//! [`ProxyConfig::shards`] ways; the router behind its one lock keeps a
-//! single directory for the whole cache.
+//! [`ProxyConfig::shards`] ways; the router keeps a single directory for
+//! the whole cache.
 //!
 //! The cache stores document *metadata*; bodies are synthesized at the
 //! sizes recorded, which preserves every quantity the experiments
@@ -68,15 +67,13 @@ use summary_cache_core::{ProxySummary, SummaryKind, UrlKey};
 
 /// How long the UDP loop blocks per receive before re-checking shutdown.
 const UDP_POLL: Duration = Duration::from_millis(50);
-/// Bound of the ingest queue (received, not yet processed datagrams).
-/// When the protocol thread falls behind, the ingest thread blocks and
-/// the kernel socket buffer absorbs (then drops) the excess — ICP is
-/// datagram traffic, loss is survivable, unbounded queues are not.
-const INGRESS_QUEUE: usize = 1024;
-/// Most datagrams the protocol thread folds into one router lock hold.
-const INGRESS_BATCH: usize = 64;
-/// Bound of the egress queue (decided, not yet transmitted datagrams).
-const EGRESS_QUEUE: usize = 1024;
+/// Bound of the protocol thread's input queue. When the protocol thread
+/// falls behind, senders block: the ingest thread leaves the excess to
+/// the kernel socket buffer (ICP loss is survivable), and a request
+/// thread waits, since a lost directory change is a correctness bug.
+const INPUT_QUEUE: usize = 1024;
+/// Most inputs the protocol thread folds into one replica-snapshot flush.
+const INPUT_BATCH: usize = 64;
 
 /// Lock a mutex, tolerating poisoning: a panicking connection thread
 /// must not wedge the whole daemon, and every structure guarded here is
@@ -110,21 +107,20 @@ struct Pending {
     sent_at: Instant,
 }
 
-/// One received datagram queued for the protocol thread.
-struct Ingress {
-    data: Vec<u8>,
-    from: SocketAddr,
-}
-
-/// One encoded datagram queued for the egress thread, with everything
-/// the per-kind accounting needs. The bytes are shared, not copied: a
-/// broadcast enqueues one buffer N times.
-struct Egress {
-    bytes: Arc<Vec<u8>>,
-    addr: SocketAddr,
-    /// Destination peer id when known, for per-peer byte counters.
-    peer: Option<u32>,
-    kind: SendKind,
+/// One input for the protocol thread. All but `Inspect` become the
+/// router [`Event`] of the same name.
+enum Input {
+    /// A received datagram (ingest thread).
+    Datagram { data: Vec<u8>, from: SocketAddr },
+    /// A request stored its URL, evicting `evicted`. The key is the
+    /// request's own, cloned, so nothing is re-digested.
+    Stored { key: UrlKey, evicted: Vec<UrlKey> },
+    /// A stale hit purged its URL.
+    Purged(UrlKey),
+    /// A request that sent `Stored` or `Purged` finished.
+    RequestDone,
+    /// Run a read-only closure against the router.
+    Inspect(Box<dyn FnOnce(&Router) + Send>),
 }
 
 struct Inner {
@@ -132,26 +128,18 @@ struct Inner {
     stats: Arc<ProxyStats>,
     /// The document cache, striped by the router's `UrlKey` space.
     cache: CacheStripes,
-    /// The sans-I/O protocol state — all replication/ICP decisions.
-    router: Mutex<Router>,
-    /// Lock-free read path: the router publishes replica snapshots
-    /// here; SC-mode candidate selection reads them without touching
-    /// the router lock.
+    /// Lock-free read path: the router publishes its peer replicas and
+    /// live-peer set here, and request threads read them.
     replicas: Arc<ReplicaCell>,
     /// Wall-clock origin of the router's [`VirtualTime`] axis.
     epoch: Instant,
-    /// Fault injection: decides which outgoing update datagrams the
-    /// [`ProxyConfig::update_loss`] knob silently drops. The decision
-    /// is made at *enqueue* time (under the router lock), so the drop
-    /// sequence is a function of the protocol schedule alone.
-    loss_rng: Mutex<Rng>,
     /// ICP source address -> peer id, for dispatching replies.
     peer_of_addr: FxHashMap<SocketAddr, u32>,
     peers_by_id: FxHashMap<u32, PeerAddr>,
     pending: Mutex<FxHashMap<u32, Pending>>,
     udp: UdpSocket,
-    /// Producer side of the bounded egress queue.
-    egress: SyncSender<Egress>,
+    /// Producer side of the protocol thread's bounded input queue.
+    input: SyncSender<Input>,
     next_reqnum: AtomicU32,
 }
 
@@ -247,23 +235,17 @@ impl Daemon {
             sc,
             VirtualTime::ZERO,
         );
-
-        let replicas = router.replica_cell();
-        let (egress_tx, egress_rx) = std::sync::mpsc::sync_channel::<Egress>(EGRESS_QUEUE);
+        let (input, input_rx) = std::sync::mpsc::sync_channel::<Input>(INPUT_QUEUE);
         let inner = Arc::new(Inner {
             stats: stats.clone(),
             cache: CacheStripes::new(cfg.cache_bytes(), cfg.shards()),
-            router: Mutex::new(router),
-            replicas,
+            replicas: router.replica_cell(),
             epoch: Instant::now(),
             peer_of_addr: cfg.peers().iter().map(|p| (p.icp, p.id)).collect(),
             peers_by_id: cfg.peers().iter().map(|p| (p.id, *p)).collect(),
             pending: Mutex::new(FxHashMap::default()),
-            loss_rng: Mutex::new(Rng::seed_from_u64(
-                0x5C_1C_F0_0D ^ ((cfg.id() as u64) << 32),
-            )),
             udp,
-            egress: egress_tx,
+            input,
             next_reqnum: AtomicU32::new(1),
             cfg,
         });
@@ -284,25 +266,9 @@ impl Daemon {
             })?;
         }
 
-        // Egress: drain the bounded send queue, transmit, account.
-        {
-            let inner = inner.clone();
-            let stop = shutdown.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match egress_rx.recv_timeout(UDP_POLL) {
-                        Ok(item) => transmit(&inner, item),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            });
-        }
-
-        // UDP ingest: datagram in -> bounded queue. The protocol thread
-        // owns the router; this thread only receives and accounts, so a
-        // burst never stalls behind a publish fan-out.
-        let (ingress_tx, ingress_rx) = std::sync::mpsc::sync_channel::<Ingress>(INGRESS_QUEUE);
+        // UDP ingest: datagram in -> input queue. This thread only
+        // receives and accounts, so a burst never stalls behind a
+        // publish fan-out.
         {
             let inner = inner.clone();
             let stop = shutdown.clone();
@@ -314,13 +280,8 @@ impl Daemon {
                         Ok((n, from)) => {
                             let from_peer = inner.peer_of_addr.get(&from).copied();
                             inner.stats.udp_in_from(from_peer, n);
-                            if ingress_tx
-                                .send(Ingress {
-                                    data: buf[..n].to_vec(),
-                                    from,
-                                })
-                                .is_err()
-                            {
+                            let data = buf[..n].to_vec();
+                            if inner.input.send(Input::Datagram { data, from }).is_err() {
                                 break; // protocol thread gone: shutting down
                             }
                         }
@@ -335,40 +296,41 @@ impl Daemon {
             });
         }
 
-        // Protocol: batch the ingest queue through the router (one lock
-        // acquisition covers a whole batch of datagrams), and deliver a
-        // keep-alive tick whenever one falls due — in every mode, since
-        // keep-alives are the paper's no-ICP baseline traffic.
+        // Protocol: batch the input queue through the router, and
+        // deliver a keep-alive tick whenever one falls due — in every
+        // mode, since keep-alives are the paper's no-ICP baseline
+        // traffic.
         {
-            let inner = inner.clone();
+            let mut protocol = Protocol {
+                inner: inner.clone(),
+                router,
+                loss_rng: Rng::seed_from_u64(0x5C_1C_F0_0D ^ ((inner.cfg.id() as u64) << 32)),
+                outputs: Vec::new(),
+            };
             let stop = shutdown.clone();
             let period = (inner.cfg.keepalive_ms() > 0 && !inner.cfg.peers().is_empty())
                 .then(|| Duration::from_millis(inner.cfg.keepalive_ms()));
             std::thread::spawn(move || {
-                // Warm protocol-thread scratch: the batch and output
-                // buffers hold their high-water capacity across batches.
-                let mut batch = Vec::new();
-                let mut outputs = Vec::new();
                 let mut next_tick = period.map(|p| Instant::now() + p);
                 while !stop.load(Ordering::Relaxed) {
                     let wait = next_tick.map_or(UDP_POLL, |due| {
                         due.saturating_duration_since(Instant::now())
                     });
-                    match ingress_rx.recv_timeout(wait) {
+                    match input_rx.recv_timeout(wait) {
                         Ok(first) => {
-                            batch.push(first);
-                            while batch.len() < INGRESS_BATCH {
-                                let Ok(d) = ingress_rx.try_recv() else { break };
-                                batch.push(d);
+                            protocol.handle(first);
+                            for input in input_rx.try_iter().take(INPUT_BATCH - 1) {
+                                protocol.handle(input);
                             }
-                            handle_batch(&inner, &mut batch, &mut outputs);
+                            protocol.router.flush_replicas();
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
                     if let (Some(due), Some(period)) = (next_tick, period) {
                         if Instant::now() >= due {
-                            tick(&inner, &mut outputs);
+                            protocol.route(None, Event::Tick);
+                            protocol.router.flush_replicas();
                             next_tick = Some(Instant::now() + period);
                         }
                     }
@@ -391,6 +353,20 @@ impl Daemon {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
+
+    /// Run `f` on the protocol thread against the router it owns, after
+    /// every input queued before it; `None` once the daemon has stopped.
+    fn inspect<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&Router) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let ask = Input::Inspect(Box::new(move |router| {
+            let _ = tx.send(f(router));
+        }));
+        self.inner.input.send(ask).ok()?;
+        rx.recv().ok()
+    }
 }
 
 /// The daemon's introspection surface is the same trait the router
@@ -398,15 +374,15 @@ impl Daemon {
 /// they hold.
 impl DirectoryInspect for Daemon {
     fn replicated_peers(&self) -> Vec<u32> {
-        lock(&self.inner.router).replicated_peers()
+        self.inspect(|r| r.replicated_peers()).unwrap_or_default()
     }
 
     fn replica_bits(&self, peer: u32) -> Option<BitVec> {
-        lock(&self.inner.router).replica_bits(peer)
+        self.inspect(move |r| r.replica_bits(peer)).flatten()
     }
 
     fn published_bits(&self) -> Option<BitVec> {
-        lock(&self.inner.router).published_bits()
+        self.inspect(|r| r.published_bits()).flatten()
     }
 
     /// Documents currently cached, summed across the stripes (the
@@ -423,103 +399,95 @@ impl Drop for Daemon {
     }
 }
 
-/// Feed one batch of received datagrams through the router under a
-/// single lock hold, queuing the decided sends for the egress thread.
-/// Replica-snapshot publication is flushed once per batch (still under
-/// the lock), so N delta datagrams in the batch share one snapshot
-/// merge and at most one copy-on-write per touched filter.
-fn handle_batch(inner: &Arc<Inner>, batch: &mut Vec<Ingress>, outputs: &mut Vec<Output>) {
-    let mut router = lock(&inner.router);
-    for item in batch.drain(..) {
-        let from_peer = inner.peer_of_addr.get(&item.from).copied();
-        router.handle_into(
-            now(inner),
-            Event::Datagram {
-                from: from_peer,
-                data: &item.data,
-            },
-            &CacheView(&inner.cache),
-            outputs,
-        );
-        apply_outputs(inner, Some(item.from), outputs);
-    }
-    router.flush_replicas();
-    drop(router);
+/// What the protocol thread owns. It is the only thread that feeds the
+/// router or sends what the router decides, so sequence allocation and
+/// wire order agree by construction: two publishes cannot interleave
+/// into a phantom gap at a receiver.
+struct Protocol {
+    inner: Arc<Inner>,
+    router: Router,
+    /// Fault injection: decides which outgoing update datagrams the
+    /// [`ProxyConfig::update_loss`] knob silently drops. Draws happen in
+    /// the order the router decides sends, so the drop sequence is a
+    /// function of the protocol schedule alone.
+    loss_rng: Rng,
+    /// Warm router-output sink, reused across inputs.
+    outputs: Vec<Output>,
 }
 
-/// Deliver one keep-alive [`Event::Tick`] under the router lock: SECHO
-/// pings, the failure sweep and (SC mode) the anti-entropy heartbeat.
-fn tick(inner: &Inner, outputs: &mut Vec<Output>) {
-    let mut router = lock(&inner.router);
-    router.handle_into(now(inner), Event::Tick, &CacheView(&inner.cache), outputs);
-    apply_outputs(inner, None, outputs);
-    router.flush_replicas();
-    drop(router);
-}
-
-/// Carry out a batch of router outputs: encode the sends once, decide
-/// fault-injection drops, and queue the survivors for the egress
-/// thread; apply the journal/metric effects inline.
-///
-/// Callers keep the router lock held across this call whenever the
-/// batch may contain update datagrams: sequence allocation and *queue*
-/// order must agree, or two concurrent publishes interleave and every
-/// receiver sees a phantom gap (the egress queue then preserves that
-/// order on the wire). Queuing parks only when the bounded egress
-/// queue is full — back-pressure from the socket, by design.
-fn apply_outputs(inner: &Inner, sender_addr: Option<SocketAddr>, outputs: &mut Vec<Output>) {
-    for output in outputs.drain(..) {
-        match output {
-            Output::Send(send) => {
-                let Ok(bytes) = send.msg.encode(inner.cfg.id()) else {
-                    continue; // oversized full bitmap: skip (documented limit)
-                };
-                let bytes = Arc::new(bytes);
-                let targets: Vec<(Option<u32>, SocketAddr)> = match send.to {
-                    Dest::Peer(id) => match inner.peers_by_id.get(&id) {
-                        Some(p) => vec![(Some(id), p.icp)],
-                        None => continue,
-                    },
-                    Dest::AllPeers => inner
-                        .cfg
-                        .peers()
-                        .iter()
-                        .map(|p| (Some(p.id), p.icp))
-                        .collect(),
-                    Dest::Sender => match sender_addr {
-                        Some(addr) => vec![(inner.peer_of_addr.get(&addr).copied(), addr)],
-                        None => continue,
-                    },
-                };
-                for (peer, addr) in targets {
-                    if send.kind.is_update() && drop_update(inner) {
-                        continue; // injected loss: the datagram never leaves
-                    }
-                    let item = Egress {
-                        bytes: bytes.clone(),
-                        addr,
-                        peer,
-                        kind: send.kind,
-                    };
-                    let _ = inner.egress.send(item);
-                }
+impl Protocol {
+    /// Feed one input to the router and carry out what it decides.
+    /// Replica publication is left to the caller's per-batch flush, so
+    /// N delta datagrams in a batch share one snapshot merge and at
+    /// most one copy-on-write per touched filter.
+    fn handle(&mut self, input: Input) {
+        match input {
+            Input::Datagram { data, from } => {
+                let peer = self.inner.peer_of_addr.get(&from).copied();
+                self.route(Some(from), Event::Datagram { from: peer, data: &data });
             }
-            Output::Effect(effect) => apply_effect(inner, effect),
+            Input::Stored { key, evicted } => self.route(
+                None,
+                Event::Stored {
+                    url: &key,
+                    evicted: &evicted,
+                },
+            ),
+            Input::Purged(key) => self.route(None, Event::Purged { url: &key }),
+            Input::RequestDone => self.route(None, Event::RequestDone),
+            Input::Inspect(f) => f(&self.router),
+        }
+    }
+
+    /// Run one router event and apply its outputs: encode each send
+    /// once, decide fault-injection drops, transmit the survivors, and
+    /// apply the journal/metric effects.
+    fn route(&mut self, sender_addr: Option<SocketAddr>, event: Event<'_>) {
+        let inner = &*self.inner;
+        let dir = &CacheView(&inner.cache);
+        self.router.handle_into(now(inner), event, dir, &mut self.outputs);
+        let loss = inner.cfg.update_loss();
+        for output in self.outputs.drain(..) {
+            let send = match output {
+                Output::Send(send) => send,
+                Output::Effect(effect) => {
+                    apply_effect(inner, effect);
+                    continue;
+                }
+            };
+            let Ok(bytes) = send.msg.encode(inner.cfg.id()) else {
+                continue; // oversized full bitmap: skip (documented limit)
+            };
+            let targets: Vec<(Option<u32>, SocketAddr)> = match send.to {
+                Dest::Peer(id) => match inner.peers_by_id.get(&id) {
+                    Some(p) => vec![(Some(id), p.icp)],
+                    None => continue,
+                },
+                Dest::AllPeers => inner
+                    .cfg
+                    .peers()
+                    .iter()
+                    .map(|p| (Some(p.id), p.icp))
+                    .collect(),
+                Dest::Sender => match sender_addr {
+                    Some(addr) => vec![(inner.peer_of_addr.get(&addr).copied(), addr)],
+                    None => continue,
+                },
+            };
+            for (peer, addr) in targets {
+                if send.kind.is_update() && loss > 0.0 && self.loss_rng.gen_bool(loss) {
+                    continue; // injected loss: the datagram never leaves
+                }
+                transmit(inner, &bytes, addr, peer, send.kind);
+            }
         }
     }
 }
 
-/// Put one queued datagram on the wire and account it (egress thread).
-/// A failed send is not accounted, exactly as when the protocol path
-/// transmitted inline.
-fn transmit(inner: &Inner, item: Egress) {
-    let Egress {
-        bytes,
-        addr,
-        peer,
-        kind,
-    } = item;
-    if inner.udp.send_to(&bytes, addr).is_err() {
+/// Put one router-decided datagram on the wire and account it by kind.
+/// A failed send counts only into `sc_udp_send_failed_total`.
+fn transmit(inner: &Inner, bytes: &[u8], addr: SocketAddr, peer: Option<u32>, kind: SendKind) {
+    if !send_udp(inner, bytes, addr) {
         return;
     }
     match kind {
@@ -549,6 +517,16 @@ fn transmit(inner: &Inner, item: Egress) {
             );
         }
     }
+}
+
+/// Send one datagram (protocol thread or query fan-out); a send the
+/// socket refused is counted, not lost silently.
+fn send_udp(inner: &Inner, bytes: &[u8], addr: SocketAddr) -> bool {
+    let sent = inner.udp.send_to(bytes, addr).is_ok();
+    if !sent {
+        inner.stats.udp_send_failed.incr();
+    }
+    sent
 }
 
 /// Apply one router effect to the sc-obs registry (and, for ICP
@@ -715,29 +693,23 @@ fn serve_client_on(
             .unwrap_or(0),
     };
 
-    // 1. Local cache (the stripe owning this URL).
+    // 1. Local cache (the stripe owning this URL). A hit changes no
+    // directory state, so it queues nothing for the router.
     let lookup = lock(inner.cache.stripe(&scratch.key)).lookup(&req.target, want);
-    match lookup {
+    let purged = match lookup {
         Lookup::Hit => {
             inner.stats.local_hits.incr();
             reply_doc(inner, stream, want)?;
-            finish_request(inner, t0, scratch);
+            inner.stats.latency(t0.elapsed().as_micros() as u64);
             return Ok(());
         }
         Lookup::StaleHit => {
             // Purged by lookup(); keep the summary in sync.
-            let mut router = lock(&inner.router);
-            router.handle_into(
-                now(inner),
-                Event::Purged { url: &scratch.key },
-                &CacheView(&inner.cache),
-                &mut scratch.outputs,
-            );
-            apply_outputs(inner, None, &mut scratch.outputs);
-            router.flush_replicas();
+            let _ = inner.input.send(Input::Purged(scratch.key.clone()));
+            true
         }
-        Lookup::Miss => {}
-    }
+        Lookup::Miss => false,
+    };
 
     // 2. Cooperation.
     let fetched = match inner.cfg.mode() {
@@ -746,15 +718,15 @@ fn serve_client_on(
             // Query only peers not currently marked failed: a dead peer
             // cannot answer, and every query to it makes an all-miss
             // round wait out the full icp_timeout_ms.
-            let live = lock(&inner.router).live_peers();
-            query_then_fetch(inner, url, want, &live)
+            let snapshot = inner.replicas.load();
+            query_then_fetch(inner, url, want, snapshot.live_peers())
         }
         Mode::SummaryCache { .. } => {
             // Probe every installed peer-summary replica via the
             // lock-free snapshot cell: the request's one UrlKey is
             // tested against each replica's memoized index set, with no
-            // router-lock acquisition (and no allocation — the warm
-            // candidate buffer is refilled in place) on this path.
+            // allocation (the warm candidate buffer is refilled in
+            // place) on this path.
             inner
                 .replicas
                 .load()
@@ -800,47 +772,45 @@ fn serve_client_on(
         None => match fetch_http(inner, inner.cfg.origin(), url, want, false) {
             Ok(Some(meta)) => meta,
             _ => {
+                if purged {
+                    let _ = inner.input.send(Input::RequestDone);
+                }
                 respond_empty(inner, stream, 504, "Gateway Timeout")?;
-                finish_request(inner, t0, scratch);
+                inner.stats.latency(t0.elapsed().as_micros() as u64);
                 return Ok(());
             }
         },
     };
 
-    // 4. Store and maintain the summary.
-    store_document(inner, url, meta, scratch);
+    // 4. Store and maintain the summary. A request that changed the
+    // directory ends with one `RequestDone` (the input the publish policy
+    // counts), queued before the reply: a client that saw the reply and
+    // then inspects the daemon sees the request's events applied.
+    if store_document(inner, url, meta, scratch) || purged {
+        let _ = inner.input.send(Input::RequestDone);
+    }
 
     // 5. Reply.
     reply_doc(inner, stream, meta)?;
-    finish_request(inner, t0, scratch);
+    inner.stats.latency(t0.elapsed().as_micros() as u64);
     Ok(())
 }
 
-fn store_document(inner: &Inner, url: &str, meta: DocMeta, scratch: &mut RequestScratch) {
+/// Cache the fetched document and queue the store (with its evictions)
+/// for the router. Returns whether a `Stored` input was queued (an
+/// uncacheable document changes nothing).
+fn store_document(inner: &Inner, url: &str, meta: DocMeta, scratch: &RequestScratch) -> bool {
     // Evictions come out of the same stripe the URL goes into.
     let evicted = lock(inner.cache.stripe(&scratch.key)).store(url.to_string(), meta);
-    if let Some(evicted) = evicted {
-        // Victims are *other* URLs the request never digested; their
-        // keys are computed here (the request's own URL reuses the
-        // scratch key). Evictions are the cold tail of a store, so the
-        // victim keys are the one allocation the path keeps.
-        let victim_keys: Vec<UrlKey> = evicted
-            .iter()
-            .map(|v| UrlKey::new(v.as_bytes()))
-            .collect();
-        let mut router = lock(&inner.router);
-        router.handle_into(
-            now(inner),
-            Event::Stored {
-                url: &scratch.key,
-                evicted: &victim_keys,
-            },
-            &CacheView(&inner.cache),
-            &mut scratch.outputs,
-        );
-        apply_outputs(inner, None, &mut scratch.outputs);
-        router.flush_replicas();
-    }
+    let Some(evicted) = evicted else {
+        return false;
+    };
+    // Victims are *other* URLs the request never digested; their keys
+    // are computed here (the request's own URL reuses the scratch key).
+    let evicted = evicted.iter().map(|v| UrlKey::new(v.as_bytes())).collect();
+    let key = scratch.key.clone();
+    let _ = inner.input.send(Input::Stored { key, evicted });
+    true
 }
 
 fn reply_doc(inner: &Inner, stream: &mut TcpStream, meta: DocMeta) -> std::io::Result<()> {
@@ -855,29 +825,6 @@ fn reply_doc(inner: &Inner, stream: &mut TcpStream, meta: DocMeta) -> std::io::R
     inner.stats.tcp_out(head.len() + meta.size as usize);
     stream.write_all(head.as_bytes())?;
     write_body(stream, meta.size)
-}
-
-/// Post-request bookkeeping: latency and (SC mode) update publishing.
-/// The router lock is held across the whole publish fan-out so
-/// sequence allocation and egress-queue order agree.
-fn finish_request(inner: &Inner, t0: Instant, scratch: &mut RequestScratch) {
-    inner.stats.latency(t0.elapsed().as_micros() as u64);
-    let mut router = lock(&inner.router);
-    router.handle_into(
-        now(inner),
-        Event::RequestDone,
-        &CacheView(&inner.cache),
-        &mut scratch.outputs,
-    );
-    apply_outputs(inner, None, &mut scratch.outputs);
-    router.flush_replicas();
-    drop(router);
-}
-
-/// Should this outgoing update datagram be dropped by fault injection?
-fn drop_update(inner: &Inner) -> bool {
-    let loss = inner.cfg.update_loss();
-    loss > 0.0 && lock(&inner.loss_rng).gen_bool(loss)
 }
 
 /// Send ICP queries to `peer_ids`; if one answers HIT, fetch the
@@ -916,7 +863,7 @@ fn query_then_fetch(
         let sent = inner
             .peers_by_id
             .get(id)
-            .is_some_and(|peer| inner.udp.send_to(&bytes, peer.icp).is_ok());
+            .is_some_and(|peer| send_udp(inner, &bytes, peer.icp));
         if sent {
             inner.stats.udp_out_to(Some(*id), bytes.len());
             inner.stats.icp_queries_sent.incr();
@@ -1025,6 +972,7 @@ fn fresh_generation(id: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use summary_cache_core::UpdatePolicy;
 
     // server_of / flips-chunking tests moved to crate::machine with the
     // logic they exercise.
@@ -1068,21 +1016,13 @@ mod tests {
         assert!(used > 1, "32 URLs spread over >1 of 4 stripes");
     }
 
-    /// The daemon half of the hash-once pin: a served client request
-    /// costs exactly ONE MD5 digest of its URL — stripe selection, the
-    /// replica probe, the store and the directory events all reuse the
-    /// entry key. `blocks_hashed` is per-thread, so the connection is
-    /// served on this test thread while a client thread drives it; every
-    /// URL is shorter than 56 bytes, so one digest is one block.
-    #[test]
-    fn served_request_digests_its_url_exactly_once() {
-        use crate::origin::Origin;
-
-        const REQUESTS: u64 = 40;
+    /// An SC-mode daemon under `policy` with no keep-alives, its
+    /// origin, and the ICP socket of its one peer. SC mode needs a peer;
+    /// this one never publishes a summary, so its replica stays empty
+    /// and no request ever queries it.
+    fn sc_daemon(policy: UpdatePolicy) -> (Daemon, crate::origin::Origin, UdpSocket) {
         let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
-        let origin = Origin::spawn(Duration::ZERO).expect("origin");
-        // SC mode needs a peer; this one never publishes a summary, so
-        // its replica stays empty and no request ever queries it.
+        let origin = crate::origin::Origin::spawn(Duration::ZERO).expect("origin");
         let peer_icp = UdpSocket::bind(loopback).expect("peer socket");
         let peer = PeerAddr {
             id: 2,
@@ -1091,7 +1031,11 @@ mod tests {
         };
         let cfg = ProxyConfig::builder()
             .id(1)
-            .mode(Mode::summary_cache_default())
+            .mode(Mode::SummaryCache {
+                load_factor: 8,
+                hashes: 4,
+                policy,
+            })
             .peers(vec![peer])
             .origin(origin.addr)
             .cache_bytes(8 << 20)
@@ -1104,19 +1048,35 @@ mod tests {
             UdpSocket::bind(loopback).expect("icp"),
         )
         .expect("daemon");
+        (daemon, origin, peer_icp)
+    }
 
-        let listener = TcpListener::bind(loopback).expect("listener");
+    fn doc() -> DocMeta {
+        DocMeta {
+            size: 128,
+            last_modified: 1,
+        }
+    }
+
+    /// The daemon half of the hash-once pin: a served client request
+    /// costs exactly ONE MD5 digest of its URL — stripe selection, the
+    /// replica probe, the store and the directory events all reuse the
+    /// entry key. `blocks_hashed` is per-thread, so the connection is
+    /// served on this test thread while a client thread drives it; every
+    /// URL is shorter than 56 bytes, so one digest is one block.
+    #[test]
+    fn served_request_digests_its_url_exactly_once() {
+        const REQUESTS: u64 = 40;
+        let (daemon, _origin, _peer) = sc_daemon(UpdatePolicy::Threshold(0.01));
+
+        let listener = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).expect("listener");
         let addr = listener.local_addr().expect("listener addr");
         let client = std::thread::spawn(move || {
             let mut c = ProxyClient::connect(addr).expect("connect");
             for i in 0..REQUESTS {
                 // Ten URLs, four requests each: 10 misses, 30 local hits.
                 let url = format!("http://s.invalid/doc/{}", i % 10);
-                let meta = DocMeta {
-                    size: 128,
-                    last_modified: 1,
-                };
-                assert_eq!(c.get(&url, meta).expect("get").status, 200);
+                assert_eq!(c.get(&url, doc()).expect("get").status, 200);
             }
         });
 
@@ -1135,5 +1095,101 @@ mod tests {
             blocks, REQUESTS,
             "one digest per request, none downstream of entry"
         );
+    }
+
+    /// A local hit runs no router code and queues nothing: with the
+    /// protocol thread parked inside an `Inspect`, hits and misses are
+    /// all served, and the misses' stores reach the published summary
+    /// once the thread is released.
+    #[test]
+    fn local_hits_complete_while_the_router_owner_is_busy() {
+        let (daemon, _origin, _peer) = sc_daemon(UpdatePolicy::Threshold(0.0));
+        let warm: Vec<String> = (0..3).map(|i| format!("http://s.invalid/warm/{i}")).collect();
+        let fresh: Vec<String> = (0..3).map(|i| format!("http://s.invalid/new/{i}")).collect();
+        let mut c = ProxyClient::connect(daemon.http_addr).expect("connect");
+        for url in &warm {
+            assert_eq!(c.get(url, doc()).expect("warm-up").status, 200);
+        }
+
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let park = Input::Inspect(Box::new(move |_| {
+            let _ = parked_tx.send(());
+            let _ = released.recv();
+        }));
+        daemon.inner.input.send(park).expect("input queue");
+        parked.recv_timeout(Duration::from_secs(5)).expect("protocol thread parks");
+
+        let served = Arc::new(AtomicU32::new(0));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let counter = served.clone();
+        std::thread::spawn(move || {
+            let urls = (0..200).map(|i| &warm[i % 3]).chain(&fresh);
+            for url in urls {
+                assert_eq!(c.get(url, doc()).expect("get").status, 200);
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            let _ = done_tx.send(fresh);
+        });
+        let got = done.recv_timeout(Duration::from_secs(10));
+        let n = served.load(Ordering::Relaxed);
+        let _ = release.send(());
+        let fresh = got.unwrap_or_else(|_| panic!("served {n} of 203 requests while parked"));
+        let s = daemon.stats.snapshot();
+        assert_eq!((s.http_requests, s.local_hits), (206, 200), "{s:?}");
+
+        let kind = SummaryKind::Bloom {
+            load_factor: 8,
+            hashes: 4,
+        };
+        let summary = ProxySummary::with_expected_docs(kind, daemon.inner.cfg.expected_docs());
+        let summary_cache_core::SummarySnapshot::Bloom { spec, .. } = summary.snapshot_published()
+        else {
+            panic!("a Bloom summary snapshots as Bloom");
+        };
+        let covered = |bits: &BitVec| {
+            fresh.iter().all(|url| spec.indices(url.as_bytes()).iter().all(|&i| bits.get(i as usize)))
+        };
+        assert!(
+            sc_util::poll::wait_until(Duration::from_secs(5), Duration::from_millis(5), || {
+                daemon.published_bits().is_some_and(|bits| covered(&bits))
+            }),
+            "the stores queued while parked are published after release"
+        );
+    }
+
+    /// Publish parity with the simnet: `EveryRequests(n)` counts only
+    /// requests that changed the directory, so local hits in between
+    /// never bring a publish forward.
+    #[test]
+    fn every_requests_counts_only_requests_that_changed_the_directory() {
+        let (daemon, _origin, _peer) = sc_daemon(UpdatePolicy::EveryRequests(2));
+        let mut c = ProxyClient::connect(daemon.http_addr).expect("connect");
+        let mut get = |url: &str| assert_eq!(c.get(url, doc()).expect("get").status, 200);
+        for _ in 0..4 {
+            get("http://s.invalid/a"); // one miss, then three local hits
+        }
+        // An inspection is queued behind every input the served
+        // requests queued, so its reply is a barrier.
+        let _ = daemon.published_bits();
+        assert_eq!(daemon.stats.summary_publishes.get(), 0, "hits do not count");
+        get("http://s.invalid/b");
+        let _ = daemon.published_bits();
+        assert_eq!(daemon.stats.summary_publishes.get(), 1, "the second store publishes");
+    }
+
+    /// A datagram the socket refuses is counted, through `send_udp`
+    /// (which the query fan-out calls) and through `transmit` (the
+    /// protocol thread's path). Port 0 is not a valid destination, so
+    /// the kernel refuses the send locally.
+    #[test]
+    fn refused_udp_sends_are_counted() {
+        let (daemon, _origin, _peer) = sc_daemon(UpdatePolicy::Threshold(0.01));
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 0));
+        assert!(!send_udp(&daemon.inner, b"x", nowhere));
+        transmit(&daemon.inner, b"x", nowhere, Some(2), SendKind::Keepalive);
+        let snap = daemon.stats.registry().snapshot();
+        assert_eq!(snap.counter_value("sc_udp_send_failed_total"), 2);
+        assert_eq!(daemon.stats.snapshot().udp_sent, 0, "a refused send is not a sent one");
     }
 }

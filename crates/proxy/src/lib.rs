@@ -24,9 +24,10 @@
 //!   directories, query only candidates, ship `ICP_OP_DIRUPDATE`
 //!   deltas).
 //! * [`replica`] — the lock-free read path: the router publishes
-//!   immutable peer-replica snapshots into an epoch-swapped cell, and
-//!   SC-mode candidate selection reads them (via the hash-once
-//!   `UrlKey` probe) without ever taking the router lock.
+//!   immutable peer-replica and live-peer snapshots into an
+//!   epoch-swapped cell, and request threads choose whom to query from
+//!   them (SC mode via the hash-once `UrlKey` probe) without reaching
+//!   the protocol thread that owns the router.
 //! * [`simnet`] — the deterministic simulation harness: N routers, a
 //!   virtual clock, one event priority-queue, and a seeded fault plan
 //!   (loss, duplication, reordering, crash+restart, partitions) for

@@ -414,6 +414,7 @@ mod tests {
     #[test]
     fn tick_sweeps_silent_peers_and_heartbeats() {
         let mut m = sc_machine(1, vec![2, 3], 5);
+        let cell = m.replica_cell();
         // First tick at t=10ms: nobody has timed out (threshold 150ms).
         let outs = m.handle(at(10), Event::Tick, &NoDocs);
         assert!(outs.iter().any(|o| matches!(
@@ -440,12 +441,14 @@ mod tests {
             .collect();
         assert_eq!(failed, vec![3]);
         assert_eq!(m.live_peers(), vec![2]);
+        assert_eq!(cell.load().live_peers(), [2], "the read path sees the failure");
         // Peer 3 speaks again: recovery restates our bitmap and DIRREQs theirs.
         let outs = m.handle(at(230), Event::Datagram { from: Some(3), data: &secho }, &NoDocs);
         assert!(outs.iter().any(|o| matches!(o, Output::Effect(Effect::PeerRecovered { peer: 3 }))));
         let kinds: Vec<_> = sends(&outs).iter().map(|s| s.kind).collect();
         assert!(kinds.contains(&SendKind::UpdateFull));
         assert!(kinds.iter().any(|k| matches!(k, SendKind::Resync { peer: 3, .. })));
+        assert_eq!(cell.load().live_peers(), [2, 3], "and the recovery");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Lock-free read-path snapshots of peer summary replicas.
 //!
 //! SC-mode candidate selection is the hottest read in the daemon: every
-//! local cache miss probes every peer's Bloom replica. Routing that
-//! probe through the global protocol-state mutex made the *read* path
-//! contend with replication *writes* (delta application, publish
-//! fan-out, failure sweeps) — and with every other request thread.
+//! local cache miss probes every peer's Bloom replica. The router that
+//! holds the replicas belongs to the daemon's protocol thread, which is
+//! busy with replication *writes* (delta application, publish fan-out,
+//! failure sweeps); a request must not wait on it to *read*.
 //!
 //! This module splits the two. The router keeps ownership of replica
 //! state, but after every mutation it publishes an immutable
-//! [`ReplicaSnapshot`] into a shared [`ReplicaCell`]. Request threads
-//! read the snapshot without ever touching the router lock:
+//! [`ReplicaSnapshot`] (replicas plus live peers) into a shared
+//! [`ReplicaCell`]. Request threads read the snapshot without ever
+//! reaching the router:
 //!
 //! * each swap bumps an epoch counter (std-only stand-in for an
 //!   epoch-based RCU pointer);
@@ -17,8 +18,7 @@
 //!   cache — while the epoch is unchanged, a read is one atomic load
 //!   plus a thread-local lookup, with **no** lock of any kind;
 //! * when the epoch moved, the reader refreshes from the cell's small
-//!   internal mutex (held only long enough to clone an `Arc`), which is
-//!   still never the router lock.
+//!   internal mutex (held only long enough to clone an `Arc`).
 //!
 //! Writers swap whole snapshots; the Bloom filters inside are shared by
 //! `Arc` and copy-on-written (`Arc::make_mut`) only when a delta lands
@@ -39,28 +39,35 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// An immutable view of every installed peer replica, in configured
 /// peer order (which [`candidates_key_into`](ReplicaSnapshot::candidates_key_into)
-/// preserves, matching the router's own probe order).
+/// preserves, matching the router's own probe order), plus the peers
+/// not currently marked failed.
 #[derive(Debug, Default)]
 pub struct ReplicaSnapshot {
     peers: Vec<(u32, Arc<BloomFilter>)>,
+    live: Vec<u32>,
 }
 
 impl ReplicaSnapshot {
-    /// A snapshot advertising no peers (daemon start, or no replica
-    /// synced yet).
+    /// A snapshot advertising no peers and no live peers.
     pub fn empty() -> ReplicaSnapshot {
-        ReplicaSnapshot { peers: Vec::new() }
+        ReplicaSnapshot::default()
     }
 
     /// A snapshot over the given `(peer, filter)` pairs, probed in the
-    /// order given.
-    pub fn new(peers: Vec<(u32, Arc<BloomFilter>)>) -> ReplicaSnapshot {
-        ReplicaSnapshot { peers }
+    /// order given, with `live` as its live-peer set.
+    pub fn new(peers: Vec<(u32, Arc<BloomFilter>)>, live: Vec<u32>) -> ReplicaSnapshot {
+        ReplicaSnapshot { peers, live }
     }
 
     /// The `(peer, filter)` pairs, in probe order.
     pub fn peers(&self) -> &[(u32, Arc<BloomFilter>)] {
         &self.peers
+    }
+
+    /// Peers not marked failed when the snapshot was taken, in
+    /// configured order (what ICP mode queries).
+    pub fn live_peers(&self) -> &[u32] {
+        &self.live
     }
 
     /// Peers whose replica advertises the pre-hashed `url`, written into
@@ -120,8 +127,8 @@ impl ReplicaCell {
     /// Read the current snapshot. On the hot path (no swap since this
     /// thread last looked) this takes no lock at all: one atomic load
     /// plus a thread-local lookup. After a swap, the first read per
-    /// thread refreshes through the cell's internal mutex — never the
-    /// router lock.
+    /// thread refreshes through the cell's internal mutex, held only
+    /// to clone an `Arc`.
     pub fn load(&self) -> Arc<ReplicaSnapshot> {
         let epoch = self.epoch.load(Ordering::Acquire);
         SNAPSHOT_CACHE.with(|c| {
@@ -152,9 +159,9 @@ impl ReplicaCell {
     }
 
     /// Install a new snapshot (writer side; called by the router after
-    /// every replica mutation, with the router lock held). The epoch
-    /// bump happens under the cell's lock so no reader can pair the new
-    /// epoch with the old snapshot.
+    /// replica or liveness changes). The epoch bump happens under the
+    /// cell's lock so no reader can pair the new epoch with the old
+    /// snapshot.
     pub fn swap(&self, snap: Arc<ReplicaSnapshot>) {
         let mut guard = lock(&self.current);
         *guard = snap;
@@ -192,11 +199,14 @@ mod tests {
     #[test]
     fn swap_publishes_and_key_path_agrees_with_bytes() {
         let cell = ReplicaCell::new();
-        cell.swap(Arc::new(ReplicaSnapshot::new(vec![
-            (1, filter_with(&[b"http://a/x"])),
-            (2, filter_with(&[b"http://b/y"])),
-            (3, filter_with(&[b"http://a/x", b"http://b/y"])),
-        ])));
+        cell.swap(Arc::new(ReplicaSnapshot::new(
+            vec![
+                (1, filter_with(&[b"http://a/x"])),
+                (2, filter_with(&[b"http://b/y"])),
+                (3, filter_with(&[b"http://a/x", b"http://b/y"])),
+            ],
+            vec![1, 2, 3],
+        )));
         let snap = cell.load();
         for url in [&b"http://a/x"[..], b"http://b/y", b"http://c/z"] {
             // Reference: each filter's bits at the indices digested
@@ -217,10 +227,7 @@ mod tests {
         let cell = ReplicaCell::new();
         assert_eq!(cell.load().peers().len(), 0);
         let e0 = cell.epoch();
-        cell.swap(Arc::new(ReplicaSnapshot::new(vec![(
-            7,
-            filter_with(&[b"u"]),
-        )])));
+        cell.swap(Arc::new(ReplicaSnapshot::new(vec![(7, filter_with(&[b"u"]))], vec![7])));
         assert_eq!(cell.epoch(), e0 + 1);
         // The same thread's cached entry must refresh, not serve stale.
         assert_eq!(cell.load().peers().len(), 1);
@@ -230,7 +237,7 @@ mod tests {
     fn cells_do_not_cross_talk_through_the_thread_cache() {
         let a = ReplicaCell::new();
         let b = ReplicaCell::new();
-        a.swap(Arc::new(ReplicaSnapshot::new(vec![(1, filter_with(&[b"u"]))])));
+        a.swap(Arc::new(ReplicaSnapshot::new(vec![(1, filter_with(&[b"u"]))], vec![1])));
         assert_eq!(a.load().peers().len(), 1);
         assert_eq!(b.load().peers().len(), 0);
     }
@@ -257,7 +264,7 @@ mod tests {
         let mut peers = Vec::new();
         for id in 0..50u32 {
             peers.push((id, filter_with(&[format!("http://p{id}/").as_bytes()])));
-            cell.swap(Arc::new(ReplicaSnapshot::new(peers.clone())));
+            cell.swap(Arc::new(ReplicaSnapshot::new(peers.clone(), Vec::new())));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {

@@ -1,6 +1,6 @@
 //! The router: one proxy's protocol state and every decision made on it.
 //!
-//! The daemon holds the whole router behind one `Mutex<Router>`; the
+//! The daemon's protocol thread owns one router as a plain value; the
 //! simnet drives the same type from a virtual clock. It owns:
 //!
 //! * **the local directory**: the paper's one counting Bloom filter
@@ -27,8 +27,8 @@
 //!   Golomb–Rice coded when the peer negotiated `DIRFULL_GR` support
 //!   via the DIRREQ options word;
 //! * **the replica snapshot cell**: whenever the installed replica set
-//!   changes, the router publishes it as one immutable
-//!   [`ReplicaSnapshot`] for the lock-free read path.
+//!   or the live-peer set changes, the router publishes both as one
+//!   immutable [`ReplicaSnapshot`] for the lock-free read path.
 //!
 //! The router processes one event at a time, so a given event sequence
 //! always yields the same output stream — what lets the simnet replay a
@@ -243,12 +243,13 @@ pub struct Router {
     /// Ticks seen so far; `tick_no % fanout_slots` is the slot a tick
     /// services.
     tick_no: u64,
-    /// The lock-free read-path cell: after replica mutations the router
-    /// publishes an immutable snapshot of the installed replicas here,
-    /// so SC-mode candidate selection never takes the router lock.
+    /// The lock-free read-path cell: after replica or liveness changes
+    /// the router publishes an immutable snapshot of the installed
+    /// replicas and the live peers here, so request threads choose whom
+    /// to query without reaching the router's owner.
     cell: Arc<ReplicaCell>,
-    /// Set when the replica set changed since the last publication to
-    /// the cell. Deferring the publication to
+    /// Set when the replica or live-peer set changed since the last
+    /// publication to the cell. Deferring the publication to
     /// [`Router::flush_replicas`] is what lets a batch of delta
     /// datagrams share one copy-on-write of each touched filter: an
     /// eager per-datagram publish would re-`Arc` every filter, so every
@@ -337,7 +338,7 @@ impl Router {
                 )
             })
             .collect();
-        Router {
+        let router = Router {
             id,
             peers,
             keepalive_ms,
@@ -350,7 +351,10 @@ impl Router {
             cell: ReplicaCell::new(),
             replicas_dirty: false,
             next_reqnum: 1,
-        }
+        };
+        // Every peer starts live: publish that before the first event.
+        router.publish_replicas();
+        router
     }
 
     /// This proxy's id.
@@ -386,16 +390,18 @@ impl Router {
         }
     }
 
-    /// Gather the installed replicas into one immutable snapshot (in
-    /// configured peer order, matching [`Router::candidates_key_into`]'s
-    /// probe order) and publish it to the cell.
+    /// Gather the installed replicas (in configured peer order,
+    /// matching [`Router::candidates_key_into`]'s probe order) and the
+    /// live peers into one immutable snapshot and publish it to the
+    /// cell.
     fn publish_replicas(&self) {
         let peers = self
             .peers
             .iter()
             .filter_map(|&p| self.replica_filter(p).map(|f| (p, f.clone())))
             .collect();
-        self.cell.swap(Arc::new(ReplicaSnapshot::new(peers)));
+        let snapshot = ReplicaSnapshot::new(peers, self.live_peers());
+        self.cell.swap(Arc::new(snapshot));
     }
 
     /// The installed replica of `peer`, if synced.
@@ -495,6 +501,7 @@ impl Router {
         };
         if let Some(peer_id) = from {
             if self.mark_heard(now, peer_id) {
+                self.replicas_dirty = true; // the live-peer set changed
                 // The peer just came back (Section VI-B): reinitialize
                 // both directions through the resync machinery —
                 // restate our bitmap so its replica of us recovers, and
@@ -978,6 +985,7 @@ impl Router {
             .as_ref()
             .map_or(0, |sc| sc.log_base + sc.log.len() as u64);
         for id in newly_failed {
+            self.replicas_dirty = true; // the live-peer set changed
             self.drop_replica(id);
             // A silent peer must not pin the flip log: snap its lane to
             // the head and mark it for a full restatement. Recovery

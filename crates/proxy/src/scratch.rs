@@ -1,10 +1,12 @@
 //! Per-thread reusable request scratch: the zero-alloc request path.
 //!
 //! A steady-state request (hit, or miss with nothing to publish) needs
-//! three owned buffers: the request's [`UrlKey`], the candidate list the
-//! replica-snapshot probe fills, and the router-output sink for the
-//! ledger events. Allocating them per request put three heap
-//! round-trips on the hottest path in the daemon; this module gives
+//! owned buffers: the request's [`UrlKey`] and the candidate list the
+//! replica-snapshot probe fills, plus, for a driver that feeds the
+//! router on the request's own thread, the router-output sink for the
+//! ledger events. (The daemon queues its directory events to the
+//! protocol thread, which owns its own sink.) Allocating them per
+//! request put heap round-trips on the hottest path; this module gives
 //! every request thread one warm set instead.
 //!
 //! Ownership rules (what keeps this simple and sound):
@@ -38,8 +40,9 @@ pub struct RequestScratch {
     /// Candidate peers from the replica-snapshot probe
     /// (`candidates_key_into` clears it first).
     pub candidates: Vec<u32>,
-    /// Router-output sink for the request's ledger events
-    /// (`handle_into` clears it first).
+    /// Router-output sink for the request's ledger events, for drivers
+    /// that call the router on the request thread (`handle_into` clears
+    /// it first).
     pub outputs: Vec<Output>,
 }
 

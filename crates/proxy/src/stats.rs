@@ -72,6 +72,8 @@ pub struct ProxyStats {
     pub udp_bytes_sent: Counter,
     /// Bytes inside received UDP datagrams.
     pub udp_bytes_recv: Counter,
+    /// UDP datagrams the socket refused to send (not in `udp_sent`).
+    pub udp_send_failed: Counter,
     /// Bytes written to TCP sockets (client + peer + origin sides).
     pub tcp_bytes_sent: Counter,
     /// Bytes read from TCP sockets.
@@ -160,6 +162,7 @@ impl ProxyStats {
             udp_recv: registry.counter("sc_udp_datagrams_received_total"),
             udp_bytes_sent: registry.counter("sc_udp_bytes_sent_total"),
             udp_bytes_recv: registry.counter("sc_udp_bytes_received_total"),
+            udp_send_failed: registry.counter("sc_udp_send_failed_total"),
             tcp_bytes_sent: registry.counter("sc_tcp_bytes_sent_total"),
             tcp_bytes_recv: registry.counter("sc_tcp_bytes_received_total"),
             http_requests: registry.counter("sc_http_requests_total"),

@@ -1,12 +1,13 @@
 //! The acceptance bar for the read-path split: SC-mode candidate
-//! selection must perform **no** acquisition of the mutex guarding the
-//! protocol machine (the [`Router`]).
+//! selection must never wait on the owner of the protocol machine (the
+//! [`Router`]). In the daemon that owner is the protocol thread, busy
+//! with replication writes.
 //!
 //! Strategy: install peer replicas through the router, then hold the
-//! router's mutex on the test thread while a reader thread resolves
-//! candidates through the [`ReplicaCell`]. If the read path ever locked
-//! the router, the reader would deadlock and the channel receive below
-//! would time out.
+//! router in a mutex on the test thread — a stand-in for a busy owner —
+//! while a reader thread resolves candidates through the
+//! [`ReplicaCell`]. If the read path ever reached the router, the reader
+//! would deadlock and the channel receive below would time out.
 //!
 //! [`ReplicaCell`]: sc_proxy::replica::ReplicaCell
 

@@ -10,7 +10,8 @@
 #   scripts/check.sh --soak     # + simnet property suite over an
 #                               #   extended seed range (SC_SIM_SEEDS,
 #                               #   default 1000; SC_SIM_SEED replays
-#                               #   one seed)
+#                               #   one seed), + the live daemon suites
+#                               #   10 times each
 #
 set -eu
 
@@ -61,6 +62,16 @@ if [ "$SOAK" = 1 ]; then
     export SC_SIM_SEEDS
     echo "==> seeded soak (simnet property suite, $SC_SIM_SEEDS seeds)"
     cargo test -q --offline --test simnet_properties seeded_soak -- --nocapture
+
+    # Request threads queue directory changes to the daemon's protocol
+    # thread, so an ordering race between them shows up as a flake, not
+    # as a steady failure: repeat the live suites.
+    echo "==> live daemon suites, 10 runs each"
+    for run in 1 2 3 4 5 6 7 8 9 10; do
+        echo "    run $run/10"
+        cargo test -q --offline -p summary-cache \
+            --test live_cluster --test failure_recovery --test observability
+    done
 fi
 
 echo "==> all checks passed"
