@@ -4,7 +4,8 @@
 //! SIGCOMM '98): compact, lazily updated summaries of peer cache
 //! directories, probed before any inter-proxy query is sent.
 //!
-//! Each proxy owns a [`ProxySummary`] that tracks its local cache
+//! Each proxy — in the trace simulators, the simnet and the daemon
+//! alike — owns a [`ProxySummary`] that tracks its local cache
 //! directory under one of the paper's three representations
 //! ([`SummaryKind`]):
 //!
@@ -18,7 +19,8 @@
 //!
 //! Summaries are **not** kept fresh: a proxy publishes a new
 //! [`SummarySnapshot`] only when the fraction of documents not yet
-//! reflected crosses an [`UpdatePolicy`] threshold (Section V-A). Peers
+//! reflected crosses an [`UpdatePolicy`] threshold (Section V-A);
+//! [`ProxySummary::request_done`] makes that decision. Peers
 //! hold the snapshots and probe them on local misses with
 //! [`filter_candidates_key`]; the tolerated errors are *false hits*
 //! (wasted query) and *false misses* (lost remote hit), never incorrect

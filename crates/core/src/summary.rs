@@ -4,14 +4,14 @@
 
 use crate::expected_docs;
 use crate::representation::{bloom_bits, SummaryKind, SummarySnapshot};
+use crate::update::UpdatePolicy;
 use crate::wire_cost;
-use sc_bloom::{BitVec, CountingBloomFilter, FilterConfig, Flip, UrlKey};
+use sc_bloom::{BitVec, CountingBloomFilter, FilterConfig, Flip, HashSpec, UrlKey};
 use sc_md5::Digest;
 use std::collections::{HashMap, HashSet};
 
 /// What a publish produced: the wire cost and, for Bloom summaries, the
-/// content (flips or full bitmap) that would travel in the
-/// `ICP_OP_DIRUPDATE` message.
+/// bit flips that move the published bitmap to the live one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublishOutcome {
     /// Bytes on the wire *per peer* under the paper's size model.
@@ -21,20 +21,13 @@ pub struct PublishOutcome {
     pub changes: usize,
     /// Bloom only: the update was cheaper as a full bitmap than a delta.
     pub full_bitmap: bool,
-    /// Bloom only: the flips to ship when `full_bitmap` is false.
+    /// Bloom only: the flips from the old published bitmap to the new
+    /// one, in index order, whichever form `full_bitmap` chose.
     pub flips: Vec<Flip>,
     /// How stale the peer-visible view was just before this publish:
     /// the fraction of the directory not yet reflected
     /// ([`crate::UpdatePolicy::staleness`]), for observability gauges.
     pub staleness: f64,
-    /// The summary's generation at publish time (see
-    /// [`ProxySummary::set_generation`]).
-    pub generation: u32,
-    /// Sequence number allocated to this publish — the first update
-    /// datagram of the batch carries it; a transport that splits the
-    /// batch allocates follow-on numbers via
-    /// [`ProxySummary::advance_seq`].
-    pub seq: u32,
 }
 
 enum State {
@@ -65,11 +58,14 @@ enum State {
 /// A proxy's own cache-directory summary.
 ///
 /// The owning cache calls [`ProxySummary::insert_key`] / [`remove_key`]
-/// as documents are stored and evicted; [`probe_published_key`] answers
-/// what a *peer* currently believes (the state as of the last publish);
-/// [`publish`] ships the pending changes and advances that state.
+/// as documents are stored and evicted, and [`request_done`] after each
+/// request, which publishes when the [`UpdatePolicy`] says so;
+/// [`probe_published_key`] answers what a *peer* currently believes
+/// (the state as of the last publish); [`publish`] ships the pending
+/// changes and advances that state.
 ///
 /// [`remove_key`]: ProxySummary::remove_key
+/// [`request_done`]: ProxySummary::request_done
 /// [`probe_published_key`]: ProxySummary::probe_published_key
 /// [`publish`]: ProxySummary::publish
 pub struct ProxySummary {
@@ -77,6 +73,10 @@ pub struct ProxySummary {
     state: State,
     docs: u64,
     inserts_since_publish: u64,
+    /// Requests reported to [`ProxySummary::request_done`] since the last publish.
+    requests_since_publish: u64,
+    /// `now_ms` of the last publish `request_done` made (0 before any).
+    last_publish_ms: u64,
     /// Lineage tag for the published bitmap; receivers discard their
     /// replica when it changes. The owner sets it at startup
     /// ([`set_generation`]) — the summary itself never touches clocks,
@@ -84,8 +84,7 @@ pub struct ProxySummary {
     ///
     /// [`set_generation`]: ProxySummary::set_generation
     generation: u32,
-    /// Sequence number of the last update datagram allocated within the
-    /// current generation.
+    /// Where a transport's update seqs start (see [`ProxySummary::seq`]).
     seq: u32,
 }
 
@@ -130,6 +129,8 @@ impl ProxySummary {
             state,
             docs: 0,
             inserts_since_publish: 0,
+            requests_since_publish: 0,
+            last_publish_ms: 0,
             generation: 1,
             seq: 0,
         }
@@ -141,36 +142,25 @@ impl ProxySummary {
         self.generation
     }
 
-    /// Sequence number of the most recently allocated update datagram.
+    /// The seq a transport's update stream starts after in this
+    /// generation (its first datagram carries `seq() + 1`). The summary
+    /// never advances it; only [`ProxySummary::set_seq`] moves it.
     pub fn seq(&self) -> u32 {
         self.seq
     }
 
     /// Assign the bitmap lineage tag (a 0 is coerced to 1 so "no
     /// generation seen yet" stays representable on the wire) and restart
-    /// datagram numbering.
+    /// datagram numbering at 0.
     pub fn set_generation(&mut self, generation: u32) {
         self.generation = generation.max(1);
         self.seq = 0;
     }
 
-    /// Pin the update-datagram sequence counter. Test and simulation
-    /// drivers use this to start a run near a wraparound boundary;
-    /// production code only ever advances the counter.
+    /// Pin the value [`ProxySummary::seq`] reports. Test and simulation
+    /// drivers use this to start a run near a wraparound boundary.
     pub fn set_seq(&mut self, seq: u32) {
         self.seq = seq;
-    }
-
-    /// Allocate the next update-datagram sequence number. [`publish`]
-    /// calls this once for the batch; the transport calls it again for
-    /// each additional datagram the batch is split into, and for
-    /// heartbeat (empty-delta) datagrams that let receivers detect a
-    /// lost tail.
-    ///
-    /// [`publish`]: ProxySummary::publish
-    pub fn advance_seq(&mut self) -> u32 {
-        self.seq = self.seq.wrapping_add(1);
-        self.seq
     }
 
     /// The representation in use.
@@ -271,15 +261,42 @@ impl ProxySummary {
         }
     }
 
+    /// Bloom summaries only: the hash spec and the *published* bitmap,
+    /// what a full restatement to a peer carries.
+    pub fn bloom(&self) -> Option<(HashSpec, &BitVec)> {
+        match &self.state {
+            State::Bloom { filter, baseline, .. } => Some((filter.spec(), baseline)),
+            _ => None,
+        }
+    }
+
+    /// One request finished at `now_ms` (on the caller's one clock):
+    /// count it and [`publish`](ProxySummary::publish) if `policy` says
+    /// so. Each caller decides what counts as a request
+    /// ([`UpdatePolicy::EveryRequests`]).
+    pub fn request_done(&mut self, policy: UpdatePolicy, now_ms: u64) -> Option<PublishOutcome> {
+        self.requests_since_publish += 1;
+        let elapsed_ms = now_ms.saturating_sub(self.last_publish_ms);
+        if !policy.should_publish(
+            self.inserts_since_publish,
+            self.docs,
+            self.requests_since_publish,
+            elapsed_ms,
+        ) {
+            return None;
+        }
+        self.last_publish_ms = now_ms;
+        Some(self.publish())
+    }
+
     /// Publish the pending changes: advance the peer-visible state to the
     /// live state and report the per-peer wire cost under the paper's
-    /// Section V-D size model.
+    /// Section V-D size model. Resets the request count
+    /// [`request_done`](ProxySummary::request_done) keeps.
     pub fn publish(&mut self) -> PublishOutcome {
-        let staleness =
-            crate::update::UpdatePolicy::staleness(self.inserts_since_publish, self.docs);
+        let staleness = UpdatePolicy::staleness(self.inserts_since_publish, self.docs);
         self.inserts_since_publish = 0;
-        let generation = self.generation;
-        let seq = self.advance_seq();
+        self.requests_since_publish = 0;
         match &mut self.state {
             State::Exact {
                 pending_add,
@@ -295,8 +312,6 @@ impl ProxySummary {
                     full_bitmap: false,
                     flips: Vec::new(),
                     staleness,
-                    generation,
-                    seq,
                 }
             }
             State::Server { counts, published } => {
@@ -309,37 +324,30 @@ impl ProxySummary {
                     full_bitmap: false,
                     flips: Vec::new(),
                     staleness,
-                    generation,
-                    seq,
                 }
             }
             State::Bloom { filter, baseline, .. } => {
-                let diff = baseline.diff_indices(filter.bits());
+                let bits = filter.bits();
+                let diff = baseline.diff_indices(bits);
                 let delta_bytes = wire_cost::bloom_delta_bytes(diff.len());
                 let full_bytes = wire_cost::bloom_full_bytes(baseline.len());
-                let full = full_bytes < delta_bytes;
-                let flips: Vec<Flip> = if full {
-                    Vec::new()
-                } else {
-                    diff.iter()
-                        .map(|&i| {
-                            if filter.bits().get(i) {
-                                Flip::set(i as u32)
-                            } else {
-                                Flip::clear(i as u32)
-                            }
-                        })
-                        .collect()
-                };
-                *baseline = filter.bits().clone();
+                let flips: Vec<Flip> = diff
+                    .iter()
+                    .map(|&i| {
+                        if bits.get(i) {
+                            Flip::set(i as u32)
+                        } else {
+                            Flip::clear(i as u32)
+                        }
+                    })
+                    .collect();
+                baseline.clone_from(bits);
                 PublishOutcome {
                     update_bytes: delta_bytes.min(full_bytes),
                     changes: diff.len(),
-                    full_bitmap: full,
+                    full_bitmap: full_bytes < delta_bytes,
                     flips,
                     staleness,
-                    generation,
-                    seq,
                 }
             }
         }
@@ -526,7 +534,7 @@ mod tests {
         let out = s.publish();
         assert!(out.full_bitmap, "delta of ~64 flips dwarfs an 8-byte bitmap");
         assert_eq!(out.update_bytes, wire_cost::bloom_full_bytes(64));
-        assert!(out.flips.is_empty());
+        assert_eq!(out.flips.len(), out.changes, "the diff ships whichever form is cheaper");
     }
 
     #[test]
@@ -555,24 +563,69 @@ mod tests {
     }
 
     #[test]
-    fn publishes_carry_sequential_seq_within_a_generation() {
+    fn generation_defaults_to_one_and_restarts_seq() {
         let mut s = ProxySummary::new(SummaryKind::recommended(), 1 << 20);
-        assert_eq!(s.generation(), 1, "usable before the owner assigns one");
-        s.set_generation(0xDEAD);
+        assert_eq!((s.generation(), s.seq()), (1, 0), "usable before the owner assigns one");
+        s.set_seq(u32::MAX - 2);
         let (u, srv) = url(1);
         s.insert_key(&u, &srv);
-        let first = s.publish();
-        assert_eq!((first.generation, first.seq), (0xDEAD, 1));
-        // Transport-allocated numbers (chunking, heartbeats) interleave.
-        assert_eq!(s.advance_seq(), 2);
-        let (u2, srv2) = url(2);
-        s.insert_key(&u2, &srv2);
-        let second = s.publish();
-        assert_eq!((second.generation, second.seq), (0xDEAD, 3));
-        // A new generation restarts numbering; 0 is coerced to 1.
+        s.publish();
+        assert_eq!(s.seq(), u32::MAX - 2, "a publish leaves the lane start alone");
+        s.set_generation(0xDEAD);
+        assert_eq!((s.generation(), s.seq()), (0xDEAD, 0));
+        s.set_seq(7);
         s.set_generation(0);
-        assert_eq!((s.generation(), s.seq()), (1, 0));
-        assert_eq!(s.publish().seq, 1);
+        assert_eq!((s.generation(), s.seq()), (1, 0), "0 is coerced to 1");
+    }
+
+    #[test]
+    fn request_done_counts_requests_and_resets_on_publish() {
+        let policy = UpdatePolicy::EveryRequests(3);
+        let mut s = ProxySummary::new(SummaryKind::recommended(), 1 << 20);
+        let (u, srv) = url(1);
+        s.insert_key(&u, &srv);
+        assert!(s.request_done(policy, 0).is_none());
+        assert!(s.request_done(policy, 0).is_none());
+        let out = s.request_done(policy, 0).expect("the third request publishes");
+        assert!(out.changes >= 1);
+        assert!(s.probe_published_key(&u, &srv));
+        assert!(s.request_done(policy, 0).is_none(), "the count restarts after a publish");
+        // A direct publish resets the count too.
+        s.request_done(policy, 0);
+        s.publish();
+        assert!(s.request_done(policy, 0).is_none());
+        assert!(s.request_done(policy, 0).is_none());
+        assert!(s.request_done(policy, 0).is_some());
+    }
+
+    #[test]
+    fn request_done_measures_time_from_its_last_publish() {
+        let policy = UpdatePolicy::EveryMillis(100);
+        let mut s = ProxySummary::new(SummaryKind::ExactDirectory, 1 << 20);
+        assert!(s.request_done(policy, 99).is_none(), "the clock starts at 0");
+        assert!(s.request_done(policy, 100).is_some());
+        assert!(s.request_done(policy, 199).is_none());
+        assert!(s.request_done(policy, 200).is_some());
+        // A clock that steps back never underflows; it just waits.
+        assert!(s.request_done(policy, 50).is_none());
+        assert!(s.request_done(policy, 300).is_some());
+    }
+
+    #[test]
+    fn request_done_applies_the_fraction_threshold() {
+        let policy = UpdatePolicy::Threshold(0.5);
+        let mut s = ProxySummary::new(SummaryKind::ServerName, 1 << 20);
+        assert!(s.request_done(policy, 0).is_none(), "nothing new, never fire");
+        for i in 0..4 {
+            let (u, srv) = url(i);
+            s.insert_key(&u, &srv);
+        }
+        let out = s.request_done(policy, 0).expect("4 fresh of 4 cached");
+        assert_eq!(out.staleness, 1.0);
+        assert_eq!(s.fresh_docs(), 0);
+        let (u, srv) = url(4);
+        s.insert_key(&u, &srv);
+        assert!(s.request_done(policy, 0).is_none(), "1 fresh of 5 cached");
     }
 
     /// The key ops land exactly where the retained primitives say, for

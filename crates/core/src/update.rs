@@ -14,9 +14,11 @@ pub enum UpdatePolicy {
     /// The paper recommends 0.01–0.10.
     Threshold(f64),
     /// Publish every `n` user requests (the Section V-A "delay being 2
-    /// and 10 user requests" sub-experiment). On the proxy daemon and
-    /// the simnet a "request" is one that changed the directory (stored
-    /// or purged a document); a local hit does not count.
+    /// and 10 user requests" sub-experiment) reported to
+    /// [`crate::ProxySummary::request_done`]. The proxy daemon and the
+    /// simnet report requests that changed the directory (stored or
+    /// purged a document), `summary_sim` every trace request, and the
+    /// hierarchy simulator every local miss at the home child.
     EveryRequests(u64),
     /// Publish when `elapsed_ms` since the last publish reaches this.
     EveryMillis(u64),

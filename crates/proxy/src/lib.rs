@@ -13,9 +13,9 @@
 //!   gap-triggered resync, failure detection, publish fan-out) is
 //!   phrased in: a pure function of `(virtual time, event)` — no
 //!   sockets, no clocks, no sleeps.
-//! * [`router`] — the state that makes those decisions: the proxy's one
-//!   counting-Bloom directory and its publish ledger, one summary
-//!   replica per peer, liveness, and request numbering.
+//! * [`router`] — the state that makes those decisions: the proxy's own
+//!   Bloom `ProxySummary` and the flip log its publishes feed, one
+//!   summary replica per peer, liveness, and request numbering.
 //! * [`daemon`] — the proxy itself: an HTTP front end with a
 //!   metadata-only document cache, a UDP ICP endpoint feeding the
 //!   router, and three peering modes ([`config::Mode`]): no

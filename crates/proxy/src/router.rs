@@ -3,14 +3,14 @@
 //! The daemon's protocol thread owns one router as a plain value; the
 //! simnet drives the same type from a virtual clock. It owns:
 //!
-//! * **the local directory**: the paper's one counting Bloom filter
-//!   over this proxy's cache (Section V-C), fed pre-hashed keys by
-//!   [`Event::Stored`] / [`Event::Purged`];
-//! * **the publish ledger**: generation, baseline bitmap, the shared
-//!   flip log, and the update policy. A publish diffs the directory's
-//!   bit array against the baseline — exactly the
-//!   [`ProxySummary::publish`] arithmetic — and appends the diff to the
-//!   flip log;
+//! * **the local directory**: this proxy's own Bloom [`ProxySummary`]
+//!   (the paper's one counting Bloom filter over the cache, Section
+//!   V-C, plus the published bitmap and generation), fed pre-hashed
+//!   keys by [`Event::Stored`] / [`Event::Purged`];
+//! * **the flip log**: on [`Event::RequestDone`] the summary decides
+//!   whether its update policy publishes
+//!   ([`ProxySummary::request_done`]); a publish's flips are appended to
+//!   the log the per-peer lanes consume;
 //! * **peer replicas**: one installed Bloom replica per peer plus the
 //!   `(generation, seq)` sequencing state guarding it. Replicas install
 //!   only from full (raw or Golomb–Rice) bitmaps; deltas apply only in
@@ -43,7 +43,7 @@ use crate::machine::{
     RESYNC_BACKOFF,
 };
 use crate::replica::{ReplicaCell, ReplicaSnapshot};
-use sc_bloom::{BitVec, BloomFilter, CountingBloomFilter, FilterConfig, Flip, HashSpec, UrlKey};
+use sc_bloom::{BitVec, BloomFilter, Flip, HashSpec, UrlKey};
 use sc_util::fxhash::FxHashMap;
 use sc_wire::icp::{
     DirContent, DirUpdate, IcpMessage, DIRFULL_GR_SEGMENT_LEN, DIRUPDATE_HEADER_LEN, HEADER_LEN,
@@ -52,7 +52,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use summary_cache_core::{wire_cost, ProxySummary, SummarySnapshot, UpdatePolicy};
+use summary_cache_core::{wire_cost, ProxySummary, UpdatePolicy};
 
 thread_local! {
     /// Copy-on-write deep copies taken when applying delta flips (a
@@ -105,62 +105,28 @@ struct PeerLiveness {
     failed: bool,
 }
 
-/// Summary-cache mode's local half: the directory filter, the published
-/// baseline, the shared flip log the per-peer lanes consume, the
-/// generation lineage, and the policy counters the publish decision
-/// reads. Sequence numbers are *per lane*: each peer sees its own
-/// gap-free seq stream, which is what lets fanout stagger and per-peer
-/// full restatements coexist (a unicast send can never create a seq
-/// some other peer reads as a gap).
+/// Summary-cache mode's local half: the proxy's own Bloom
+/// [`ProxySummary`] (directory, published bitmap, generation and the
+/// publish counters), its update policy, and the shared flip log the
+/// per-peer lanes consume. Sequence numbers are *per lane*: each peer
+/// sees its own gap-free seq stream, which is what lets fanout stagger
+/// and per-peer full restatements coexist (a unicast send can never
+/// create a seq some other peer reads as a gap).
 struct ScControl {
-    spec: HashSpec,
-    /// The local directory: one counting Bloom filter over every cached
-    /// document, at the published spec.
-    filter: CountingBloomFilter,
-    /// Warm flip buffer for directory mutations. A publish diffs the
-    /// filter's bits against the baseline, so per-insert flips are
-    /// discarded — collected here instead of a fresh `Vec` so the
-    /// steady-state store path never allocates.
-    flip_scratch: Vec<Flip>,
-    /// The published bitmap — the state at the flip log's head; what a
-    /// peer whose lane cursor is current holds.
-    baseline: BitVec,
-    /// Cached `baseline.count_ones()`, refreshed at publish — feeds the
-    /// cheap Golomb–Rice size estimate in the per-lane §V-D choice.
-    baseline_ones: usize,
-    generation: u32,
+    summary: ProxySummary,
     policy: UpdatePolicy,
-    /// Documents currently in the directory (inserts minus removes).
-    docs: u64,
-    /// Inserts since the last publish (Section V-A threshold input).
-    fresh: u64,
-    requests_since_publish: u64,
-    last_publish: VirtualTime,
-    /// The shared flip log: every publish appends its baseline diff
-    /// here; lanes consume it at their own pace and it is trimmed to
-    /// the slowest live lane's cursor.
+    /// Cached `count_ones()` of the published bitmap, refreshed at
+    /// publish — feeds the cheap Golomb–Rice size estimate in the
+    /// per-lane §V-D choice.
+    baseline_ones: usize,
+    /// The shared flip log: every publish appends its flips here; lanes
+    /// consume it at their own pace and it is trimmed to the slowest
+    /// live lane's cursor. The published bitmap is the state at its
+    /// head.
     log: VecDeque<Flip>,
     /// Absolute index of `log.front()` (cursors are absolute, so
     /// trimming never renumbers).
     log_base: u64,
-}
-
-impl ScControl {
-    /// A document keyed by `key` entered the cache. The key arrives
-    /// pre-hashed — no digest happens here.
-    fn insert(&mut self, key: &UrlKey) {
-        self.flip_scratch.clear();
-        self.filter.insert_key_into(key, &mut self.flip_scratch);
-        self.docs += 1;
-        self.fresh += 1;
-    }
-
-    /// A document keyed by `key` left the cache (eviction or purge).
-    fn remove(&mut self, key: &UrlKey) {
-        self.flip_scratch.clear();
-        self.filter.remove_key_into(key, &mut self.flip_scratch);
-        self.docs = self.docs.saturating_sub(1);
-    }
 }
 
 /// One peer's summary replica and the sequencing state guarding it.
@@ -263,11 +229,11 @@ impl Router {
     /// staggered across `fanout_slots` ticks (0 clamps to 1). `sc`
     /// carries the summary (with its generation already set by the
     /// driver — fresh randomness is I/O) and publish policy in
-    /// summary-cache mode; the summary's *published* snapshot seeds the
-    /// ledger, and its Bloom spec sizes the directory filter. Non-Bloom
-    /// summaries are not routable (nothing constructs them here) and
-    /// degrade to no-SC mode. `now` initializes every peer's last-heard
-    /// time.
+    /// summary-cache mode; the router keeps that summary as its
+    /// directory, and every lane's seq stream starts after its
+    /// [`ProxySummary::seq`]. Non-Bloom summaries are not routable
+    /// (nothing constructs them here) and degrade to no-SC mode. `now`
+    /// initializes every peer's last-heard time.
     ///
     /// `_shards` is ignored: a proxy keeps one directory. The argument
     /// stays only because `benchmark/src/replay.rs` passes it; callers
@@ -297,31 +263,16 @@ impl Router {
             })
             .collect();
         let sc = sc.and_then(|(summary, policy)| {
-            let SummarySnapshot::Bloom { spec, bits } = summary.snapshot_published() else {
-                return None;
-            };
-            Some((summary.seq(), ScControl {
-                spec,
-                filter: CountingBloomFilter::new(FilterConfig {
-                    bits: spec.table_bits(),
-                    hashes: spec.k(),
-                    function_bits: spec.function_bits(),
-                }),
-                flip_scratch: Vec::new(),
-                baseline_ones: bits.count_ones(),
-                baseline: bits,
-                generation: summary.generation(),
+            let baseline_ones = summary.bloom()?.1.count_ones();
+            Some(ScControl {
+                summary,
                 policy,
-                docs: summary.docs(),
-                fresh: summary.fresh_docs(),
-                requests_since_publish: 0,
-                last_publish: now,
+                baseline_ones,
                 log: VecDeque::new(),
                 log_base: 0,
-            }))
+            })
         });
-        let lane_seq = sc.as_ref().map_or(0, |&(seq, _)| seq);
-        let sc = sc.map(|(_, sc)| sc);
+        let lane_seq = sc.as_ref().map_or(0, |sc| sc.summary.seq());
         let lanes = peers
             .iter()
             .map(|&p| {
@@ -439,17 +390,19 @@ impl Router {
         match event {
             Event::Datagram { from, data } => self.on_datagram(now, from, data, dir, out),
             Event::Tick => self.on_tick(now, out),
+            // The Bloom summary reads only the URL key; the router has
+            // no server key, so the URL key stands in for both.
             Event::Stored { url, evicted } => {
                 if let Some(sc) = self.sc.as_mut() {
-                    sc.insert(url);
+                    sc.summary.insert_key(url, url);
                     for victim in evicted {
-                        sc.remove(victim);
+                        sc.summary.remove_key(victim, victim);
                     }
                 }
             }
             Event::Purged { url } => {
                 if let Some(sc) = self.sc.as_mut() {
-                    sc.remove(url);
+                    sc.summary.remove_key(url, url);
                 }
             }
             Event::RequestDone => self.on_request_done(now, out),
@@ -801,23 +754,24 @@ impl Router {
     fn send_full_to(&mut self, peer: u32, out: &mut Vec<Output>) {
         let Self { sc, lanes, next_reqnum, id, .. } = self;
         let Some(sc) = sc.as_mut() else { return };
+        let Some((spec, bits)) = sc.summary.bloom() else { return };
         let Some(lane) = lanes.get_mut(&peer) else { return };
         let request_number = *next_reqnum;
         *next_reqnum = next_reqnum.wrapping_add(1);
         lane.seq = lane.seq.wrapping_add(1);
         lane.cursor = sc.log_base + sc.log.len() as u64;
         lane.needs_full = false;
-        for content in full_contents(sc, lane.accepts_gr) {
+        for content in full_contents(bits, lane.accepts_gr) {
             out.push(Output::Send(Send {
                 to: Dest::Peer(peer),
                 msg: IcpMessage::DirUpdate {
                     request_number,
                     sender: *id,
                     update: DirUpdate {
-                        function_num: sc.spec.k(),
-                        function_bits: sc.spec.function_bits(),
-                        bit_array_size: sc.spec.table_bits(),
-                        generation: sc.generation,
+                        function_num: spec.k(),
+                        function_bits: spec.function_bits(),
+                        bit_array_size: spec.table_bits(),
+                        generation: sc.summary.generation(),
                         seq: lane.seq,
                         content,
                     },
@@ -836,6 +790,7 @@ impl Router {
     fn service_lane(&mut self, peer: u32, heartbeat: bool, out: &mut Vec<Output>) {
         let Self { sc, lanes, next_reqnum, id, .. } = self;
         let Some(sc) = sc.as_mut() else { return };
+        let Some((spec, bits)) = sc.summary.bloom() else { return };
         let Some(lane) = lanes.get_mut(&peer) else { return };
         let head = sc.log_base + sc.log.len() as u64;
         let pending = (head - lane.cursor) as usize;
@@ -843,16 +798,15 @@ impl Router {
             return;
         }
         let full_bytes = if lane.accepts_gr {
-            gr_full_bytes_estimate(sc.baseline.len(), sc.baseline_ones)
+            gr_full_bytes_estimate(bits.len(), sc.baseline_ones)
         } else {
-            wire_cost::bloom_full_bytes(sc.baseline.len())
+            wire_cost::bloom_full_bytes(bits.len())
         };
         let full = lane.needs_full
             || (pending > 0 && full_bytes < wire_cost::bloom_delta_bytes(pending));
         let request_number = *next_reqnum;
         *next_reqnum = next_reqnum.wrapping_add(1);
-        let spec = sc.spec;
-        let generation = sc.generation;
+        let generation = sc.summary.generation();
         let sender = *id;
         let mk = move |seq: u32, content: DirContent| IcpMessage::DirUpdate {
             request_number,
@@ -870,7 +824,7 @@ impl Router {
             lane.seq = lane.seq.wrapping_add(1);
             lane.cursor = head;
             lane.needs_full = false;
-            for content in full_contents(sc, lane.accepts_gr) {
+            for content in full_contents(bits, lane.accepts_gr) {
                 out.push(Output::Send(Send {
                     to: Dest::Peer(peer),
                     msg: mk(lane.seq, content),
@@ -998,45 +952,21 @@ impl Router {
         }
     }
 
-    /// Post-request publish check (SC mode): when the policy says so,
-    /// append the directory's diff against the baseline to the flip log.
+    /// Post-request publish (SC mode): report the request to the
+    /// summary and, when its policy publishes, append the publish's
+    /// flips to the shared flip log. Nothing is sent yet unless a lane's
+    /// backlog reached a full packet — the paper's "enough changes to
+    /// fill an IP packet" rule; smaller publishes coalesce and ride each
+    /// peer's next staggered fanout tick, so update cost no longer
+    /// scales with `publishes × N` bursts.
     fn on_request_done(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
         let Some(sc) = self.sc.as_mut() else { return };
-        sc.requests_since_publish += 1;
-        let elapsed_ms = now.saturating_since(sc.last_publish).as_millis() as u64;
-        if !sc
-            .policy
-            .should_publish(sc.fresh, sc.docs, sc.requests_since_publish, elapsed_ms)
-        {
+        let now_ms = now.saturating_since(VirtualTime::ZERO).as_millis() as u64;
+        let Some(published) = sc.summary.request_done(sc.policy, now_ms) else {
             return;
-        }
-        self.publish_update(now, out);
-    }
-
-    /// The publish step: diff the directory's bit array against the
-    /// published baseline and append the diff to the shared flip log.
-    /// Nothing is sent yet unless a lane's backlog reached a full packet
-    /// — the paper's "enough changes to fill an IP packet" rule; smaller
-    /// publishes coalesce and ride each peer's next staggered fanout
-    /// tick, so update cost no longer scales with `publishes × N` bursts.
-    fn publish_update(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
-        let Some(sc) = self.sc.as_mut() else { return };
-        let staleness = UpdatePolicy::staleness(sc.fresh, sc.docs);
-        sc.fresh = 0;
-        sc.requests_since_publish = 0;
-        sc.last_publish = now;
-        let bits = sc.filter.bits();
-        let diff = sc.baseline.diff_indices(bits);
-        let appended = diff.len();
-        sc.log.extend(diff.iter().map(|&i| {
-            if bits.get(i) {
-                Flip::set(i as u32)
-            } else {
-                Flip::clear(i as u32)
-            }
-        }));
-        sc.baseline.clone_from(bits);
-        sc.baseline_ones = sc.baseline.count_ones();
+        };
+        sc.log.extend(&published.flips);
+        sc.baseline_ones = sc.summary.bloom().map_or(0, |(_, bits)| bits.count_ones());
         let head = sc.log_base + sc.log.len() as u64;
         // Flush any live lane whose backlog now fills a packet; each
         // flushed lane makes its own delta-vs-full choice. With
@@ -1064,8 +994,8 @@ impl Router {
             .filter(|o| matches!(o, Output::Send(_)))
             .count();
         out.push(Output::Effect(Effect::Published {
-            flips: appended,
-            staleness,
+            flips: published.flips.len(),
+            staleness: published.staleness,
             messages,
         }));
         self.trim_log();
@@ -1077,16 +1007,16 @@ impl Router {
 /// support, one raw bitmap otherwise. Segmentation keeps every coded
 /// datagram inside one UDP frame (a 200k-bit segment codes to at most
 /// ~50 KB even at worst-case fill; see [`GR_SEGMENT_BITS`]).
-fn full_contents(sc: &ScControl, accepts_gr: bool) -> Vec<DirContent> {
+fn full_contents(bits: &BitVec, accepts_gr: bool) -> Vec<DirContent> {
     if !accepts_gr {
-        return vec![DirContent::Bitmap(sc.baseline.as_words().to_vec())];
+        return vec![DirContent::Bitmap(bits.as_words().to_vec())];
     }
-    let len = sc.baseline.len();
+    let len = bits.len();
     let mut contents = Vec::new();
     let mut start = 0usize;
     while start < len {
         let seg = (len - start).min(GR_SEGMENT_BITS);
-        let words = &sc.baseline.as_words()[start / 64..(start + seg).div_ceil(64)];
+        let words = &bits.as_words()[start / 64..(start + seg).div_ceil(64)];
         let coded = sc_bloom::compress(&BitVec::from_words(seg, words.to_vec()));
         contents.push(DirContent::CompressedBitmap {
             first_bit: start as u32,
@@ -1135,11 +1065,14 @@ impl DirectoryInspect for Router {
     }
 
     fn published_bits(&self) -> Option<BitVec> {
-        self.sc.as_ref().map(|sc| sc.baseline.clone())
+        self.sc
+            .as_ref()
+            .and_then(|sc| sc.summary.bloom())
+            .map(|(_, bits)| bits.clone())
     }
 
     fn cached_docs(&self) -> u64 {
-        self.sc.as_ref().map_or(0, |sc| sc.docs)
+        self.sc.as_ref().map_or(0, |sc| sc.summary.docs())
     }
 }
 
@@ -1165,7 +1098,8 @@ pub fn stripe_of(key: &UrlKey, stripes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use summary_cache_core::SummaryKind;
+    use sc_bloom::{CountingBloomFilter, FilterConfig};
+    use summary_cache_core::{SummaryKind, SummarySnapshot};
 
     struct NoDocs;
     impl DirectoryView for NoDocs {

@@ -129,7 +129,6 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
             .collect(),
         None => Vec::new(),
     };
-    let mut requests_since: Vec<u64> = vec![0; groups];
     let mut parent: WebCache<u64> = WebCache::new(cfg.parent_bytes.max(1));
     let mut server_of: HashMap<u64, u32> = HashMap::new();
 
@@ -182,16 +181,8 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
                 }
             }
             // Publish bookkeeping for the home child.
-            requests_since[home] += 1;
-            if sc.policy.should_publish(
-                summaries[home].fresh_docs(),
-                summaries[home].docs(),
-                requests_since[home],
-                0,
-            ) {
-                summaries[home].publish();
+            if summaries[home].request_done(sc.policy, req.time_ms).is_some() {
                 r_out.update_messages += (groups - 1) as u64;
-                requests_since[home] = 0;
             }
         }
 
@@ -278,6 +269,36 @@ mod tests {
         );
         // Total hierarchy hit ratio should not get worse.
         assert!(shared.hierarchy_hit_ratio() >= alone.hierarchy_hit_ratio() - 0.02);
+    }
+
+    /// `EveryMillis` measures trace time at the home child: with an
+    /// interval of a twentieth of the trace, every child publishes about
+    /// once per interval in which it has a local miss.
+    #[test]
+    fn hierarchy_time_trigger_publishes() {
+        let trace = profile("UPisa").unwrap().generate_scaled(40);
+        let infinite = TraceStats::compute(&trace).infinite_cache_bytes;
+        let cfg = HierarchyConfig {
+            sibling_sharing: Some(SummaryCacheConfig {
+                kind: SummaryKind::recommended(),
+                policy: UpdatePolicy::EveryMillis(trace.duration_ms() / 20),
+                multicast_updates: false,
+            }),
+            child_tier_bytes: infinite / 10,
+            parent_bytes: infinite / 10,
+        };
+        let r = simulate_hierarchy(&trace, &cfg);
+        let fanout = u64::from(trace.groups - 1);
+        let publishes = r.update_messages / fanout;
+        assert_eq!(r.update_messages % fanout, 0);
+        assert!(
+            publishes > u64::from(trace.groups),
+            "every child publishes more than once: {publishes}"
+        );
+        assert!(
+            publishes <= 21 * u64::from(trace.groups),
+            "at most one publish per interval per child: {publishes}"
+        );
     }
 
     #[test]

@@ -58,8 +58,6 @@ pub struct SummarySimResult {
 struct ProxyState {
     cache: WebCache<u64>,
     summary: ProxySummary,
-    requests_since_publish: u64,
-    last_publish_ms: u64,
 }
 
 /// Run the summary-cache simulation over `trace` with
@@ -83,8 +81,6 @@ pub fn simulate_summary_cache(
         .map(|_| ProxyState {
             cache: WebCache::new(per_proxy),
             summary: ProxySummary::with_expected_docs(config.kind, expected_docs),
-            requests_since_publish: 0,
-            last_publish_ms: 0,
         })
         .collect();
     // Server component of each document, learned from the trace, so
@@ -209,7 +205,7 @@ fn step_request(
         Lookup::Hit => {
             m.local_hits += 1;
             m.hit_bytes += r.size;
-            after_request(&mut proxies[home], m, r.time_ms, config, groups);
+            after_request(&mut proxies[home].summary, m, r.time_ms, config, groups);
             return;
         }
         Lookup::StaleHit => {
@@ -283,25 +279,17 @@ fn step_request(
         }
     }
 
-    after_request(&mut proxies[home], m, r.time_ms, config, groups);
+    after_request(&mut proxies[home].summary, m, r.time_ms, config, groups);
 }
 
 fn after_request(
-    p: &mut ProxyState,
+    summary: &mut ProxySummary,
     m: &mut Metrics,
     now_ms: u64,
     config: &SummaryCacheConfig,
     groups: usize,
 ) {
-    p.requests_since_publish += 1;
-    let elapsed = now_ms.saturating_sub(p.last_publish_ms);
-    if config.policy.should_publish(
-        p.summary.fresh_docs(),
-        p.summary.docs(),
-        p.requests_since_publish,
-        elapsed,
-    ) {
-        let out = p.summary.publish();
+    if let Some(out) = summary.request_done(config.policy, now_ms) {
         m.publishes += 1;
         let fanout = if config.multicast_updates {
             1
@@ -310,8 +298,6 @@ fn after_request(
         };
         m.update_messages += fanout;
         m.update_bytes += out.update_bytes as u64 * fanout;
-        p.requests_since_publish = 0;
-        p.last_publish_ms = now_ms;
     }
 }
 

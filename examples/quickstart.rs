@@ -23,11 +23,13 @@ fn main() {
         proxy_b.insert_key(&UrlKey::new(url.as_bytes()), &server);
     }
 
-    // …and publishes its summary when the update policy fires (here:
-    // the paper's 1% threshold, trivially exceeded by a cold cache).
+    // …and, as each request finishes (here at trace time 0 ms), publishes
+    // its summary when the update policy fires (the paper's 1%
+    // threshold, trivially exceeded by a cold cache).
     let policy = UpdatePolicy::recommended();
-    assert!(policy.should_publish(proxy_b.fresh_docs(), proxy_b.docs(), 3, 0));
-    let update = proxy_b.publish();
+    let update = proxy_b
+        .request_done(policy, 0)
+        .expect("3 new documents of 3 cached cross the 1% threshold");
     println!(
         "proxy B published {} bit flips ({} bytes on the wire)",
         update.changes, update.update_bytes

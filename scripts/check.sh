@@ -45,6 +45,14 @@ cargo build --release --offline -p sc-bench --benches
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline --quiet -- -D warnings
 
+# Run the in-process examples: quickstart asserts its publish and probe
+# results, the other two must run to completion. proxy_cluster opens
+# live sockets and stays out. Warm, the three take about 0.3 s.
+echo "==> examples: quickstart, bloom_tuning, cache_sharing_sim"
+for example in quickstart bloom_tuning cache_sharing_sim; do
+    cargo run --release --offline --quiet --example "$example" > /dev/null
+done
+
 # Doc links are checked too: a deleted item must not leave a dangling
 # intra-doc link behind.
 echo "==> cargo doc (rustdoc warnings are errors)"

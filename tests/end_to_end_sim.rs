@@ -170,3 +170,79 @@ fn nlanr_anomaly_amplifies_delay_sensitivity() {
         loss(&dec)
     );
 }
+
+/// Exact counters of the trace simulators on a fixed small UPisa
+/// trace, for every representation under a fraction, a request-count
+/// and a time trigger, plus the hierarchy's filter-effect rows. The
+/// qualitative tests above survive a change in publish bookkeeping that
+/// moves every figure a little; these counts do not.
+#[test]
+fn trace_simulator_counts_are_pinned() {
+    use summary_cache::sim::{hierarchy::filter_effect, Metrics};
+    let trace = profile("UPisa").expect("profile").generate_scaled(40);
+    assert_eq!(trace.requests.len(), 3_000);
+    let budget = TraceStats::compute(&trace).infinite_cache_bytes / 10;
+    // Columns: requests, local / remote / local-stale / remote-stale
+    // hits, false hits, false misses, queries, wasted queries, update
+    // messages, update bytes, query bytes, requested bytes, hit bytes,
+    // publishes.
+    let counts = |m: &Metrics| {
+        [
+            m.requests, m.local_hits, m.remote_hits, m.local_stale_hits,
+            m.remote_stale_hits, m.false_hits, m.false_misses, m.queries_sent,
+            m.wasted_queries, m.update_messages, m.update_bytes, m.query_bytes,
+            m.requested_bytes, m.hit_bytes, m.publishes,
+        ]
+    };
+    let mut rows = Vec::new();
+    for kind in [
+        SummaryKind::ExactDirectory,
+        SummaryKind::ServerName,
+        SummaryKind::Bloom { load_factor: 8, hashes: 4 },
+    ] {
+        for policy in [
+            UpdatePolicy::Threshold(0.01),
+            UpdatePolicy::EveryRequests(300),
+            UpdatePolicy::EveryMillis(trace.duration_ms() / 20),
+        ] {
+            let cfg = SummaryCacheConfig { kind, policy, multicast_updates: false };
+            rows.push(counts(&simulate_summary_cache(&trace, &cfg, budget).metrics));
+        }
+    }
+    #[rustfmt::skip]
+    let want: [[u64; 15]; 9] = [
+        // exact-directory
+        [3000, 728, 521, 15, 10, 0, 0, 807, 0, 15764, 798896, 56490, 17512153, 4537744, 2252],
+        [3000, 728, 21, 15, 0, 37, 500, 63, 40, 49, 19684, 4410, 17512153, 2795254, 7],
+        [3000, 728, 301, 15, 9, 132, 220, 718, 271, 896, 379456, 50260, 17512153, 3749765, 128],
+        // server-name
+        [3000, 728, 521, 15, 10, 505, 0, 2483, 1676, 15764, 451472, 173810, 17512153, 4537744, 2252],
+        [3000, 728, 44, 15, 0, 216, 477, 348, 295, 49, 7700, 24360, 17512153, 2959108, 7],
+        [3000, 728, 371, 15, 10, 540, 150, 2445, 1862, 896, 131376, 171150, 17512153, 4016228, 128],
+        // bloom, load factor 8, 4 hashes
+        [3000, 728, 521, 15, 10, 584, 0, 1686, 879, 15764, 686329, 118020, 17512153, 4537744, 2252],
+        [3000, 728, 24, 15, 0, 221, 497, 280, 254, 49, 2401, 19600, 17512153, 2811312, 7],
+        [3000, 728, 313, 15, 9, 680, 208, 1542, 1077, 896, 43834, 107940, 17512153, 3820311, 128],
+    ];
+    assert_eq!(rows, want, "summary-cache counters drifted");
+
+    // Columns: requests, child / sibling / parent hits, origin fetches,
+    // parent requests, sibling queries, update messages.
+    let effect: Vec<(String, [u64; 8])> = filter_effect(&trace, budget, budget)
+        .into_iter()
+        .map(|(label, r)| {
+            let row = [
+                r.requests, r.child_hits, r.sibling_hits, r.parent_hits,
+                r.origin_fetches, r.parent_requests, r.sibling_queries, r.update_messages,
+            ];
+            (label, row)
+        })
+        .collect();
+    let want: Vec<(String, [u64; 8])> = vec![
+        ("no-sharing".into(), [3000, 728, 0, 544, 1728, 2272, 0, 0]),
+        ("bloom".into(), [3000, 728, 206, 352, 1714, 2066, 1578, 294]),
+        ("exact-directory".into(), [3000, 728, 185, 371, 1716, 2087, 645, 294]),
+        ("server-name".into(), [3000, 728, 246, 315, 1711, 2026, 2011, 294]),
+    ];
+    assert_eq!(effect, want, "filter-effect rows drifted");
+}

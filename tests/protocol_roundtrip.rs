@@ -15,9 +15,10 @@ fn url(i: u32) -> (UrlKey, UrlKey) {
     )
 }
 
-/// Encode one publish as DIRUPDATE datagrams (mirroring the daemon):
-/// the publish's own seq goes on the first datagram and each extra
-/// chunk takes the next consecutive one.
+/// Encode one publish as DIRUPDATE datagrams: a full bitmap, or the
+/// flips chunked with consecutive seqs from the summary's `seq()`. The
+/// receiver below does not check seqs; the router's lanes number the
+/// live protocol's datagrams.
 fn encode_publish(summary: &ProxySummary, full: bool, flips: Vec<summary_cache::bloom::Flip>) -> Vec<Vec<u8>> {
     let SummarySnapshot::Bloom { spec, bits } = summary.snapshot_published() else {
         panic!("bloom summaries only");
