@@ -75,14 +75,8 @@ fn main() {
                 multicast_updates: false,
             };
             let r = simulate_summary_cache(&trace, &cfg, budget);
-            // Round-trip the run's counters through an sc-obs registry:
-            // every figure value is read back from the snapshot, the
-            // same path the live proxy's tables use.
-            let reg = sc_obs::Registry::new();
-            r.metrics.record_into(&reg);
-            let metrics = sc_sim::Metrics::from_obs(&reg.snapshot());
-            let rates = metrics.rates();
-            let n = metrics.requests.max(1) as f64;
+            let rates = r.metrics.rates();
+            let n = r.metrics.requests.max(1) as f64;
             let icp_msgs = r.icp_queries as f64 / n;
             let icp_bytes = r.icp_query_bytes as f64 / n;
             let row = Row {
@@ -129,11 +123,8 @@ fn main() {
             multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
-        let reg = sc_obs::Registry::new();
-        r.metrics.record_into(&reg);
-        let metrics = sc_sim::Metrics::from_obs(&reg.snapshot());
-        let rates = metrics.rates();
-        let n = metrics.requests.max(1) as f64;
+        let rates = r.metrics.rates();
+        let n = r.metrics.requests.max(1) as f64;
         let icp_msgs = r.icp_queries as f64 / n;
         let icp_bytes = r.icp_query_bytes as f64 / n;
         let row = Row {

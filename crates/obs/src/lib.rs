@@ -4,11 +4,10 @@
 //!
 //! The paper's whole evaluation is measurement (Table II's ICP overhead,
 //! Tables IV–V and Figs. 5–8's messages/bytes/CPU/hit-ratio columns), so
-//! every component reports through one substrate instead of ad-hoc
-//! tallies:
+//! the daemon reports through one substrate instead of ad-hoc tallies:
 //!
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
-//!   [`Histogram`]s, registered get-or-create by `(name, labels)` and
+//!   [`Histogram`]s, each `(name, labels)` series registered once and
 //!   lock-free on the hot path;
 //! * [`Journal`] — a bounded ring buffer of structured protocol
 //!   [`Event`]s (query sent, false hit, delta published, ...);
@@ -20,8 +19,9 @@
 //! Metric names follow the Prometheus convention: `sc_` prefix,
 //! `_total` suffix on counters, unit suffix on histograms (`_us`,
 //! `_bytes`). Per-peer series reuse one name with a `peer` label.
-//! The `metrics` rule in `tests/source_rules.rs` enforces that each name
-//! has exactly one registration site in the workspace.
+//! The daemon's stats are the only registrar, and a second registration
+//! of a series panics. The simulators need no registry: they count into
+//! their own report structs, and a [`Histogram`] works standalone.
 
 mod instrument;
 mod journal;

@@ -7,14 +7,6 @@ use crate::instrument::{bucket_floor, Counter, Gauge, Histogram, HistogramSnapsh
 use crate::journal::Journal;
 use sc_json::{ToJson, Value};
 
-/// What an instrument is; fixed at registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
 #[derive(Debug)]
 struct Entry {
     name: String,
@@ -22,33 +14,22 @@ struct Entry {
     storage: Storage,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Storage {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
 }
 
-impl Storage {
-    fn kind(&self) -> Kind {
-        match self {
-            Storage::Counter(_) => Kind::Counter,
-            Storage::Gauge(_) => Kind::Gauge,
-            Storage::Histogram(_) => Kind::Histogram,
-        }
-    }
-}
-
 /// A registry of named instruments plus an event [`Journal`].
 ///
 /// Registration (`counter`/`gauge`/`histogram` and their `_with`-labels
-/// variants) is get-or-create on the `(name, labels)` pair: asking twice
-/// returns handles to the same storage, so components can look up shared
-/// instruments without coordinating. Asking for an existing name with a
-/// *different* instrument kind returns a detached handle that records
-/// nowhere — a registry never panics at runtime. (The `metrics` rule in
-/// `tests/source_rules.rs` keeps that an un-hittable corner: each metric
-/// name may appear at only one registration site in the workspace.)
+/// variants) happens once per `(name, labels)` pair: the caller keeps the
+/// returned handle, and a second registration of the same pair panics,
+/// so no two call sites can silently share one series. The daemon's
+/// `ProxyStats` is the one registrar; it registers each peer's series
+/// under that peer's id, and `ConfigError::DuplicatePeerId` rejects a
+/// configuration that would repeat one before the stats are built.
 #[derive(Debug)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -61,8 +42,8 @@ impl Default for Registry {
     }
 }
 
-/// Survive a poisoned registry lock: metric registration never unwinds,
-/// and a panicked writer leaves at worst a half-registered entry list.
+/// Survive a poisoned registry lock: the only panic under it is a
+/// second registration, which fires before the entry list is touched.
 fn lock(m: &Mutex<Vec<Entry>>) -> std::sync::MutexGuard<'_, Vec<Entry>> {
     match m.lock() {
         Ok(g) => g,
@@ -89,67 +70,57 @@ impl Registry {
         &self.journal
     }
 
-    fn register(&self, name: &str, labels: &[(&str, &str)], want: Kind) -> Storage {
+    /// Add a series under `(name, labels)`; panics if it already exists.
+    fn register(&self, name: &str, labels: &[(&str, &str)], storage: Storage) {
         let mut entries = lock(&self.entries);
-        if let Some(e) = entries
+        let taken = entries
             .iter()
-            .find(|e| e.name == name && labels_eq(&e.labels, labels))
-        {
-            if e.storage.kind() == want {
-                return e.storage.clone();
-            }
-            // Kind clash: hand back working-but-detached storage.
-            return detached(want);
-        }
-        let storage = detached(want);
+            .any(|e| e.name == name && labels_eq(&e.labels, labels));
+        assert!(!taken, "metric `{name}` {labels:?} registered twice");
         entries.push(Entry {
             name: name.to_string(),
             labels: labels
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            storage: storage.clone(),
+            storage,
         });
-        storage
     }
 
-    /// Get or create the unlabeled counter `name`.
+    /// Register the unlabeled counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         self.counter_with(name, &[])
     }
 
-    /// Get or create the counter `name` with the given label pairs.
+    /// Register the counter `name` with the given label pairs.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, labels, Kind::Counter) {
-            Storage::Counter(c) => c,
-            _ => Counter::new(),
-        }
+        let c = Counter::new();
+        self.register(name, labels, Storage::Counter(c.clone()));
+        c
     }
 
-    /// Get or create the unlabeled gauge `name`.
+    /// Register the unlabeled gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         self.gauge_with(name, &[])
     }
 
-    /// Get or create the gauge `name` with the given label pairs.
+    /// Register the gauge `name` with the given label pairs.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, labels, Kind::Gauge) {
-            Storage::Gauge(g) => g,
-            _ => Gauge::new(),
-        }
+        let g = Gauge::new();
+        self.register(name, labels, Storage::Gauge(g.clone()));
+        g
     }
 
-    /// Get or create the unlabeled histogram `name`.
+    /// Register the unlabeled histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.histogram_with(name, &[])
     }
 
-    /// Get or create the histogram `name` with the given label pairs.
+    /// Register the histogram `name` with the given label pairs.
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.register(name, labels, Kind::Histogram) {
-            Storage::Histogram(h) => h,
-            _ => Histogram::new(),
-        }
+        let h = Histogram::new();
+        self.register(name, labels, Storage::Histogram(h.clone()));
+        h
     }
 
     /// Freeze every instrument into a [`Snapshot`] (registration order).
@@ -174,14 +145,6 @@ impl Registry {
 
 fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
     have.len() == want.len() && have.iter().zip(want).all(|((hk, hv), (wk, wv))| hk == wk && hv == wv)
-}
-
-fn detached(kind: Kind) -> Storage {
-    match kind {
-        Kind::Counter => Storage::Counter(Counter::new()),
-        Kind::Gauge => Storage::Gauge(Gauge::new()),
-        Kind::Histogram => Storage::Histogram(Histogram::new()),
-    }
 }
 
 /// One frozen instrument reading.
@@ -364,15 +327,29 @@ impl ToJson for Snapshot {
 mod tests {
     use super::*;
 
+    /// One registration per `(name, labels)` pair: a second counter,
+    /// gauge or labelled histogram on a taken pair panics, another label
+    /// set or another registry is a new series, and the first series
+    /// keeps its value.
     #[test]
-    fn registration_is_get_or_create() {
+    fn duplicate_metric_registration_flagged_at_both_sites() {
         let r = Registry::new();
-        let a = r.counter("x_total");
-        let b = r.counter("x_total");
-        a.incr();
-        b.incr();
-        assert_eq!(r.snapshot().counter_value("x_total"), 2, "same storage");
-        assert_eq!(r.snapshot().instruments.len(), 1);
+        r.counter("dup_total").add(5);
+        r.gauge("dup_gauge").set(1.5);
+        r.histogram_with("dup_us", &[("peer", "1")]).record(7);
+        let again = |f: &dyn Fn()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        assert!(again(&|| drop(r.counter("dup_total"))), "second counter");
+        assert!(again(&|| drop(r.gauge("dup_gauge"))), "second gauge");
+        assert!(again(&|| drop(r.histogram_with("dup_us", &[("peer", "1")]))), "second histogram");
+        r.histogram_with("dup_us", &[("peer", "2")]).record(9);
+        Registry::new().counter("dup_total").incr();
+        let s = r.snapshot();
+        assert_eq!(s.instruments.len(), 4);
+        assert_eq!(s.counter_value("dup_total"), 5, "first series intact");
+        assert_eq!(s.gauge_value_with("dup_gauge", &[]), Some(1.5));
+        assert_eq!(s.histogram_value("dup_us").samples(), 2);
     }
 
     #[test]
@@ -388,22 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_clash_yields_detached_handle() {
-        let r = Registry::new();
-        r.counter("mixed").incr();
-        let g = r.gauge("mixed");
-        g.set(9.0);
-        let s = r.snapshot();
-        assert_eq!(s.counter_value("mixed"), 1, "original storage intact");
-        assert_eq!(s.gauge_value_with("mixed", &[]), None, "clashing gauge not registered");
-    }
-
-    #[test]
     fn gauges_and_histograms_snapshot() {
         let r = Registry::new();
         r.gauge_with("staleness", &[("peer", "3")]).set(0.125);
-        r.histogram("rtt_us").record(100);
-        r.histogram("rtt_us").record(200);
+        let rtt = r.histogram("rtt_us");
+        rtt.record(100);
+        rtt.record(200);
         let s = r.snapshot();
         assert_eq!(s.gauge_value_with("staleness", &[("peer", "3")]), Some(0.125));
         let h = s.histogram_value("rtt_us");

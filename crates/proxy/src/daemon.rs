@@ -731,28 +731,7 @@ fn serve_client_on(
                 .replicas
                 .load()
                 .candidates_key_into(&scratch.key, &mut scratch.candidates);
-            let candidates = &scratch.candidates;
-            if candidates.is_empty() {
-                None
-            } else {
-                let got = query_then_fetch(inner, url, want, candidates);
-                if got.is_none() {
-                    // Summary pointed somewhere, nobody had a usable copy.
-                    inner.stats.false_hits.incr();
-                    for id in candidates {
-                        if let Some(p) = inner.stats.peer(*id) {
-                            p.false_hits.incr();
-                            p.update_staleness();
-                        }
-                    }
-                    inner.stats.journal().record(
-                        EventKind::FalseHit,
-                        candidates.first().copied(),
-                        format!("{} candidate(s) for {url}", candidates.len()),
-                    );
-                }
-                got
-            }
+            query_then_fetch(inner, url, want, &scratch.candidates)
         }
     };
 
@@ -830,7 +809,8 @@ fn reply_doc(inner: &Inner, stream: &mut TcpStream, meta: DocMeta) -> std::io::R
 /// Send ICP queries to `peer_ids`; if one answers HIT, fetch the
 /// document from it. Returns the serving peer and the fetched metadata
 /// when it matches the requested version (a mismatch is a remote stale
-/// hit).
+/// hit). In SC mode `peer_ids` are the summary's candidates, and a round
+/// with no HIT is counted as a false hit.
 fn query_then_fetch(
     inner: &Inner,
     url: &str,
@@ -885,7 +865,26 @@ fn query_then_fetch(
         .flatten();
     lock(&inner.pending).remove(&reqnum);
 
-    let winner = winner?;
+    let Some(winner) = winner else {
+        if matches!(inner.cfg.mode(), Mode::SummaryCache { .. }) {
+            // The summaries pointed here and no candidate answered HIT:
+            // the paper's false hit. A HIT whose copy turns out stale is
+            // a remote stale hit instead, counted below.
+            inner.stats.false_hits.incr();
+            for id in peer_ids {
+                if let Some(p) = inner.stats.peer(*id) {
+                    p.false_hits.incr();
+                    p.update_staleness();
+                }
+            }
+            inner.stats.journal().record(
+                EventKind::FalseHit,
+                peer_ids.first().copied(),
+                format!("{} candidate(s) for {url}", peer_ids.len()),
+            );
+        }
+        return None;
+    };
     let peer = inner.peers_by_id.get(&winner)?;
     match fetch_http(inner, peer.http, url, want, true) {
         Ok(Some(meta)) if meta == want => {

@@ -737,48 +737,14 @@ impl Router {
     }
 
     /// Restate the whole published bitmap to `peer` (answering a
-    /// DIRREQ, or reinitializing a recovered peer). No-op outside SC
-    /// mode. Golomb–Rice coded when the peer negotiated it, raw
-    /// otherwise; a coded bitmap too big for one datagram goes out as
-    /// several word-aligned segments under one `(generation, seq)`.
-    ///
-    /// Allocates the lane's *next* sequence number for the restatement:
-    /// every datagram that moves a lane forward must burn a number, so
-    /// that if the full is lost the following heartbeat's seq no longer
-    /// matches the receiver's expectation, the gap fires, and the
-    /// resync retries. (A full stamped in place and then lost would
-    /// leave the receiver silently stale forever — the cursor has
-    /// already snapped past the flips the bitmap was carrying.) The
-    /// cursor snaps to the log head — the bitmap already reflects
-    /// every logged flip.
+    /// DIRREQ, or reinitializing a recovered peer): mark the lane stale
+    /// and service it, so `service_lane` builds the one full
+    /// restatement. No-op outside SC mode.
     fn send_full_to(&mut self, peer: u32, out: &mut Vec<Output>) {
-        let Self { sc, lanes, next_reqnum, id, .. } = self;
-        let Some(sc) = sc.as_mut() else { return };
-        let Some((spec, bits)) = sc.summary.bloom() else { return };
-        let Some(lane) = lanes.get_mut(&peer) else { return };
-        let request_number = *next_reqnum;
-        *next_reqnum = next_reqnum.wrapping_add(1);
-        lane.seq = lane.seq.wrapping_add(1);
-        lane.cursor = sc.log_base + sc.log.len() as u64;
-        lane.needs_full = false;
-        for content in full_contents(bits, lane.accepts_gr) {
-            out.push(Output::Send(Send {
-                to: Dest::Peer(peer),
-                msg: IcpMessage::DirUpdate {
-                    request_number,
-                    sender: *id,
-                    update: DirUpdate {
-                        function_num: spec.k(),
-                        function_bits: spec.function_bits(),
-                        bit_array_size: spec.table_bits(),
-                        generation: sc.summary.generation(),
-                        seq: lane.seq,
-                        content,
-                    },
-                },
-                kind: SendKind::UpdateFull,
-            }));
+        if let Some(lane) = self.lanes.get_mut(&peer) {
+            lane.needs_full = true;
         }
+        self.service_lane(peer, false, out);
     }
 
     /// Bring `peer`'s lane current. The per-lane Section V-D choice: a
@@ -821,6 +787,15 @@ impl Router {
             },
         };
         if full {
+            // The restatement burns the lane's *next* seq: every
+            // datagram that moves a lane forward must, so that if the
+            // full is lost the following heartbeat's seq no longer
+            // matches the receiver's expectation, the gap fires, and the
+            // resync retries. (A full stamped in place and then lost
+            // would leave the receiver silently stale forever — the
+            // cursor has already snapped past the flips the bitmap was
+            // carrying.) The cursor snaps to the log head: the bitmap
+            // already reflects every logged flip.
             lane.seq = lane.seq.wrapping_add(1);
             lane.cursor = head;
             lane.needs_full = false;

@@ -41,19 +41,18 @@
 //! of the random fault plan, and get back a [`ScenarioReport`]: the
 //! per-scenario "good ruler" (hit ratio over time windows, summary
 //! staleness, false-hit rate, per-opcode message distribution, tail
-//! latency in virtual time), projected from an sc-obs snapshot.
+//! latency in virtual time), counted in place as the run goes.
 
 use crate::machine::{
     Dest, DirectoryView, Effect, Event, Output, SendKind, VirtualTime, RESYNC_BACKOFF,
 };
 use crate::router::{DirectoryInspect, Router};
 use sc_bloom::UrlKey;
-use sc_obs::Registry;
+use sc_obs::Histogram;
 use sc_trace::model::render_url;
 use sc_trace::scenario::{Scenario, ScenarioKind};
 use sc_util::Rng;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::rc::Rc;
 use summary_cache_core::{ProxySummary, SummaryKind, UpdatePolicy};
 
 /// Knobs for one simulation run. The defaults describe an aggressive
@@ -299,17 +298,17 @@ pub struct Sim {
     scn: Option<ScnState>,
 }
 
-/// Per-run scenario state: the sc-obs registry every request outcome,
-/// window sample, and opcode count is recorded into, plus the latency
-/// model's knobs and the storm probe set.
+/// Per-run scenario state: the report every request outcome, window
+/// sample, and opcode count is added to, plus the latency model's
+/// knobs and the storm probe set.
 struct ScnState {
-    /// All scenario metrics live here; the report is rendered from its
-    /// snapshot after settle.
-    reg: Rc<Registry>,
+    /// The report being counted; [`run_scenario`] fills its run-level
+    /// fields and latency percentiles once, after settle.
+    report: ScenarioReport,
+    /// Virtual latency of every served request.
+    latency: Histogram,
     /// Width of one report window in virtual microseconds.
     window_us: u64,
-    /// Number of report windows over the scenario horizon.
-    windows: usize,
     /// Virtual round-trip to the origin server, charged on every miss
     /// and false hit.
     origin_rtt_us: u64,
@@ -660,25 +659,24 @@ impl Sim {
     /// virtual: local service time, plus one query RTT whenever peers
     /// are probed, plus either a peer-fetch RTT or the origin RTT.
     fn serve_request(&mut self, node: usize, url: String) {
-        let Some(scn) = &self.scn else { return };
-        let reg = Rc::clone(&scn.reg);
-        let origin_rtt = scn.origin_rtt_us;
+        let Some(scn) = &mut self.scn else { return };
+        // Requests after the last window mark fold into the final window.
+        let last = scn.report.windows.len() - 1;
+        let w = ((self.now / scn.window_us) as usize).min(last);
+        let r = &mut scn.report;
         let mut latency = scn.local_service_us;
-        let win = self.window_label();
-        let w = [("window", win.as_str())];
-        let latency_hist = reg.histogram("scn_request_latency_us");
-        reg.counter("scn_requests_total").incr();
-        reg.counter_with("scn_window_requests_total", &w).incr();
+        r.requests += 1;
+        r.windows[w].requests += 1;
         if !self.nodes[node].up {
-            reg.counter("scn_unserved_total").incr();
+            r.unserved += 1;
             self.journal
                 .push(format!("{}us n{node} req {url} unserved (down)", self.now));
             return;
         }
         if self.nodes[node].dir.contains(&url) {
-            reg.counter("scn_local_hits_total").incr();
-            reg.counter_with("scn_window_local_hits_total", &w).incr();
-            latency_hist.record(latency);
+            r.local_hits += 1;
+            r.windows[w].local_hits += 1;
+            scn.latency.record(latency);
             self.journal
                 .push(format!("{}us n{node} req {url} local-hit {latency}us", self.now));
             return;
@@ -691,12 +689,21 @@ impl Sim {
         self.nodes[node]
             .router
             .candidates_key_into(&key, &mut candidates);
+        // One request round trip on the virtual wire: two one-way
+        // delays, drawn exactly like [`Sim::transmit`] draws them.
+        let ((lo, hi), faults, rng) = (self.cfg.delay_us, self.faults, &mut self.rng);
+        let mut rtt = || {
+            if faults {
+                rng.gen_range(lo..hi) + rng.gen_range(lo..hi)
+            } else {
+                2 * lo
+            }
+        };
         let mut outcome = "miss";
         if !candidates.is_empty() {
             // One parallel ICP-style round to every advertising peer.
-            reg.counter("scn_queries_sent_total")
-                .add(candidates.len() as u64);
-            latency += self.rtt();
+            r.queries_sent += candidates.len() as u64;
+            latency += rtt();
             let holders = candidates
                 .iter()
                 .filter(|&&c| {
@@ -704,26 +711,25 @@ impl Sim {
                     self.nodes[c].up && self.nodes[c].dir.contains(&url)
                 })
                 .count();
-            reg.counter("scn_wasted_queries_total")
-                .add((candidates.len() - holders) as u64);
+            r.wasted_queries += (candidates.len() - holders) as u64;
             if holders > 0 {
-                reg.counter("scn_remote_hits_total").incr();
-                reg.counter_with("scn_window_remote_hits_total", &w).incr();
-                latency += self.rtt();
+                r.remote_hits += 1;
+                r.windows[w].remote_hits += 1;
+                latency += rtt();
                 outcome = "remote-hit";
             } else {
                 // Every advertising replica lied: the paper's false hit.
-                reg.counter("scn_false_hits_total").incr();
-                reg.counter_with("scn_window_false_hits_total", &w).incr();
+                r.false_hits += 1;
+                r.windows[w].false_hits += 1;
                 outcome = "false-hit";
             }
         }
         if outcome != "remote-hit" {
-            reg.counter("scn_origin_fetches_total").incr();
-            latency += origin_rtt;
+            r.origin_fetches += 1;
+            latency += scn.origin_rtt_us;
         }
+        scn.latency.record(latency);
         self.cand_scratch = candidates;
-        latency_hist.record(latency);
         self.journal
             .push(format!("{}us n{node} req {url} {outcome} {latency}us", self.now));
         self.store_doc_keyed(node, url, "fill", Some(key));
@@ -749,7 +755,7 @@ impl Sim {
             self.drive(node, None, Event::RequestDone);
         }
         if let Some(scn) = &mut self.scn {
-            scn.reg.counter("scn_evictions_total").add(holders);
+            scn.report.evictions += holders;
             if !scn.tracked_evicted.contains(&url) {
                 scn.tracked_evicted.push(url);
             }
@@ -758,10 +764,9 @@ impl Sim {
 
     /// End-of-window staleness sample: how many live (observer,
     /// publisher) pairs currently disagree with the publisher's filter
-    /// bit-for-bit. Recorded as per-window gauges.
+    /// bit-for-bit, recorded into window `idx` of the report.
     fn sample_window(&mut self, idx: usize) {
-        let Some(scn) = &self.scn else { return };
-        let reg = Rc::clone(&scn.reg);
+        let Some(scn) = &mut self.scn else { return };
         let mut stale = 0u64;
         let mut live = 0u64;
         for i in 0..self.nodes.len() {
@@ -780,35 +785,13 @@ impl Sim {
                 }
             }
         }
-        let w = idx.to_string();
-        let l = [("window", w.as_str())];
-        reg.gauge_with("scn_window_stale_pairs", &l).set(stale as f64);
-        reg.gauge_with("scn_window_live_pairs", &l).set(live as f64);
+        let window = &mut scn.report.windows[idx];
+        window.stale_pairs = stale;
+        window.live_pairs = live;
         self.journal.push(format!(
             "{}us window w{idx}: {stale}/{live} replica pairs stale",
             self.now
         ));
-    }
-
-    /// Label of the report window containing the current virtual time;
-    /// requests after the last mark fold into the final window.
-    fn window_label(&self) -> String {
-        match &self.scn {
-            Some(s) => ((self.now / s.window_us).min(s.windows as u64 - 1)).to_string(),
-            None => String::from("0"),
-        }
-    }
-
-    /// One request round-trip on the virtual wire: two one-way delays,
-    /// drawn exactly like [`Sim::transmit`] draws them — random inside
-    /// the fault window, the floor `delay_us.0` outside it.
-    fn rtt(&mut self) -> u64 {
-        let (lo, hi) = self.cfg.delay_us;
-        if self.faults {
-            self.rng.gen_range(lo..hi) + self.rng.gen_range(lo..hi)
-        } else {
-            2 * lo
-        }
     }
 
     /// Carry out a batch of machine outputs from `node`, checking the
@@ -852,10 +835,8 @@ impl Sim {
                         self.last_dirreq[node][peer as usize] = Some(self.now);
                         self.resyncs_requested += 1;
                     }
-                    if let Some(scn) = &self.scn {
-                        scn.reg
-                            .counter_with("scn_datagrams_total", &[("op", op_name(&send.kind))])
-                            .incr();
+                    if let Some(scn) = &mut self.scn {
+                        scn.report.datagrams_by_op[op_index(&send.kind)].1 += 1;
                     }
                     if send.kind.is_update() {
                         self.update_bytes_sent += bytes.len() as u64;
@@ -991,15 +972,15 @@ fn fresh_router(cfg: &SimConfig, node: usize, incarnation: u32) -> Router {
     )
 }
 
-/// The fault-plan datagram opcode label a [`SendKind`] is counted
-/// under in the per-scenario message distribution.
-fn op_name(kind: &SendKind) -> &'static str {
+/// The row a [`SendKind`] is counted under in
+/// [`ScenarioReport::datagrams_by_op`] ([`SCENARIO_OPS`] order).
+fn op_index(kind: &SendKind) -> usize {
     match kind {
-        SendKind::QueryReply => "query-reply",
-        SendKind::Keepalive => "keepalive",
-        SendKind::UpdateDelta => "update-delta",
-        SendKind::UpdateFull => "update-full",
-        SendKind::Resync { .. } => "dirreq",
+        SendKind::UpdateDelta => 0,
+        SendKind::UpdateFull => 1,
+        SendKind::Keepalive => 2,
+        SendKind::QueryReply => 3,
+        SendKind::Resync { .. } => 4,
     }
 }
 
@@ -1051,8 +1032,8 @@ impl Sim {
     /// fault plan: scenario requests, crashes/restarts, and
     /// evict-everywhere storms are scheduled at their virtual
     /// timestamps alongside the random loss/dup/reorder/partition
-    /// plan, and every request outcome is recorded into a fresh sc-obs
-    /// registry for the good-ruler report.
+    /// plan, and every request outcome is counted into the good-ruler
+    /// report.
     pub fn with_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Sim {
         assert!(cfg.windows > 0, "a report needs at least one window");
         let mut sim_cfg = cfg.sim;
@@ -1083,10 +1064,23 @@ impl Sim {
             let at = ((idx as u64 + 1) * window_us).min(scenario.horizon_us);
             sim.schedule(at, SimEvent::WindowMark { idx });
         }
+        let report = ScenarioReport {
+            name: scenario.name.clone(),
+            seed,
+            proxies: sim.cfg.proxies,
+            datagrams_by_op: SCENARIO_OPS.iter().map(|op| (op.to_string(), 0)).collect(),
+            windows: (0..cfg.windows)
+                .map(|idx| WindowStats {
+                    idx,
+                    ..WindowStats::default()
+                })
+                .collect(),
+            ..ScenarioReport::default()
+        };
         sim.scn = Some(ScnState {
-            reg: Rc::new(Registry::new()),
+            report,
+            latency: Histogram::new(),
             window_us,
-            windows: cfg.windows,
             origin_rtt_us: cfg.origin_rtt_us,
             local_service_us: cfg.local_service_us,
             tracked_evicted: Vec::new(),
@@ -1126,7 +1120,7 @@ pub fn stale_advertised_pairs(
 }
 
 /// Per-window slice of the good-ruler report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowStats {
     /// Window index (0-based over the scenario horizon).
     pub idx: usize,
@@ -1147,9 +1141,10 @@ pub struct WindowStats {
 /// The per-scenario "good ruler" report: every dimension the ICN ruler
 /// paper says a cache-network evaluation must publish — hit ratio over
 /// time windows, summary staleness, false-hit rate, per-opcode message
-/// distribution, and virtual-time tail latency — rendered from one
-/// sc-obs snapshot plus the underlying [`SimReport`].
-#[derive(Debug, Clone, PartialEq)]
+/// distribution, and virtual-time tail latency — counted in place
+/// while the scenario runs, plus run-level totals from the underlying
+/// [`SimReport`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name (e.g. `flash-crowd`).
     pub name: String,
@@ -1209,78 +1204,6 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Project the report out of a scenario run's sc-obs snapshot and
-    /// its fault-plan report.
-    pub fn from_snapshot(
-        snap: &sc_obs::Snapshot,
-        sim: &SimReport,
-        name: &str,
-        proxies: usize,
-        windows: usize,
-    ) -> ScenarioReport {
-        let hist = snap.histogram_value("scn_request_latency_us");
-        let datagrams_by_op = SCENARIO_OPS
-            .iter()
-            .map(|&op| {
-                (
-                    op.to_string(),
-                    snap.counter_value_with("scn_datagrams_total", &[("op", op)]),
-                )
-            })
-            .collect();
-        let windows = (0..windows)
-            .map(|idx| {
-                let w = idx.to_string();
-                let l = [("window", w.as_str())];
-                WindowStats {
-                    idx,
-                    requests: snap.counter_value_with("scn_window_requests_total", &l),
-                    local_hits: snap.counter_value_with("scn_window_local_hits_total", &l),
-                    remote_hits: snap.counter_value_with("scn_window_remote_hits_total", &l),
-                    false_hits: snap.counter_value_with("scn_window_false_hits_total", &l),
-                    stale_pairs: snap
-                        .gauge_value_with("scn_window_stale_pairs", &l)
-                        .map(|v| v as u64)
-                        .unwrap_or(0),
-                    live_pairs: snap
-                        .gauge_value_with("scn_window_live_pairs", &l)
-                        .map(|v| v as u64)
-                        .unwrap_or(0),
-                }
-            })
-            .collect();
-        ScenarioReport {
-            name: name.to_string(),
-            seed: sim.seed,
-            proxies,
-            converged: sim.converged,
-            settle_steps: sim.settle_steps,
-            requests: snap.counter_value("scn_requests_total"),
-            unserved: snap.counter_value("scn_unserved_total"),
-            local_hits: snap.counter_value("scn_local_hits_total"),
-            remote_hits: snap.counter_value("scn_remote_hits_total"),
-            false_hits: snap.counter_value("scn_false_hits_total"),
-            origin_fetches: snap.counter_value("scn_origin_fetches_total"),
-            queries_sent: snap.counter_value("scn_queries_sent_total"),
-            wasted_queries: snap.counter_value("scn_wasted_queries_total"),
-            evictions: snap.counter_value("scn_evictions_total"),
-            stale_advertised_after_settle: snap
-                .counter_value("scn_stale_advertised_after_settle"),
-            latency_p50_us: hist.percentile(0.50),
-            latency_p90_us: hist.percentile(0.90),
-            latency_p99_us: hist.percentile(0.99),
-            latency_max_us: hist.percentile(1.0),
-            datagrams_by_op,
-            windows,
-            update_bytes_sent: sim.update_bytes_sent,
-            other_bytes_sent: sim.other_bytes_sent,
-            datagrams_dropped: sim.datagrams_dropped,
-            resyncs_requested: sim.resyncs_requested,
-            failures: sim.failures,
-            recoveries: sim.recoveries,
-        }
-    }
-
     /// Served-hit ratio: (local + remote) over all requests.
     pub fn hit_ratio(&self) -> f64 {
         (self.local_hits + self.remote_hits) as f64 / self.requests.max(1) as f64
@@ -1297,7 +1220,7 @@ impl ScenarioReport {
 /// underlying fault-plan report (journal, convergence, byte counts),
 /// and the final cluster state for post-run probes.
 pub struct ScenarioOutcome {
-    /// The rendered-from-snapshot good-ruler report.
+    /// The good-ruler report.
     pub report: ScenarioReport,
     /// The underlying fault-plan report.
     pub sim: SimReport,
@@ -1311,8 +1234,8 @@ pub struct ScenarioOutcome {
 
 /// Run `scenario` against a simulated cluster: replay the scenario on
 /// top of the seeded fault plan, settle, probe every storm-evicted URL
-/// for stale advertisements, and project the good-ruler report from
-/// the run's sc-obs snapshot.
+/// for stale advertisements, and complete the good-ruler report with
+/// the run-level fields.
 pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> ScenarioOutcome {
     let mut sim = Sim::with_scenario(cfg, seed, scenario);
     let sim_report = sim.run_inner();
@@ -1323,16 +1246,28 @@ pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Scen
     let nodes = std::mem::take(&mut sim.nodes);
     let (routers, dirs): (Vec<Router>, Vec<HashSet<String>>) =
         nodes.into_iter().map(|n| (n.router, n.dir)).unzip();
-    let mut stale = 0;
-    for url in &scn.tracked_evicted {
-        stale += stale_advertised_pairs(&routers, &dirs, &up, url);
-    }
-    scn.reg
-        .counter("scn_stale_advertised_after_settle")
-        .add(stale);
-    let snap = scn.reg.snapshot();
-    let report =
-        ScenarioReport::from_snapshot(&snap, &sim_report, &scenario.name, routers.len(), scn.windows);
+    let stale = scn
+        .tracked_evicted
+        .iter()
+        .map(|url| stale_advertised_pairs(&routers, &dirs, &up, url))
+        .sum();
+    let hist = scn.latency.snapshot();
+    let report = ScenarioReport {
+        converged: sim_report.converged,
+        settle_steps: sim_report.settle_steps,
+        stale_advertised_after_settle: stale,
+        latency_p50_us: hist.percentile(0.50),
+        latency_p90_us: hist.percentile(0.90),
+        latency_p99_us: hist.percentile(0.99),
+        latency_max_us: hist.percentile(1.0),
+        update_bytes_sent: sim_report.update_bytes_sent,
+        other_bytes_sent: sim_report.other_bytes_sent,
+        datagrams_dropped: sim_report.datagrams_dropped,
+        resyncs_requested: sim_report.resyncs_requested,
+        failures: sim_report.failures,
+        recoveries: sim_report.recoveries,
+        ..scn.report
+    };
     ScenarioOutcome {
         report,
         sim: sim_report,

@@ -131,7 +131,9 @@ impl Default for ProxyStats {
 
 impl ProxyStats {
     /// Instruments for a proxy peering with `peer_ids`: the global
-    /// series plus one labeled series set per peer.
+    /// series plus one labeled series set per peer. Panics if an id
+    /// repeats (each series registers once); a daemon's config already
+    /// rejects that as `ConfigError::DuplicatePeerId`.
     pub fn with_peers(peer_ids: &[u32]) -> ProxyStats {
         let registry = Arc::new(Registry::new());
         let peers = peer_ids

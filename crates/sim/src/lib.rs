@@ -40,21 +40,3 @@ fn meta(r: &sc_trace::Request) -> sc_cache::DocMeta {
         last_modified: r.last_modified,
     }
 }
-
-/// Per-proxy cache capacity when a `fraction` of a trace's infinite
-/// cache size is split across `groups` proxies (the Section II setup).
-pub fn per_proxy_capacity(infinite_cache_bytes: u64, fraction: f64, groups: u32) -> u64 {
-    assert!(fraction > 0.0 && groups > 0);
-    (((infinite_cache_bytes as f64) * fraction) as u64 / groups as u64).max(1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn capacity_split() {
-        assert_eq!(per_proxy_capacity(1000, 0.1, 4), 25);
-        assert_eq!(per_proxy_capacity(10, 0.001, 4), 1, "floored at one byte");
-    }
-}

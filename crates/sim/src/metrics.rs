@@ -40,70 +40,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fold another run's counters into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.requests += other.requests;
-        self.local_hits += other.local_hits;
-        self.remote_hits += other.remote_hits;
-        self.local_stale_hits += other.local_stale_hits;
-        self.remote_stale_hits += other.remote_stale_hits;
-        self.false_hits += other.false_hits;
-        self.false_misses += other.false_misses;
-        self.queries_sent += other.queries_sent;
-        self.wasted_queries += other.wasted_queries;
-        self.update_messages += other.update_messages;
-        self.update_bytes += other.update_bytes;
-        self.query_bytes += other.query_bytes;
-        self.requested_bytes += other.requested_bytes;
-        self.hit_bytes += other.hit_bytes;
-        self.publishes += other.publishes;
-    }
-
-    /// Load this run's counters into an `sc-obs` registry under the
-    /// `sim_*` metric names, so figure/table builders read simulation
-    /// results through the same snapshot machinery as the live proxy.
-    /// Counters accumulate: recording two runs into one registry is a
-    /// merge.
-    pub fn record_into(&self, reg: &sc_obs::Registry) {
-        reg.counter("sim_requests_total").add(self.requests);
-        reg.counter("sim_local_hits_total").add(self.local_hits);
-        reg.counter("sim_remote_hits_total").add(self.remote_hits);
-        reg.counter("sim_local_stale_hits_total").add(self.local_stale_hits);
-        reg.counter("sim_remote_stale_hits_total").add(self.remote_stale_hits);
-        reg.counter("sim_false_hits_total").add(self.false_hits);
-        reg.counter("sim_false_misses_total").add(self.false_misses);
-        reg.counter("sim_queries_sent_total").add(self.queries_sent);
-        reg.counter("sim_wasted_queries_total").add(self.wasted_queries);
-        reg.counter("sim_update_messages_total").add(self.update_messages);
-        reg.counter("sim_update_bytes_total").add(self.update_bytes);
-        reg.counter("sim_query_bytes_total").add(self.query_bytes);
-        reg.counter("sim_requested_bytes_total").add(self.requested_bytes);
-        reg.counter("sim_hit_bytes_total").add(self.hit_bytes);
-        reg.counter("sim_publishes_total").add(self.publishes);
-    }
-
-    /// Rebuild counters from an `sc-obs` snapshot previously populated
-    /// by [`Metrics::record_into`] (absent metrics read as zero).
-    pub fn from_obs(snap: &sc_obs::Snapshot) -> Metrics {
-        Metrics {
-            requests: snap.counter_value("sim_requests_total"),
-            local_hits: snap.counter_value("sim_local_hits_total"),
-            remote_hits: snap.counter_value("sim_remote_hits_total"),
-            local_stale_hits: snap.counter_value("sim_local_stale_hits_total"),
-            remote_stale_hits: snap.counter_value("sim_remote_stale_hits_total"),
-            false_hits: snap.counter_value("sim_false_hits_total"),
-            false_misses: snap.counter_value("sim_false_misses_total"),
-            queries_sent: snap.counter_value("sim_queries_sent_total"),
-            wasted_queries: snap.counter_value("sim_wasted_queries_total"),
-            update_messages: snap.counter_value("sim_update_messages_total"),
-            update_bytes: snap.counter_value("sim_update_bytes_total"),
-            query_bytes: snap.counter_value("sim_query_bytes_total"),
-            requested_bytes: snap.counter_value("sim_requested_bytes_total"),
-            hit_bytes: snap.counter_value("sim_hit_bytes_total"),
-            publishes: snap.counter_value("sim_publishes_total"),
-        }
-    }
-
     /// The derived per-request ratios.
     pub fn rates(&self) -> Rates {
         let n = self.requests.max(1) as f64;
@@ -175,43 +111,5 @@ mod tests {
         let r = Metrics::default().rates();
         assert_eq!(r.total_hit_ratio, 0.0);
         assert_eq!(r.byte_hit_ratio, 0.0);
-    }
-
-    #[test]
-    fn obs_roundtrip_accumulates() {
-        let m = Metrics {
-            requests: 100,
-            remote_hits: 7,
-            false_hits: 3,
-            update_bytes: 4096,
-            ..Default::default()
-        };
-        let reg = sc_obs::Registry::new();
-        m.record_into(&reg);
-        assert_eq!(Metrics::from_obs(&reg.snapshot()), m, "lossless roundtrip");
-        // A second recording behaves like merge().
-        m.record_into(&reg);
-        let twice = Metrics::from_obs(&reg.snapshot());
-        assert_eq!(twice.requests, 200);
-        assert_eq!(twice.false_hits, 6);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = Metrics {
-            requests: 10,
-            local_hits: 5,
-            ..Default::default()
-        };
-        let b = Metrics {
-            requests: 20,
-            local_hits: 1,
-            false_hits: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.requests, 30);
-        assert_eq!(a.local_hits, 6);
-        assert_eq!(a.false_hits, 2);
     }
 }

@@ -7,11 +7,11 @@
 # exactly that), so no step here ever touches the network.
 #
 #   scripts/check.sh            # from the workspace root
-#   scripts/check.sh --soak     # + simnet property suite over an
-#                               #   extended seed range (SC_SIM_SEEDS,
-#                               #   default 1000; SC_SIM_SEED replays
-#                               #   one seed), + the live daemon suites
-#                               #   10 times each
+#   scripts/check.sh --soak     # + simnet property suite and scenario
+#                               #   fault sweep over an extended seed
+#                               #   range (SC_SIM_SEEDS, default 1000;
+#                               #   SC_SIM_SEED replays one seed), + the
+#                               #   live daemon suites 10 times each
 #
 set -eu
 
@@ -29,8 +29,9 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 # `default-members` covers the whole workspace: every crate's unit
-# tests, the proxy's integration pins, and the root clippy and
-# source-rule gates (tests/gate.rs, tests/source_rules.rs).
+# tests, the proxy's integration pins, the root clippy gate
+# (tests/gate.rs), and the `locks` and `deps` source rules
+# (tests/source_rules.rs).
 echo "==> cargo test -q"
 cargo test -q --offline
 
@@ -70,6 +71,11 @@ if [ "$SOAK" = 1 ]; then
     export SC_SIM_SEEDS
     echo "==> seeded soak (simnet property suite, $SC_SIM_SEEDS seeds)"
     cargo test -q --offline --test simnet_properties seeded_soak -- --nocapture
+
+    # The scenario driver counts its report in place; sweep false-hit
+    # storm and peer churn over the same seeds under the full fault plan.
+    echo "==> scenario fault sweep ($SC_SIM_SEEDS seeds)"
+    cargo test -q --offline --test scenario_properties scenario_fault_sweep -- --nocapture
 
     # Request threads queue directory changes to the daemon's protocol
     # thread, so an ordering race between them shows up as a flake, not

@@ -91,28 +91,47 @@ fn sc_icp_matches_icp_hits_with_fewer_messages() {
 
 /// Remote stale hits, live: a peer advertises a document, but its copy
 /// is an older version — the fetch must fall through to the origin and
-/// be counted as a remote stale hit.
+/// be counted as a remote stale hit, in ICP and in SC mode alike. The
+/// peer did answer HIT, so it is not also a false hit.
 #[test]
 fn remote_stale_hit_falls_through_to_origin() {
-    let cluster = Cluster::start(&cfg(2, Mode::Icp)).unwrap();
-    let url = "http://server-1.trace.invalid/doc/7";
-    let mut c0 = ProxyClient::connect(cluster.daemons[0].http_addr).unwrap();
-    let mut c1 = ProxyClient::connect(cluster.daemons[1].http_addr).unwrap();
-    // Proxy 0 caches version 1.
-    assert_eq!(
-        c0.get(url, DocMeta { size: 1000, last_modified: 1 }).unwrap().status,
-        200
-    );
-    // Proxy 1's client wants version 2: ICP says proxy 0 has the URL,
-    // but the fetched copy is stale.
-    assert_eq!(
-        c1.get(url, DocMeta { size: 1000, last_modified: 2 }).unwrap().status,
-        200
-    );
-    let s1 = cluster.daemons[1].stats.snapshot();
-    assert_eq!(s1.remote_stale_hits, 1, "{s1:?}");
-    assert_eq!(s1.remote_hits, 0);
-    cluster.shutdown();
+    let sc = Mode::SummaryCache {
+        load_factor: 16,
+        hashes: 4,
+        policy: summary_cache::core::UpdatePolicy::Threshold(0.0),
+    };
+    for mode in [Mode::Icp, sc] {
+        let cluster = Cluster::start(&cfg(2, mode)).unwrap();
+        let (d0, d1) = (&cluster.daemons[0], &cluster.daemons[1]);
+        let url = "http://server-1.trace.invalid/doc/7";
+        let mut c0 = ProxyClient::connect(d0.http_addr).unwrap();
+        let mut c1 = ProxyClient::connect(d1.http_addr).unwrap();
+        // Proxy 0 caches version 1.
+        assert_eq!(
+            c0.get(url, DocMeta { size: 1000, last_modified: 1 }).unwrap().status,
+            200
+        );
+        // In SC mode proxy 1 queries only the peers its replicas name:
+        // wait until its replica of proxy 0 carries the new document.
+        assert!(
+            mode == Mode::Icp
+                || sc_util::poll::wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
+                    d1.replica_bits(0).is_some_and(|b| Some(b) == d0.published_bits())
+                }),
+            "{mode:?}: proxy 1's replica of proxy 0 never converged"
+        );
+        // Proxy 1's client wants version 2: proxy 0 answers HIT, but
+        // the fetched copy is stale.
+        assert_eq!(
+            c1.get(url, DocMeta { size: 1000, last_modified: 2 }).unwrap().status,
+            200
+        );
+        let s1 = d1.stats.snapshot();
+        assert_eq!(s1.remote_stale_hits, 1, "{mode:?}: {s1:?}");
+        assert_eq!(s1.remote_hits, 0, "{mode:?}: {s1:?}");
+        assert_eq!(s1.false_hits, 0, "{mode:?}: {s1:?}");
+        cluster.shutdown();
+    }
 }
 
 /// Regression: an all-miss ICP round must resolve as soon as the last

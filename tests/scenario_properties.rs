@@ -284,6 +284,35 @@ fn pinned_two_level_hierarchy() {
     );
 }
 
+/// MD5 of the `{:?}` of every canned scenario's full report under
+/// [`pinned_cfg`]. The headlines above read only part of a report;
+/// this pin also covers the windows, every opcode row, p90/max latency
+/// and the per-window stale/live pairs. `ScenarioReport` has no float
+/// field, so its `{:?}` is deterministic.
+const FULL_REPORTS_MD5: &str = "f907d6ba932e37e71d69a06485d93957";
+
+#[test]
+fn scenario_reports_are_pinned_in_full() {
+    let mut md5 = summary_cache::md5::Md5::new();
+    for (name, seed) in [
+        ("flash-crowd", 0xF1A5),
+        ("diurnal-drift", 0xD01F),
+        ("peer-churn", 0xC0DE),
+        ("false-hit-storm", 0x57),
+        ("two-level-hierarchy", 0x2113),
+    ] {
+        let s = scenario::by_name(name, 8, seed).expect("canned name");
+        let report = run_scenario(pinned_cfg(), seed, &s).report;
+        md5.update(format!("{report:?}\n").as_bytes());
+    }
+    let digest = summary_cache::md5::to_hex(&md5.finalize());
+    assert_eq!(
+        digest, FULL_REPORTS_MD5,
+        "a canned scenario's report changed; if that is intended, set \
+         FULL_REPORTS_MD5 to the new digest and say why in the commit"
+    );
+}
+
 /// The counting-Bloom staleness probe (closes the loop on the PR-8
 /// lost-recovery fix): after a false-hit storm quiesces under a
 /// fault-free network, every advertised-but-evicted URL must be

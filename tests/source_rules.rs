@@ -4,25 +4,18 @@
 //!   (live from its `let` to its block's end or its `drop`) spans a
 //!   sleep, channel or socket I/O, a second acquisition of its lock, or
 //!   an acquisition order that inverts one taken elsewhere.
-//! * **metrics** — a metric name is registered at one non-test site in
-//!   `crates/*/src`, `src` and `benchmark/src`: the registry
-//!   get-or-creates by name, so a second site silently aliases it.
 //! * **deps** — no lock file names a `source`: every dependency is local.
 //!
 //! Comments, literal interiors and test items are blanked byte for byte
 //! first, so offsets and line numbers survive. Each rule also runs on an
 //! inline violating case.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Calls that may block, forbidden while a guard is live. Dot-prefixed
 /// so `try_send(` and `try_recv(` do not match.
 const BLOCKING: &str = "thread::sleep .send( .send_to( .recv( .recv_timeout( .recv_deadline( \
     .recv_from( .write( .write_all( .read( .read_exact( .flush( .accept( .connect(";
-
-/// A metric is born where one of these is applied to a name literal.
-const METRIC_METHODS: &str = "counter counter_with gauge gauge_with histogram histogram_with";
 
 /// Calls that pass a lock acquisition's guard through unchanged.
 const ADAPTERS: &str = ".unwrap_or_else .unwrap_or_default .unwrap_or .unwrap .expect";
@@ -243,32 +236,6 @@ fn locks(files: &[(String, String)]) -> Vec<String> {
     findings
 }
 
-/// The `metrics` rule: every name registered at more than one site.
-fn metrics(files: &[(String, String)]) -> Vec<String> {
-    let mut sites: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-    for (file, src) in files {
-        let code = non_test_code(src);
-        for method in METRIC_METHODS.split_whitespace() {
-            for (p, _) in code.match_indices(&format!(".{method}")) {
-                let rest = code[p + 1 + method.len()..].trim_start();
-                let arg = rest.strip_prefix('(').unwrap_or_default().trim_start();
-                if arg.starts_with('"') {
-                    let open = code.len() - arg.len() + 1;
-                    let name = &src[open..open + code[open..].find('"').unwrap_or(0)];
-                    sites.entry(name).or_default().push(format!("{file}:{}", line_of(&code, p)));
-                }
-            }
-        }
-    }
-    let mut findings = Vec::new();
-    for (name, at) in sites.iter().filter(|(_, at)| at.len() > 1) {
-        let n = at.len();
-        let finding = |s| format!("{s}: [metrics] `{name}` registered at {n} sites");
-        findings.extend(at.iter().map(finding));
-    }
-    findings
-}
-
 /// The `deps` rule over one lock file.
 fn deps(file: &str, lock: &str) -> Vec<String> {
     let sourced = lock.lines().enumerate().filter(|(_, l)| l.starts_with("source ="));
@@ -290,13 +257,9 @@ fn sources(dir: &str, files: &mut Vec<(String, String)>) {
 
 #[test]
 fn real_tree_passes_every_source_rule() {
-    let (mut proxy, mut srcs) = (Vec::new(), Vec::new());
+    let mut proxy = Vec::new();
     sources("crates/proxy/src", &mut proxy);
-    for dir in ["crates", "src", "benchmark/src"] {
-        sources(dir, &mut srcs);
-    }
-    srcs.retain(|(f, _)| !f.starts_with("crates/") || f.split('/').nth(2) == Some("src"));
-    let mut findings = [locks(&proxy), metrics(&srcs)].concat();
+    let mut findings = locks(&proxy);
     for lock in ["Cargo.lock", "benchmark/Cargo.lock"] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(lock);
         findings.extend(deps(lock, &std::fs::read_to_string(path).expect("lock file")));
@@ -349,34 +312,6 @@ fn lock_discipline_flagged_with_drop_and_scope_negatives() {
     let at = |line: usize| format!("crates/proxy/src/daemon.rs:{line}: [locks]");
     let expected = [(3, "sleep"), (5, ".send("), (6, "self-deadlock"), (10, "inv"), (14, "inv")];
     assert_found(&found, &expected.map(|(line, what)| (at(line), what)));
-}
-
-const METRICS_A: &str = r#"fn a(r: &Registry) {
-    r.counter("sc_dup_total").incr();
-    r.gauge("sc_only_here");
-    r.histogram("sc_dup_bytes");
-}
-"#;
-
-const METRICS_B: &str = r#"// r.gauge("sc_only_here") in a comment
-fn b(r: &Registry) {
-    r.counter("sc_dup_total").incr();
-    r.histogram(
-        "sc_dup_bytes",
-    );
-}
-#[cfg(test)]
-fn t(r: &Registry) { r.counter("sc_dup_total"); }
-"#;
-
-#[test]
-fn duplicate_metric_registration_flagged_at_both_sites() {
-    let files = [("a/src/lib.rs", METRICS_A), ("b/src/lib.rs", METRICS_B)];
-    let found = metrics(&files.map(|(f, src)| (f.to_string(), src.to_string())));
-    let expected = [("a", 2, "`sc_dup_total`"), ("b", 3, "`sc_dup_total`")];
-    let expected = [expected, [("a", 4, "`sc_dup_bytes`"), ("b", 4, "`sc_dup_bytes`")]].concat();
-    let at = |(krate, line, name)| (format!("{krate}/src/lib.rs:{line}: [metrics]"), name);
-    assert_found(&found, &expected.into_iter().map(at).collect::<Vec<_>>());
 }
 
 const LOCK_FILE: &str = r#"[[package]]
