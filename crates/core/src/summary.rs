@@ -49,9 +49,10 @@ enum State {
         filter: CountingBloomFilter,
         /// Bit array as of the last publish.
         baseline: BitVec,
-        /// Reused sink for the filter's per-update flips, which publish
-        /// does not need: it diffs `baseline` against the live bits.
-        flips: Vec<Flip>,
+        /// Every flip the filter reported since the last publish, which
+        /// drains it. It grows only between publishes, so the update
+        /// policy bounds it.
+        pending: Vec<Flip>,
     },
 }
 
@@ -120,7 +121,7 @@ impl ProxySummary {
                 State::Bloom {
                     filter: CountingBloomFilter::new(cfg),
                     baseline: BitVec::new(bits as usize),
-                    flips: Vec::new(),
+                    pending: Vec::new(),
                 }
             }
         };
@@ -199,10 +200,7 @@ impl ProxySummary {
             State::Server { counts, .. } => {
                 *counts.entry(*server.digest()).or_insert(0) += 1;
             }
-            State::Bloom { filter, flips, .. } => {
-                flips.clear();
-                filter.insert_key_into(url, flips);
-            }
+            State::Bloom { filter, pending, .. } => filter.insert_key_into(url, pending),
         }
         self.docs += 1;
         self.inserts_since_publish += 1;
@@ -230,10 +228,7 @@ impl ProxySummary {
                     }
                 }
             }
-            State::Bloom { filter, flips, .. } => {
-                flips.clear();
-                filter.remove_key_into(url, flips);
-            }
+            State::Bloom { filter, pending, .. } => filter.remove_key_into(url, pending),
         }
         self.docs = self.docs.saturating_sub(1);
     }
@@ -326,25 +321,30 @@ impl ProxySummary {
                     staleness,
                 }
             }
-            State::Bloom { filter, baseline, .. } => {
+            State::Bloom { filter, baseline, pending } => {
+                // A bit that differs from `baseline` flipped at least once
+                // since the last publish, so `pending` names every one.
+                pending.sort_unstable_by_key(|f| f.index());
+                pending.dedup_by_key(|f| f.index());
                 let bits = filter.bits();
-                let diff = baseline.diff_indices(bits);
-                let delta_bytes = wire_cost::bloom_delta_bytes(diff.len());
-                let full_bytes = wire_cost::bloom_full_bytes(baseline.len());
-                let flips: Vec<Flip> = diff
-                    .iter()
-                    .map(|&i| {
-                        if bits.get(i) {
-                            Flip::set(i as u32)
-                        } else {
-                            Flip::clear(i as u32)
-                        }
+                let flips: Vec<Flip> = pending
+                    .drain(..)
+                    .filter_map(|f| {
+                        let live = bits.get(f.index() as usize);
+                        baseline.set(f.index() as usize, live).then(|| {
+                            if live {
+                                Flip::set(f.index())
+                            } else {
+                                Flip::clear(f.index())
+                            }
+                        })
                     })
                     .collect();
-                baseline.clone_from(bits);
+                let delta_bytes = wire_cost::bloom_delta_bytes(flips.len());
+                let full_bytes = wire_cost::bloom_full_bytes(baseline.len());
                 PublishOutcome {
                     update_bytes: delta_bytes.min(full_bytes),
-                    changes: diff.len(),
+                    changes: flips.len(),
                     full_bitmap: full_bytes < delta_bytes,
                     flips,
                     staleness,
@@ -685,6 +685,61 @@ mod tests {
                 assert_eq!(s.probe_published_key(&uk, &sk), want, "{kind:?} published doc {i}");
             }
         }
+    }
+
+    /// The flip list a publish ships is exactly the diff between the
+    /// previously published bitmap and the live one, in index order.
+    /// A 64-bit filter and a pool of eight keys make the keys collide;
+    /// repeated inserts drive counters to their clamp at 15, and
+    /// removals of keys never inserted underflow. A mirror counting
+    /// filter fed the same operations supplies the live bits.
+    #[test]
+    fn publish_flips_match_a_reference_diff() {
+        let (mut saturated, mut underflowed) = (false, false);
+        sc_util::prop::check("publish_flips_match_a_reference_diff", 256, |rng| {
+            let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
+            let mut s = ProxySummary::with_expected_docs(kind, 8);
+            let (spec, published) = s.bloom().expect("a Bloom summary");
+            let mut previous = published.clone();
+            let mut live = CountingBloomFilter::new(FilterConfig {
+                bits: spec.table_bits(),
+                hashes: spec.k(),
+                function_bits: spec.function_bits(),
+            });
+            let mut scratch = Vec::new();
+            for _ in 0..rng.gen_range(1..400u32) {
+                let (u, srv) = url(rng.gen_range(0..8u32));
+                if rng.gen_bool(0.6) {
+                    s.insert_key(&u, &srv);
+                    live.insert_key_into(&u, &mut scratch);
+                } else {
+                    s.remove_key(&u, &srv);
+                    live.remove_key_into(&u, &mut scratch);
+                }
+                if !rng.gen_bool(0.1) {
+                    continue;
+                }
+                let out = s.publish();
+                let reference: Vec<Flip> = previous
+                    .diff_indices(live.bits())
+                    .into_iter()
+                    .map(|i| {
+                        if live.bits().get(i) {
+                            Flip::set(i as u32)
+                        } else {
+                            Flip::clear(i as u32)
+                        }
+                    })
+                    .collect();
+                assert_eq!(out.flips, reference);
+                assert_eq!(out.changes, out.flips.len());
+                previous = s.bloom().expect("a Bloom summary").1.clone();
+                assert_eq!(&previous, live.bits(), "publish reaches the live bits");
+            }
+            saturated |= live.saturations() > 0;
+            underflowed |= live.underflows() > 0;
+        });
+        assert!(saturated && underflowed, "the cases reach both counter edges");
     }
 
     #[test]

@@ -98,11 +98,15 @@ pub struct Daemon {
     shutdown: Arc<AtomicBool>,
 }
 
-/// An outstanding ICP query awaiting replies.
+/// An outstanding ICP query round awaiting replies.
 struct Pending {
-    outstanding: usize,
-    hit: Option<u32>,
-    done: Option<SyncSender<Option<u32>>>,
+    /// Queried peers that have not answered yet. The round ends on the
+    /// first HIT or once this empties; a reply from a peer outside it
+    /// (a duplicate, an unknown source, a peer not queried) changes
+    /// nothing.
+    waiting: Vec<u32>,
+    /// Receives the round's HIT sender, or `None` for an all-miss round.
+    done: SyncSender<Option<u32>>,
     /// When the queries left, for per-peer RTT histograms.
     sent_at: Instant,
 }
@@ -128,7 +132,7 @@ struct Inner {
     stats: Arc<ProxyStats>,
     /// The document cache, striped by the router's `UrlKey` space.
     cache: CacheStripes,
-    /// Lock-free read path: the router publishes its peer replicas and
+    /// Read path: the router publishes its peer replicas and
     /// live-peer set here, and request threads read them.
     replicas: Arc<ReplicaCell>,
     /// Wall-clock origin of the router's [`VirtualTime`] axis.
@@ -723,7 +727,7 @@ fn serve_client_on(
         }
         Mode::SummaryCache { .. } => {
             // Probe every installed peer-summary replica via the
-            // lock-free snapshot cell: the request's one UrlKey is
+            // snapshot cell: the request's one UrlKey is
             // tested against each replica's memoized index set, with no
             // allocation (the warm candidate buffer is refilled in
             // place) on this path.
@@ -833,9 +837,8 @@ fn query_then_fetch(
     lock(&inner.pending).insert(
         reqnum,
         Pending {
-            outstanding: peer_ids.len(),
-            hit: None,
-            done: Some(tx),
+            waiting: peer_ids.to_vec(),
+            done: tx,
             sent_at: Instant::now(),
         },
     );
@@ -853,10 +856,10 @@ fn query_then_fetch(
             }
         } else {
             // A query that never left (unknown peer, failed send) can
-            // get no reply: count it as an immediate MISS, so an
-            // all-miss round still completes on its last real reply
-            // and a round where nothing left completes at once.
-            dispatch_reply(inner, reqnum, None, None);
+            // get no reply: strike the peer at once, so an all-miss
+            // round still completes on its last real reply and a round
+            // where nothing left completes at once.
+            answered(&mut lock(&inner.pending), reqnum, *id, false);
         }
     }
     let winner = rx
@@ -930,28 +933,40 @@ fn fetch_http(
     Ok((reply.status != 404).then_some(reply.meta))
 }
 
-/// Route an ICP reply to the waiting query, completing it on the first
-/// HIT or once every peer has answered. `replier` (when the source
-/// address maps to a known peer) gets the round trip recorded into its
-/// RTT histogram.
+/// Route an ICP reply to the waiting query round. Only the first reply
+/// from each queried peer counts; `replier` (the peer the source
+/// address maps to) gets that reply's round trip recorded into its RTT
+/// histogram.
 fn dispatch_reply(inner: &Inner, reqnum: u32, hit_from: Option<u32>, replier: Option<u32>) {
-    let mut pending = lock(&inner.pending);
-    let Some(p) = pending.get_mut(&reqnum) else {
-        return; // late reply after timeout
+    let Some(peer) = replier else {
+        return; // an unknown source was not queried
     };
-    if let Some(ps) = replier.and_then(|id| inner.stats.peer(id)) {
-        ps.icp_rtt_us.record(p.sent_at.elapsed().as_micros() as u64);
+    let sent_at = answered(&mut lock(&inner.pending), reqnum, peer, hit_from.is_some());
+    if let (Some(sent_at), Some(ps)) = (sent_at, inner.stats.peer(peer)) {
+        ps.icp_rtt_us.record(sent_at.elapsed().as_micros() as u64);
     }
-    p.outstanding = p.outstanding.saturating_sub(1);
-    if let Some(id) = hit_from {
-        p.hit = Some(id);
-    }
-    if p.hit.is_some() || p.outstanding == 0 {
-        if let Some(done) = p.done.take() {
-            let _ = done.try_send(p.hit);
+}
+
+/// Strike `peer` from round `reqnum`'s waiting set, completing the round
+/// on its `hit` or once every queried peer has answered.
+/// Returns when the round's queries left, or `None` if `peer` was not
+/// waiting (a late reply after the round ended, or a duplicate).
+fn answered(
+    pending: &mut FxHashMap<u32, Pending>,
+    reqnum: u32,
+    peer: u32,
+    hit: bool,
+) -> Option<Instant> {
+    let p = pending.get_mut(&reqnum)?;
+    let at = p.waiting.iter().position(|&w| w == peer)?;
+    p.waiting.swap_remove(at);
+    let sent_at = p.sent_at;
+    if hit || p.waiting.is_empty() {
+        if let Some(p) = pending.remove(&reqnum) {
+            let _ = p.done.try_send(hit.then_some(peer));
         }
-        pending.remove(&reqnum);
     }
+    Some(sent_at)
 }
 
 /// A generation identifier that is, with overwhelming probability,
@@ -1175,6 +1190,74 @@ mod tests {
         get("http://s.invalid/b");
         let _ = daemon.published_bits();
         assert_eq!(daemon.stats.summary_publishes.get(), 1, "the second store publishes");
+    }
+
+    /// An ICP round ends when every queried peer has answered, not
+    /// after as many datagrams as there were queries: UDP may duplicate
+    /// a MISS, and a duplicate must not end the round before a slower
+    /// peer's HIT arrives.
+    #[test]
+    fn a_duplicated_miss_does_not_end_the_round_early() {
+        let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+        let origin = crate::origin::Origin::spawn(Duration::ZERO).expect("origin");
+        let sockets: Vec<UdpSocket> =
+            (0..2).map(|_| UdpSocket::bind(loopback).expect("peer socket")).collect();
+        let peers = [2, 3]
+            .iter()
+            .zip(&sockets)
+            .map(|(&id, socket)| PeerAddr {
+                id,
+                icp: socket.local_addr().expect("peer addr"),
+                http: origin.addr,
+            })
+            .collect();
+        let cfg = ProxyConfig::builder()
+            .id(1)
+            .mode(Mode::Icp)
+            .peers(peers)
+            .origin(origin.addr)
+            .icp_timeout_ms(5_000)
+            .keepalive_ms(0)
+            .build()
+            .expect("config");
+        let daemon = Daemon::spawn_on(
+            cfg,
+            TcpListener::bind(loopback).expect("http"),
+            UdpSocket::bind(loopback).expect("icp"),
+        )
+        .expect("daemon");
+        let http = daemon.http_addr;
+        let client = std::thread::spawn(move || {
+            let mut c = ProxyClient::connect(http).expect("connect");
+            assert_eq!(c.get("http://s.invalid/dup", doc()).expect("get").status, 200);
+        });
+        let mut queries = Vec::new();
+        for socket in &sockets {
+            socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+            let mut buf = [0u8; 2048];
+            let (n, daemon_icp) = socket.recv_from(&mut buf).expect("a query");
+            let IcpMessage::Query { request_number, url, .. } =
+                IcpMessage::decode(&buf[..n]).expect("decodes")
+            else {
+                panic!("expected a query");
+            };
+            queries.push((daemon_icp, request_number, url));
+        }
+        let reply = |socket: &UdpSocket, id: u32, hit: bool, (to, request_number, url): &(SocketAddr, u32, String)| {
+            let (request_number, url) = (*request_number, url.clone());
+            let msg = if hit {
+                IcpMessage::Hit { request_number, url }
+            } else {
+                IcpMessage::Miss { request_number, url }
+            };
+            socket.send_to(&msg.encode(id).expect("encodes"), to).expect("send");
+        };
+        reply(&sockets[0], 2, false, &queries[0]);
+        reply(&sockets[0], 2, false, &queries[0]);
+        reply(&sockets[1], 3, true, &queries[1]);
+        client.join().expect("client thread");
+        let s = daemon.stats.snapshot();
+        assert_eq!((s.remote_hits, s.icp_queries_sent), (1, 2), "{s:?}");
     }
 
     /// A datagram the socket refuses is counted, through `send_udp`

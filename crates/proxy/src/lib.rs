@@ -23,11 +23,11 @@
 //!   and summary-cache enhanced ICP (probe local Bloom replicas of peer
 //!   directories, query only candidates, ship `ICP_OP_DIRUPDATE`
 //!   deltas).
-//! * [`replica`] — the lock-free read path: the router publishes
-//!   immutable peer-replica and live-peer snapshots into an
-//!   epoch-swapped cell, and request threads choose whom to query from
-//!   them (SC mode via the hash-once `UrlKey` probe) without reaching
-//!   the protocol thread that owns the router.
+//! * [`replica`] — the read path: the router publishes immutable
+//!   peer-replica and live-peer snapshots into a cell whose lock covers
+//!   only a pointer clone, and request threads choose whom to query
+//!   from them (SC mode via the hash-once `UrlKey` probe) without
+//!   reaching the protocol thread that owns the router.
 //! * [`simnet`] — the deterministic simulation harness: N routers, a
 //!   virtual clock, one event priority-queue, and a seeded fault plan
 //!   (loss, duplication, reordering, crash+restart, partitions) for

@@ -1,4 +1,4 @@
-//! Lock-free read-path snapshots of peer summary replicas.
+//! Read-path snapshots of peer summary replicas.
 //!
 //! SC-mode candidate selection is the hottest read in the daemon: every
 //! local cache miss probes every peer's Bloom replica. The router that
@@ -10,15 +10,10 @@
 //! state, but after every mutation it publishes an immutable
 //! [`ReplicaSnapshot`] (replicas plus live peers) into a shared
 //! [`ReplicaCell`]. Request threads read the snapshot without ever
-//! reaching the router:
-//!
-//! * each swap bumps an epoch counter (std-only stand-in for an
-//!   epoch-based RCU pointer);
-//! * each reader thread keeps a thread-local `(cell, epoch, snapshot)`
-//!   cache — while the epoch is unchanged, a read is one atomic load
-//!   plus a thread-local lookup, with **no** lock of any kind;
-//! * when the epoch moved, the reader refreshes from the cell's small
-//!   internal mutex (held only long enough to clone an `Arc`).
+//! reaching the router: a read locks the cell only long enough to
+//! clone an `Arc`, so it never waits on the router's owner, and a
+//! swapped-out snapshot is freed as soon as its last in-flight reader
+//! drops it.
 //!
 //! Writers swap whole snapshots; the Bloom filters inside are shared by
 //! `Arc` and copy-on-written (`Arc::make_mut`) only when a delta lands
@@ -27,8 +22,6 @@
 //! zero MD5 invocations beyond the key's construction.
 
 use sc_bloom::{BloomFilter, UrlKey};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a mutex, tolerating poisoning (a panicking thread must not wedge
@@ -85,26 +78,9 @@ impl ReplicaSnapshot {
     }
 }
 
-/// Cells are distinguished by a process-unique id so the per-thread
-/// snapshot cache can serve many daemons in one process (tests,
-/// clusters) without cross-talk.
-static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Per-thread `(cell id, epoch, snapshot)` cache. Linear scan: a
-    /// thread talks to a handful of cells (usually one), and entries
-    /// are three words each.
-    static SNAPSHOT_CACHE: RefCell<Vec<(u64, u64, Arc<ReplicaSnapshot>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
 /// The shared slot a [`crate::router::Router`] publishes replica
 /// snapshots into, and request threads read candidate sets from.
 pub struct ReplicaCell {
-    id: u64,
-    /// Bumped (under `current`'s lock) on every swap. A reader whose
-    /// cached epoch still matches knows its cached snapshot is current.
-    epoch: AtomicU64,
     current: Mutex<Arc<ReplicaSnapshot>>,
 }
 
@@ -112,60 +88,22 @@ impl ReplicaCell {
     /// A fresh cell holding the empty snapshot.
     pub fn new() -> Arc<ReplicaCell> {
         Arc::new(ReplicaCell {
-            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
-            epoch: AtomicU64::new(0),
             current: Mutex::new(Arc::new(ReplicaSnapshot::empty())),
         })
     }
 
-    /// The epoch of the currently installed snapshot (monotonic; one
-    /// bump per [`swap`](ReplicaCell::swap)).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Read the current snapshot. On the hot path (no swap since this
-    /// thread last looked) this takes no lock at all: one atomic load
-    /// plus a thread-local lookup. After a swap, the first read per
-    /// thread refreshes through the cell's internal mutex, held only
-    /// to clone an `Arc`.
+    /// Read the current snapshot: lock, clone the `Arc`, unlock.
     pub fn load(&self) -> Arc<ReplicaSnapshot> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        SNAPSHOT_CACHE.with(|c| {
-            let mut cache = c.borrow_mut();
-            if let Some(entry) = cache.iter_mut().find(|(id, _, _)| *id == self.id) {
-                if entry.1 == epoch {
-                    return Arc::clone(&entry.2);
-                }
-                let (snap, e) = self.load_slow();
-                entry.1 = e;
-                entry.2 = Arc::clone(&snap);
-                return snap;
-            }
-            let (snap, e) = self.load_slow();
-            cache.push((self.id, e, Arc::clone(&snap)));
-            snap
-        })
-    }
-
-    /// Refresh path: clone the pointer under the cell's mutex, and
-    /// re-read the epoch *while holding it* so the `(epoch, snapshot)`
-    /// pair is consistent (the writer bumps the epoch under the same
-    /// lock).
-    fn load_slow(&self) -> (Arc<ReplicaSnapshot>, u64) {
-        let guard = lock(&self.current);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        (Arc::clone(&guard), epoch)
+        Arc::clone(&lock(&self.current))
     }
 
     /// Install a new snapshot (writer side; called by the router after
-    /// replica or liveness changes). The epoch bump happens under the
-    /// cell's lock so no reader can pair the new epoch with the old
-    /// snapshot.
+    /// replica or liveness changes). Readers still holding the old one
+    /// keep it alive until they drop it.
     pub fn swap(&self, snap: Arc<ReplicaSnapshot>) {
-        let mut guard = lock(&self.current);
-        *guard = snap;
-        self.epoch.fetch_add(1, Ordering::Release);
+        // Bound to a name so that, when this was the last reference, the
+        // old snapshot is freed after the lock is released, not under it.
+        let _old = std::mem::replace(&mut *lock(&self.current), snap);
     }
 }
 
@@ -173,6 +111,7 @@ impl ReplicaCell {
 mod tests {
     use super::*;
     use sc_bloom::FilterConfig;
+    use std::sync::atomic::Ordering;
 
     fn filter_with(urls: &[&[u8]]) -> Arc<BloomFilter> {
         let mut f = BloomFilter::new(FilterConfig::with_load_factor(64, 8, 4));
@@ -226,11 +165,36 @@ mod tests {
     fn cached_reads_see_new_epoch_after_swap() {
         let cell = ReplicaCell::new();
         assert_eq!(cell.load().peers().len(), 0);
-        let e0 = cell.epoch();
         cell.swap(Arc::new(ReplicaSnapshot::new(vec![(7, filter_with(&[b"u"]))], vec![7])));
-        assert_eq!(cell.epoch(), e0 + 1);
-        // The same thread's cached entry must refresh, not serve stale.
+        // A thread that loaded before the swap sees the new snapshot.
         assert_eq!(cell.load().peers().len(), 1);
+    }
+
+    /// A reader that loaded once and then idles does not keep a later
+    /// swap's predecessor alive: the old filters are freed as soon as
+    /// the reader's own `Arc` is gone.
+    #[test]
+    fn a_swapped_out_snapshot_is_freed_once_its_readers_finish() {
+        let cell = ReplicaCell::new();
+        let old = filter_with(&[b"u"]);
+        let weak = Arc::downgrade(&old);
+        cell.swap(Arc::new(ReplicaSnapshot::new(vec![(7, old)], vec![7])));
+        let (loaded_tx, loaded) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let reader = {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                assert_eq!(cell.load().peers().len(), 1);
+                let _ = loaded_tx.send(());
+                let _ = released.recv(); // an idle keep-alive thread
+            })
+        };
+        loaded.recv().expect("the reader loads");
+        cell.swap(Arc::new(ReplicaSnapshot::empty()));
+        let pinned = weak.upgrade().is_some();
+        let _ = release.send(());
+        reader.join().expect("reader thread panicked");
+        assert!(!pinned, "an idle reader still pins the old replica");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   via the DIRREQ options word;
 //! * **the replica snapshot cell**: whenever the installed replica set
 //!   or the live-peer set changes, the router publishes both as one
-//!   immutable [`ReplicaSnapshot`] for the lock-free read path.
+//!   immutable [`ReplicaSnapshot`] for the read path.
 //!
 //! The router processes one event at a time, so a given event sequence
 //! always yields the same output stream — what lets the simnet replay a
@@ -44,7 +44,6 @@ use crate::machine::{
 };
 use crate::replica::{ReplicaCell, ReplicaSnapshot};
 use sc_bloom::{BitVec, BloomFilter, Flip, HashSpec, UrlKey};
-use sc_util::fxhash::FxHashMap;
 use sc_wire::icp::{
     DirContent, DirUpdate, IcpMessage, DIRFULL_GR_SEGMENT_LEN, DIRUPDATE_HEADER_LEN, HEADER_LEN,
 };
@@ -96,13 +95,17 @@ pub trait DirectoryInspect {
     fn cached_docs(&self) -> u64;
 }
 
-/// Failure-detection state for one peer (Section VI-B: the prototype
-/// "leverages Squid's built-in support to detect failure and recovery
-/// of neighbor proxies, and reinitializes a failed neighbor's bit array
-/// when it recovers").
-struct PeerLiveness {
+/// One configured peer: its failure-detection state (Section VI-B: the
+/// prototype "leverages Squid's built-in support to detect failure and
+/// recovery of neighbor proxies, and reinitializes a failed neighbor's
+/// bit array when it recovers"), our replica of its summary, and our
+/// update lane to it.
+struct Peer {
+    id: u32,
     last_heard: VirtualTime,
     failed: bool,
+    replica: ReplicaState,
+    lane: PeerLane,
 }
 
 /// Summary-cache mode's local half: the proxy's own Bloom
@@ -115,10 +118,6 @@ struct PeerLiveness {
 struct ScControl {
     summary: ProxySummary,
     policy: UpdatePolicy,
-    /// Cached `count_ones()` of the published bitmap, refreshed at
-    /// publish — feeds the cheap Golomb–Rice size estimate in the
-    /// per-lane §V-D choice.
-    baseline_ones: usize,
     /// The shared flip log: every publish appends its flips here; lanes
     /// consume it at their own pace and it is trimmed to the slowest
     /// live lane's cursor. The published bitmap is the state at its
@@ -192,16 +191,13 @@ struct PeerLane {
 /// replicas, and the control plane around them.
 pub struct Router {
     id: u32,
-    peers: Vec<u32>,
+    /// One record per configured peer, in configured order: the order
+    /// probes, snapshots, the failure sweep and the fanout walk. Every
+    /// peer has a lane; only SC mode uses the log fields, but the
+    /// stagger slot drives keep-alive fanout in every mode.
+    peers: Vec<Peer>,
     keepalive_ms: u64,
-    /// Peer summary replicas, keyed by peer id.
-    replicas: FxHashMap<u32, ReplicaState>,
-    liveness: FxHashMap<u32, PeerLiveness>,
     sc: Option<ScControl>,
-    /// Per-peer update lanes (every configured peer has one; only SC
-    /// mode uses the log fields, but the stagger slot drives keep-alive
-    /// fanout in every mode).
-    lanes: FxHashMap<u32, PeerLane>,
     /// How many stagger slots the fanout is spread over; a driver must
     /// tick `fanout_slots` times per keep-alive period so every peer is
     /// still serviced once per period.
@@ -209,10 +205,10 @@ pub struct Router {
     /// Ticks seen so far; `tick_no % fanout_slots` is the slot a tick
     /// services.
     tick_no: u64,
-    /// The lock-free read-path cell: after replica or liveness changes
-    /// the router publishes an immutable snapshot of the installed
-    /// replicas and the live peers here, so request threads choose whom
-    /// to query without reaching the router's owner.
+    /// The read-path cell: after replica or liveness changes the router
+    /// publishes an immutable snapshot of the installed replicas and
+    /// the live peers here, so request threads choose whom to query
+    /// without reaching the router's owner.
     cell: Arc<ReplicaCell>,
     /// Set when the replica or live-peer set changed since the last
     /// publication to the cell. Deferring the publication to
@@ -250,53 +246,37 @@ impl Router {
         now: VirtualTime,
     ) -> Router {
         let fanout_slots = fanout_slots.max(1) as u32;
-        let liveness = peers
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    PeerLiveness {
-                        last_heard: now,
-                        failed: false,
-                    },
-                )
-            })
-            .collect();
-        let sc = sc.and_then(|(summary, policy)| {
-            let baseline_ones = summary.bloom()?.1.count_ones();
-            Some(ScControl {
+        let sc = sc
+            .filter(|(summary, _)| summary.bloom().is_some())
+            .map(|(summary, policy)| ScControl {
                 summary,
                 policy,
-                baseline_ones,
                 log: VecDeque::new(),
                 log_base: 0,
-            })
-        });
+            });
         let lane_seq = sc.as_ref().map_or(0, |sc| sc.summary.seq());
-        let lanes = peers
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    PeerLane {
-                        seq: lane_seq,
-                        cursor: 0,
-                        needs_full: false,
-                        accepts_gr: false,
-                        slot: (mix64((u64::from(id) << 32) | u64::from(p))
-                            % u64::from(fanout_slots)) as u32,
-                    },
-                )
+        let peers = peers
+            .into_iter()
+            .map(|p| Peer {
+                id: p,
+                last_heard: now,
+                failed: false,
+                replica: ReplicaState::default(),
+                lane: PeerLane {
+                    seq: lane_seq,
+                    cursor: 0,
+                    needs_full: false,
+                    accepts_gr: false,
+                    slot: (mix64((u64::from(id) << 32) | u64::from(p)) % u64::from(fanout_slots))
+                        as u32,
+                },
             })
             .collect();
         let router = Router {
             id,
             peers,
             keepalive_ms,
-            replicas: FxHashMap::default(),
-            liveness,
             sc,
-            lanes,
             fanout_slots,
             tick_no: 0,
             cell: ReplicaCell::new(),
@@ -349,15 +329,22 @@ impl Router {
         let peers = self
             .peers
             .iter()
-            .filter_map(|&p| self.replica_filter(p).map(|f| (p, f.clone())))
+            .filter_map(|p| p.replica.filter.as_ref().map(|f| (p.id, f.clone())))
             .collect();
         let snapshot = ReplicaSnapshot::new(peers, self.live_peers());
         self.cell.swap(Arc::new(snapshot));
     }
 
+    /// Position of configured peer `peer` in [`Router::peers`], for
+    /// inputs that name a peer by id.
+    fn position(&self, peer: u32) -> Option<usize> {
+        self.peers.iter().position(|p| p.id == peer)
+    }
+
     /// The installed replica of `peer`, if synced.
     fn replica_filter(&self, peer: u32) -> Option<&Arc<BloomFilter>> {
-        self.replicas.get(&peer).and_then(|st| st.filter.as_ref())
+        let at = self.position(peer)?;
+        self.peers[at].replica.filter.as_ref()
     }
 
     /// Feed one event; returns the sends and effects it decided on, in
@@ -413,11 +400,7 @@ impl Router {
 
     /// Peers not currently marked failed (what ICP mode queries).
     pub fn live_peers(&self) -> Vec<u32> {
-        self.peers
-            .iter()
-            .filter(|p| self.liveness.get(p).is_none_or(|l| !l.failed))
-            .copied()
-            .collect()
+        self.peers.iter().filter(|p| !p.failed).map(|p| p.id).collect()
     }
 
     /// Peers whose installed summary replica advertises `url`, in
@@ -427,9 +410,9 @@ impl Router {
     /// against every installed replica.
     pub fn candidates_key_into(&self, url: &UrlKey, out: &mut Vec<u32>) {
         out.clear();
-        for &p in &self.peers {
-            if self.replica_filter(p).is_some_and(|f| f.contains_key(url)) {
-                out.push(p);
+        for p in &self.peers {
+            if p.replica.filter.as_ref().is_some_and(|f| f.contains_key(url)) {
+                out.push(p.id);
             }
         }
     }
@@ -452,17 +435,20 @@ impl Router {
         let Ok(msg) = IcpMessage::decode(data) else {
             return; // malformed datagrams are dropped, as in Squid
         };
-        if let Some(peer_id) = from {
-            if self.mark_heard(now, peer_id) {
+        let from_at = from.and_then(|id| self.position(id));
+        if let Some(at) = from_at {
+            let peer = &mut self.peers[at];
+            peer.last_heard = now;
+            if std::mem::replace(&mut peer.failed, false) {
                 self.replicas_dirty = true; // the live-peer set changed
                 // The peer just came back (Section VI-B): reinitialize
                 // both directions through the resync machinery —
                 // restate our bitmap so its replica of us recovers, and
                 // ask for its bitmap to rebuild the one we dropped at
                 // failure time.
-                out.push(Output::Effect(Effect::PeerRecovered { peer: peer_id }));
-                self.send_full_to(peer_id, out);
-                self.request_resync(now, peer_id, out);
+                out.push(Output::Effect(Effect::PeerRecovered { peer: peer.id }));
+                self.send_full_to(at, out);
+                self.request_resync(now, at, out);
             }
         }
         match msg {
@@ -518,11 +504,9 @@ impl Router {
                 // the whole published bitmap. The options word tells us
                 // whether this peer decodes compressed restatements —
                 // remember it for every later full send to it.
-                if let Some(peer) = from {
-                    if let Some(lane) = self.lanes.get_mut(&peer) {
-                        lane.accepts_gr = accepts_gr;
-                    }
-                    self.send_full_to(peer, out);
+                if let Some(at) = from_at {
+                    self.peers[at].lane.accepts_gr = accepts_gr;
+                    self.send_full_to(at, out);
                 }
             }
         }
@@ -547,11 +531,11 @@ impl Router {
         if spec.table_bits() > MAX_WIRE_TABLE_BITS {
             return; // past the wire limit: drop before staging anything
         }
-        if !self.peers.contains(&sender) {
+        let Some(at) = self.position(sender) else {
             return; // not a configured peer: no replica, no resync
-        }
+        };
         out.push(Output::Effect(Effect::UpdateReceived));
-        let st = self.replicas.entry(sender).or_default();
+        let st = &mut self.peers[at].replica;
         let bits = match update.content {
             DirContent::Bitmap(mut words) => {
                 if words.len() != (spec.table_bits() as usize).div_ceil(64) {
@@ -668,7 +652,7 @@ impl Router {
                             expected_seq: st.expected_seq,
                         }));
                     }
-                    self.request_resync(now, sender, out);
+                    self.request_resync(now, at, out);
                 }
                 return;
             }
@@ -690,20 +674,21 @@ impl Router {
         }));
     }
 
-    /// Ask `peer` — the current datagram's sender — for its full bitmap,
-    /// unless a DIRREQ to it is still inside [`RESYNC_BACKOFF`]. Retries
-    /// ride the next delta or heartbeat that finds the replica still
-    /// missing.
-    fn request_resync(&mut self, now: VirtualTime, peer: u32, out: &mut Vec<Output>) {
-        let st = self.replicas.entry(peer).or_default();
+    /// Ask the peer at `at` — the current datagram's sender — for its
+    /// full bitmap, unless a DIRREQ to it is still inside
+    /// [`RESYNC_BACKOFF`]. Retries ride the next delta or heartbeat that
+    /// finds the replica still missing.
+    fn request_resync(&mut self, now: VirtualTime, at: usize, out: &mut Vec<Output>) {
+        let Peer { id: peer, replica: st, .. } = &mut self.peers[at];
         if st
             .last_resync_request
-            .is_some_and(|at| now.saturating_since(at) < RESYNC_BACKOFF)
+            .is_some_and(|sent| now.saturating_since(sent) < RESYNC_BACKOFF)
         {
             return;
         }
         st.last_resync_request = Some(now);
         let last_generation = st.generation;
+        let peer = *peer;
         let request_number = self.next_reqnum;
         self.next_reqnum = self.next_reqnum.wrapping_add(1);
         out.push(Output::Send(Send {
@@ -723,48 +708,34 @@ impl Router {
         }));
     }
 
-    /// Forget `peer`'s replica state (the failure sweep declared it
-    /// dead); the read-path cell must be refreshed only if a replica
-    /// was actually installed.
-    fn drop_replica(&mut self, peer: u32) {
-        if self
-            .replicas
-            .remove(&peer)
-            .is_some_and(|st| st.filter.is_some())
-        {
-            self.replicas_dirty = true;
-        }
+    /// Restate the whole published bitmap to the peer at `at`
+    /// (answering a DIRREQ, or reinitializing a recovered peer): mark
+    /// the lane stale and service it, so `service_lane` builds the one
+    /// full restatement. No-op outside SC mode.
+    fn send_full_to(&mut self, at: usize, out: &mut Vec<Output>) {
+        self.peers[at].lane.needs_full = true;
+        self.service_lane(at, false, out);
     }
 
-    /// Restate the whole published bitmap to `peer` (answering a
-    /// DIRREQ, or reinitializing a recovered peer): mark the lane stale
-    /// and service it, so `service_lane` builds the one full
-    /// restatement. No-op outside SC mode.
-    fn send_full_to(&mut self, peer: u32, out: &mut Vec<Output>) {
-        if let Some(lane) = self.lanes.get_mut(&peer) {
-            lane.needs_full = true;
-        }
-        self.service_lane(peer, false, out);
-    }
-
-    /// Bring `peer`'s lane current. The per-lane Section V-D choice: a
-    /// full restatement when the lane is marked stale or the logged
-    /// backlog now costs more on the wire than a (GR-coded, when
-    /// negotiated) bitmap; otherwise the pending flips, chunked per
+    /// Bring the lane of the peer at `at` current. The per-lane Section
+    /// V-D choice: a full restatement when the lane is marked stale or
+    /// the logged backlog now costs more on the wire than a (GR-coded,
+    /// when negotiated) bitmap; otherwise the pending flips, chunked per
     /// datagram; otherwise — only when `heartbeat` — the empty
     /// anti-entropy delta that keeps gap detection alive.
-    fn service_lane(&mut self, peer: u32, heartbeat: bool, out: &mut Vec<Output>) {
-        let Self { sc, lanes, next_reqnum, id, .. } = self;
-        let Some(sc) = sc.as_mut() else { return };
+    fn service_lane(&mut self, at: usize, heartbeat: bool, out: &mut Vec<Output>) {
+        let Self { sc, peers, next_reqnum, id, .. } = self;
+        let Some(sc) = sc.as_ref() else { return };
         let Some((spec, bits)) = sc.summary.bloom() else { return };
-        let Some(lane) = lanes.get_mut(&peer) else { return };
+        let Peer { id: peer, lane, .. } = &mut peers[at];
+        let peer = *peer;
         let head = sc.log_base + sc.log.len() as u64;
         let pending = (head - lane.cursor) as usize;
         if pending == 0 && !lane.needs_full && !heartbeat {
             return;
         }
         let full_bytes = if lane.accepts_gr {
-            gr_full_bytes_estimate(bits.len(), sc.baseline_ones)
+            gr_full_bytes_estimate(bits.len(), bits.count_ones())
         } else {
             wire_cost::bloom_full_bytes(bits.len())
         };
@@ -835,24 +806,14 @@ impl Router {
         let min = self
             .peers
             .iter()
-            .filter(|p| !self.liveness.get(p).is_some_and(|l| l.failed))
-            .filter_map(|p| self.lanes.get(p).map(|l| l.cursor))
+            .filter(|p| !p.failed)
+            .map(|p| p.lane.cursor)
             .min()
             .unwrap_or(head);
         while sc.log_base < min {
             sc.log.pop_front();
             sc.log_base += 1;
         }
-    }
-
-    /// Mark `peer` as heard-from now. Returns `true` if this is a
-    /// recovery (the peer was marked failed).
-    fn mark_heard(&mut self, now: VirtualTime, peer: u32) -> bool {
-        let Some(l) = self.liveness.get_mut(&peer) else {
-            return false;
-        };
-        l.last_heard = now;
-        std::mem::replace(&mut l.failed, false)
     }
 
     /// One fanout tick: service the peers whose stagger slot came up —
@@ -864,17 +825,11 @@ impl Router {
     fn on_tick(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
         let slot = (self.tick_no % u64::from(self.fanout_slots)) as u32;
         self.tick_no = self.tick_no.wrapping_add(1);
-        let slot_peers: Vec<u32> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| self.lanes.get(p).is_some_and(|l| l.slot == slot))
-            .collect();
-        for &p in &slot_peers {
+        for p in self.peers.iter().filter(|p| p.lane.slot == slot) {
             // Failed peers are pinged too: hearing us is how a healed
             // one-way partition recovers.
             out.push(Output::Send(Send {
-                to: Dest::Peer(p),
+                to: Dest::Peer(p.id),
                 msg: IcpMessage::Secho {
                     request_number: 0,
                     url: String::new(),
@@ -884,46 +839,40 @@ impl Router {
         }
         self.sweep_failed_peers(now, out);
         if self.sc.is_some() {
-            for &p in &slot_peers {
-                if self.liveness.get(&p).is_some_and(|l| l.failed) {
-                    continue; // recovery will restate the bitmap instead
+            for at in 0..self.peers.len() {
+                // A failed peer's recovery restates the bitmap instead.
+                if self.peers[at].lane.slot == slot && !self.peers[at].failed {
+                    self.service_lane(at, true, out);
                 }
-                self.service_lane(p, true, out);
             }
             self.trim_log();
         }
     }
 
-    /// Drop the summary replicas of peers we have not heard from
-    /// lately.
+    /// Mark the peers we have not heard from lately failed and drop
+    /// their summary replicas.
     fn sweep_failed_peers(&mut self, now: VirtualTime, out: &mut Vec<Output>) {
         if self.keepalive_ms == 0 {
             return; // no keep-alives, no liveness signal
         }
         let timeout = Duration::from_millis(self.keepalive_ms) * FAILURE_KEEPALIVE_PERIODS;
-        let mut newly_failed = Vec::new();
-        for (&id, l) in self.liveness.iter_mut() {
-            if !l.failed && now.saturating_since(l.last_heard) > timeout {
-                l.failed = true;
-                newly_failed.push(id);
-            }
-        }
-        newly_failed.sort_unstable(); // HashMap order must not leak into output order
         let head = self
             .sc
             .as_ref()
             .map_or(0, |sc| sc.log_base + sc.log.len() as u64);
-        for id in newly_failed {
+        for p in &mut self.peers {
+            if p.failed || now.saturating_since(p.last_heard) <= timeout {
+                continue;
+            }
+            p.failed = true;
+            p.replica = ReplicaState::default();
             self.replicas_dirty = true; // the live-peer set changed
-            self.drop_replica(id);
             // A silent peer must not pin the flip log: snap its lane to
             // the head and mark it for a full restatement. Recovery
             // sends the bitmap anyway, so the skipped flips are safe.
-            if let Some(lane) = self.lanes.get_mut(&id) {
-                lane.cursor = head;
-                lane.needs_full = true;
-            }
-            out.push(Output::Effect(Effect::PeerFailed { peer: id }));
+            p.lane.cursor = head;
+            p.lane.needs_full = true;
+            out.push(Output::Effect(Effect::PeerFailed { peer: p.id }));
         }
     }
 
@@ -941,28 +890,21 @@ impl Router {
             return;
         };
         sc.log.extend(&published.flips);
-        sc.baseline_ones = sc.summary.bloom().map_or(0, |(_, bits)| bits.count_ones());
         let head = sc.log_base + sc.log.len() as u64;
         // Flush any live lane whose backlog now fills a packet; each
         // flushed lane makes its own delta-vs-full choice. With
         // keep-alives disabled nothing ever ticks the fan-out, so every
         // pending lane flushes here instead of coalescing forever.
         let tickless = self.keepalive_ms == 0;
-        let flush: Vec<u32> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| !self.liveness.get(p).is_some_and(|l| l.failed))
-            .filter(|p| {
-                self.lanes.get(p).is_some_and(|l| {
-                    let pending = (head - l.cursor) as usize;
-                    pending >= FLIPS_PER_DATAGRAM || (tickless && (pending > 0 || l.needs_full))
-                })
-            })
-            .collect();
         let before = out.len();
-        for p in flush {
-            self.service_lane(p, false, out);
+        for at in 0..self.peers.len() {
+            let Peer { failed, lane, .. } = &self.peers[at];
+            let pending = (head - lane.cursor) as usize;
+            if !failed
+                && (pending >= FLIPS_PER_DATAGRAM || (tickless && (pending > 0 || lane.needs_full)))
+            {
+                self.service_lane(at, false, out);
+            }
         }
         let messages = out[before..]
             .iter()
@@ -1028,8 +970,8 @@ impl DirectoryInspect for Router {
         let mut ids: Vec<u32> = self
             .peers
             .iter()
-            .copied()
-            .filter(|&p| self.replica_installed(p))
+            .filter(|p| p.replica.filter.is_some())
+            .map(|p| p.id)
             .collect();
         ids.sort_unstable();
         ids
@@ -1214,7 +1156,7 @@ mod tests {
             let bits = r.replica_bits(p).expect("installed");
             assert_eq!(bits.as_words()[0], u64::from(p), "replica {p} intact");
         }
-        // The lock-free snapshot lists the replicas in peer order.
+        // The snapshot lists the replicas in peer order.
         let snap = r.replica_cell().load();
         assert_eq!(
             snap.peers().iter().map(|(p, _)| *p).collect::<Vec<_>>(),
@@ -1412,7 +1354,7 @@ mod tests {
             r.apply_update(VirtualTime::ZERO, 2, update, &mut Vec::new());
             let claim = format!("{bit_array_size}-bit table, {seg_bits}-bit segment");
             assert!(
-                r.replicas.get(&2).is_none_or(|st| st.staging.is_none()),
+                r.peers.iter().all(|p| p.replica.staging.is_none()),
                 "{claim}: nothing staged"
             );
             assert!(!r.replica_installed(2), "{claim}: nothing installed");
@@ -1521,7 +1463,7 @@ mod tests {
                     _ => {}
                 }
                 r.handle(at(step), Event::Datagram { from: Some(sender), data: &data }, &NoDocs);
-                for (peer, st) in &r.replicas {
+                for Peer { id: peer, replica: st, .. } in &r.peers {
                     if let Some(f) = &st.filter {
                         assert_eq!(f.bits().len(), f.spec().table_bits() as usize, "replica {peer}");
                     }
@@ -1534,11 +1476,12 @@ mod tests {
         });
     }
 
+    /// The failure sweep forgets a silent peer's installed replica and
+    /// publishes that: the next snapshot lists neither the replica nor
+    /// the peer as live. Failures are declared in configured order.
     #[test]
-    fn drop_replica_reports_changes_only_when_installed() {
-        let mut r = replica_router();
-        r.drop_replica(9);
-        assert!(!r.replicas_dirty, "no replica, nothing changed");
+    fn failed_peers_leave_the_snapshot_in_configured_order() {
+        let mut r = Router::new(0, vec![9, 1, 3, 2], 50, 1, 1, None, VirtualTime::ZERO);
         let bitmap = DirUpdate {
             function_num: 4,
             function_bits: 32,
@@ -1548,10 +1491,20 @@ mod tests {
             content: DirContent::Bitmap(vec![0u64; 8]),
         };
         apply(&mut r, VirtualTime::ZERO, 9, bitmap);
-        assert!(r.replica_installed(9));
         r.flush_replicas();
-        r.drop_replica(9);
-        assert!(r.replicas_dirty, "dropping an installed replica must re-publish");
+        assert_eq!(r.replica_cell().load().peers().len(), 1);
+        let failed: Vec<u32> = r
+            .handle(at(10_000), Event::Tick, &NoDocs)
+            .iter()
+            .filter_map(|o| match o {
+                Output::Effect(Effect::PeerFailed { peer }) => Some(*peer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed, vec![9, 1, 3, 2]);
+        assert!(!r.replica_installed(9));
+        let snap = r.replica_cell().load();
+        assert!(snap.peers().is_empty() && snap.live_peers().is_empty());
     }
 
     /// The double-digest regression pin: a proxied request costs

@@ -140,7 +140,7 @@ impl Default for SimConfig {
 }
 
 /// What one run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimReport {
     /// The seed the run was built from.
     pub seed: u64,
@@ -257,7 +257,6 @@ struct Node {
 /// [`Sim::run`].
 pub struct Sim {
     cfg: SimConfig,
-    seed: u64,
     rng: Rng,
     now: u64,
     order: u64,
@@ -266,8 +265,6 @@ pub struct Sim {
     partition: Option<Vec<bool>>,
     faults: bool,
     next_doc: u64,
-    journal: Vec<String>,
-    events_processed: u64,
     /// Mirror of "node i has an installed replica of peer j", maintained
     /// purely from ReplicaInstalled/UpdateGap/PeerFailed effects — the
     /// machine's actual replica presence must never diverge from it
@@ -276,16 +273,9 @@ pub struct Sim {
     /// When node i last sent a DIRREQ to peer j, mirroring the
     /// machine's backoff stamp, for the exactly-one-DIRREQ invariant.
     last_dirreq: Vec<Vec<Option<u64>>>,
-    gaps_seen: u64,
-    resyncs_requested: u64,
-    replicas_installed: u64,
-    datagrams_dropped: u64,
-    datagrams_duplicated: u64,
-    failures: u64,
-    recoveries: u64,
-    update_bytes_sent: u64,
-    other_bytes_sent: u64,
-    update_datagrams_sent: u64,
+    /// The report being counted; [`Sim::run`] fills its convergence
+    /// fields once, after settle.
+    report: SimReport,
     /// Reusable router-output sink: every event drives the router
     /// through this one warm buffer ([`Sim::drive`]).
     out_scratch: Vec<Output>,
@@ -346,7 +336,6 @@ impl Sim {
             })
             .collect();
         let mut sim = Sim {
-            seed,
             rng,
             now: 0,
             order: 0,
@@ -355,23 +344,15 @@ impl Sim {
             partition: None,
             faults: true,
             next_doc: 0,
-            journal: Vec::new(),
-            events_processed: 0,
             installed: vec![vec![false; n]; n],
             last_dirreq: vec![vec![None; n]; n],
-            gaps_seen: 0,
-            resyncs_requested: 0,
-            replicas_installed: 0,
-            datagrams_dropped: 0,
+            report: SimReport {
+                seed,
+                ..SimReport::default()
+            },
             out_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             key_scratch: Vec::new(),
-            datagrams_duplicated: 0,
-            failures: 0,
-            recoveries: 0,
-            update_bytes_sent: 0,
-            other_bytes_sent: 0,
-            update_datagrams_sent: 0,
             scn: None,
             cfg,
         };
@@ -444,7 +425,7 @@ impl Sim {
         self.faults = false;
         self.partition = None;
         let note = format!("{}us -- settle: faults off --", self.now);
-        self.journal.push(note);
+        self.report.journal.push(note);
         let ka = self.cfg.keepalive_ms * 1_000;
         let budget = self.cfg.settle_ticks;
         let settle_steps = sc_util::poll::converge(
@@ -456,23 +437,9 @@ impl Sim {
             },
             |s| s.converged(),
         );
-        SimReport {
-            seed: self.seed,
-            events_processed: self.events_processed,
-            converged: settle_steps.is_some(),
-            settle_steps,
-            journal: std::mem::take(&mut self.journal),
-            gaps_seen: self.gaps_seen,
-            resyncs_requested: self.resyncs_requested,
-            replicas_installed: self.replicas_installed,
-            datagrams_dropped: self.datagrams_dropped,
-            datagrams_duplicated: self.datagrams_duplicated,
-            failures: self.failures,
-            recoveries: self.recoveries,
-            update_bytes_sent: self.update_bytes_sent,
-            other_bytes_sent: self.other_bytes_sent,
-            update_datagrams_sent: self.update_datagrams_sent,
-        }
+        self.report.converged = settle_steps.is_some();
+        self.report.settle_steps = settle_steps;
+        std::mem::take(&mut self.report)
     }
 
     /// Has every live (observer, publisher) pair converged bit-for-bit?
@@ -494,7 +461,7 @@ impl Sim {
         while self.queue.peek().is_some_and(|e| e.at <= until) {
             let Some(entry) = self.queue.pop() else { break };
             self.now = self.now.max(entry.at);
-            self.events_processed += 1;
+            self.report.events_processed += 1;
             self.process(entry.ev);
         }
         self.now = self.now.max(until);
@@ -523,10 +490,10 @@ impl Sim {
         match ev {
             SimEvent::Deliver { to, from, bytes } => {
                 if !self.nodes[to].up {
-                    self.datagrams_dropped += 1;
+                    self.report.datagrams_dropped += 1;
                     return;
                 }
-                self.journal
+                self.report.journal
                     .push(format!("{}us n{to} <- n{from} {}B", self.now, bytes.len()));
                 self.drive(
                     to,
@@ -554,12 +521,12 @@ impl Sim {
                 self.store_doc(node, url, "insert");
             }
             SimEvent::Crash { node } => {
-                self.journal.push(format!("{}us n{node} CRASH", self.now));
+                self.report.journal.push(format!("{}us n{node} CRASH", self.now));
                 self.nodes[node].up = false;
             }
             SimEvent::Restart { node } => {
                 let inc = self.nodes[node].incarnation + 1;
-                self.journal.push(format!(
+                self.report.journal.push(format!(
                     "{}us n{node} RESTART gen {}",
                     self.now,
                     generation_for(node, inc)
@@ -578,12 +545,12 @@ impl Sim {
             }
             SimEvent::PartitionStart { sides } => {
                 let a: Vec<usize> = (0..sides.len()).filter(|&i| sides[i]).collect();
-                self.journal
+                self.report.journal
                     .push(format!("{}us PARTITION {a:?} | rest", self.now));
                 self.partition = Some(sides);
             }
             SimEvent::PartitionHeal => {
-                self.journal.push(format!("{}us HEAL", self.now));
+                self.report.journal.push(format!("{}us HEAL", self.now));
                 self.partition = None;
             }
             SimEvent::Request { node, url } => self.serve_request(node, url),
@@ -614,7 +581,7 @@ impl Sim {
                 evicted.push(victim);
             }
         }
-        self.journal.push(format!(
+        self.report.journal.push(format!(
             "{}us n{node} {verb} {url} (evicting {})",
             self.now,
             evicted.len()
@@ -669,7 +636,7 @@ impl Sim {
         r.windows[w].requests += 1;
         if !self.nodes[node].up {
             r.unserved += 1;
-            self.journal
+            self.report.journal
                 .push(format!("{}us n{node} req {url} unserved (down)", self.now));
             return;
         }
@@ -677,7 +644,7 @@ impl Sim {
             r.local_hits += 1;
             r.windows[w].local_hits += 1;
             scn.latency.record(latency);
-            self.journal
+            self.report.journal
                 .push(format!("{}us n{node} req {url} local-hit {latency}us", self.now));
             return;
         }
@@ -730,7 +697,7 @@ impl Sim {
         }
         scn.latency.record(latency);
         self.cand_scratch = candidates;
-        self.journal
+        self.report.journal
             .push(format!("{}us n{node} req {url} {outcome} {latency}us", self.now));
         self.store_doc_keyed(node, url, "fill", Some(key));
     }
@@ -742,7 +709,7 @@ impl Sim {
     fn purge_everywhere(&mut self, url: String) {
         let key = UrlKey::new(url.as_bytes());
         let mut holders = 0u64;
-        self.journal.push(format!("{}us purge {url}", self.now));
+        self.report.journal.push(format!("{}us purge {url}", self.now));
         for node in 0..self.nodes.len() {
             if !self.nodes[node].up || !self.nodes[node].dir.contains(&url) {
                 continue;
@@ -788,7 +755,7 @@ impl Sim {
         let window = &mut scn.report.windows[idx];
         window.stale_pairs = stale;
         window.live_pairs = live;
-        self.journal.push(format!(
+        self.report.journal.push(format!(
             "{}us window w{idx}: {stale}/{live} replica pairs stale",
             self.now
         ));
@@ -833,18 +800,18 @@ impl Sim {
                     };
                     if let SendKind::Resync { peer, .. } = send.kind {
                         self.last_dirreq[node][peer as usize] = Some(self.now);
-                        self.resyncs_requested += 1;
+                        self.report.resyncs_requested += 1;
                     }
                     if let Some(scn) = &mut self.scn {
                         scn.report.datagrams_by_op[op_index(&send.kind)].1 += 1;
                     }
                     if send.kind.is_update() {
-                        self.update_bytes_sent += bytes.len() as u64;
-                        self.update_datagrams_sent += 1;
+                        self.report.update_bytes_sent += bytes.len() as u64;
+                        self.report.update_datagrams_sent += 1;
                     } else {
-                        self.other_bytes_sent += bytes.len() as u64;
+                        self.report.other_bytes_sent += bytes.len() as u64;
                     }
-                    self.journal.push(format!(
+                    self.report.journal.push(format!(
                         "{}us n{node} send {:?} -> {:?} {}B",
                         self.now,
                         send.kind,
@@ -887,26 +854,26 @@ impl Sim {
     }
 
     fn observe_effect(&mut self, node: usize, effect: Effect) {
-        self.journal
+        self.report.journal
             .push(format!("{}us n{node} {effect:?}", self.now));
         match effect {
             Effect::ReplicaInstalled { peer, .. } => {
                 self.installed[node][peer as usize] = true;
                 // A bitmap install clears the machine's backoff stamp.
                 self.last_dirreq[node][peer as usize] = None;
-                self.replicas_installed += 1;
+                self.report.replicas_installed += 1;
             }
             Effect::UpdateGap { peer, .. } => {
                 self.installed[node][peer as usize] = false;
-                self.gaps_seen += 1;
+                self.report.gaps_seen += 1;
             }
             Effect::PeerFailed { peer } => {
                 self.installed[node][peer as usize] = false;
                 // The replica entry (and its backoff stamp) was dropped.
                 self.last_dirreq[node][peer as usize] = None;
-                self.failures += 1;
+                self.report.failures += 1;
             }
-            Effect::PeerRecovered { .. } => self.recoveries += 1,
+            Effect::PeerRecovered { .. } => self.report.recoveries += 1,
             _ => {}
         }
     }
@@ -916,12 +883,12 @@ impl Sim {
         if self.faults {
             if let Some(sides) = &self.partition {
                 if sides[from] != sides[to] {
-                    self.datagrams_dropped += 1;
+                    self.report.datagrams_dropped += 1;
                     return;
                 }
             }
             if self.rng.gen_bool(self.cfg.loss) {
-                self.datagrams_dropped += 1;
+                self.report.datagrams_dropped += 1;
                 return;
             }
         }
@@ -937,7 +904,7 @@ impl Sim {
         );
         if self.faults && self.rng.gen_bool(self.cfg.duplicate) {
             let delay = self.rng.gen_range(lo..hi);
-            self.datagrams_duplicated += 1;
+            self.report.datagrams_duplicated += 1;
             self.schedule(
                 self.now + delay,
                 SimEvent::Deliver {

@@ -119,7 +119,7 @@ struct Step {
 }
 
 /// One steady-state request exactly as the daemon drives it, on the
-/// thread's warm `RequestScratch`: reset the key, probe the lock-free
+/// thread's warm `RequestScratch`: reset the key, probe the
 /// replica snapshot, purge a stale copy, store the document (evicting
 /// one victim on some requests), account the request, flush (a no-op
 /// when nothing changed replicas). `victim` is a warm key reset per

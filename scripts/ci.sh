@@ -13,7 +13,8 @@
 # false-hit-storm / peer-churn fault sweep), and a short benchmark
 # smoke run (SC_BENCH_MS=25 per case) that proves the hotpath,
 # scaleout, and scenario bench harnesses still run end-to-end without
-# paying the full measurement budget. Everything is offline.
+# paying the full measurement budget, and that their deterministic
+# rows match the committed files. Everything is offline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,7 +53,22 @@ nspr_of() {
 BASE_NSPR="$(nspr_of BENCH_hotpath.json || true)"
 SMOKE_OUT="$(mktemp -d)"
 SC_BENCH_OUT="$SMOKE_OUT" SC_BENCH_MS="${SC_BENCH_MS:-25}" scripts/bench.sh
+
+# The scaleout rows and every scenario row but the wall-clock
+# ns-per-request are simnet counts: the smoke must reproduce the
+# committed files exactly, or the protocol changed.
+echo "==> deterministic bench rows match the committed files"
+drift=""
+cmp "$SMOKE_OUT/BENCH_scaleout.json" BENCH_scaleout.json || drift=yes
+counts() { grep -v '/ns-per-request"' "$1"; }
+counts BENCH_scenarios.json > "$SMOKE_OUT/scenarios.committed"
+counts "$SMOKE_OUT/BENCH_scenarios.json" > "$SMOKE_OUT/scenarios.smoke"
+diff "$SMOKE_OUT/scenarios.committed" "$SMOKE_OUT/scenarios.smoke" || drift=yes
 rm -rf "$SMOKE_OUT"
+if [ -n "$drift" ]; then
+    echo "ci: a deterministic bench row differs from the committed file" >&2
+    exit 1
+fi
 
 # Hot-path regression gate: the end-to-end request cost may not
 # regress more than 20% over the committed row. The smoke window is
