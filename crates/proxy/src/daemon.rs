@@ -1,13 +1,10 @@
 //! The proxy daemon: HTTP front end, document cache, ICP endpoint, and
 //! the summary-cache machinery of Section VI-B.
 //!
-//! Since the sans-I/O refactor, every protocol *decision* lives in
-//! [`crate::router`]: the daemon is a thin I/O shell
-//! that feeds the [`Router`] real datagrams, real timer ticks, and real
-//! cache events, then carries out the sends and journal/metric effects
-//! it returns. The deterministic [`crate::simnet`] harness drives the
-//! very same router from a virtual clock, so a simulation schedule is a
-//! faithful protocol schedule.
+//! Every protocol *decision* lives in [`crate::router`], as in the
+//! [`crate::simnet`]: the daemon is the I/O shell that feeds the
+//! [`Router`] real datagrams, timer ticks and cache events, and carries
+//! out the sends and journal/metric effects it returns.
 //!
 //! One daemon = a small thread group sharing an internal state block:
 //!
@@ -17,10 +14,12 @@
 //! * a UDP **ingest** thread: receives ICP datagrams and queues them for
 //!   the protocol thread;
 //! * a **protocol** thread, the router's one owner: it drains one
-//!   bounded input queue (datagrams, directory changes from request
-//!   threads) in batches, flushing the replica snapshot once per batch,
-//!   and delivers [`Event::Tick`] when a keep-alive falls due. It puts
-//!   the router's sends on the wire itself, in the order decided;
+//!   bounded input queue (datagrams, directory changes and ICP query
+//!   rounds from request threads) in batches, flushing the replica
+//!   snapshot once per batch, and delivers [`Event::Tick`] when a
+//!   keep-alive falls due. It is the only writer to the UDP socket:
+//!   the router's sends, in the order decided, and each round's
+//!   queries, whose replies it feeds to the round's [`QueryRound`];
 //! * an admin TCP endpoint ([`crate::admin`]) exposing the sc-obs
 //!   registry every counter below lives in.
 //!
@@ -33,18 +32,15 @@
 //! [`ProxyConfig::shards`] ways; the router keeps a single directory for
 //! the whole cache.
 //!
-//! The cache stores document *metadata*; bodies are synthesized at the
-//! sizes recorded, which preserves every quantity the experiments
-//! measure (message counts, byte counts, CPU, latency).
-//!
-//! Everything here is plain `std`: `std::net` sockets, `std::thread`,
-//! `std::sync` — `tests/source_rules.rs` fails if a lock file names a
-//! registry crate. This module is one of the socket shells that opt out
-//! of the sans-I/O lints in `crates/clippy.toml` (see `lib.rs`).
+//! Everything here is plain `std`. This module is one of the socket
+//! shells that opt out of the sans-I/O lints in `crates/clippy.toml`
+//! (see `lib.rs`).
 
 use crate::client::ProxyClient;
 use crate::config::{Mode, PeerAddr, ProxyConfig};
-use crate::machine::{Dest, DirectoryView, Effect, Event, Output, SendKind, VirtualTime};
+use crate::machine::{
+    Answer, Dest, DirectoryView, Effect, Event, Output, QueryRound, SendKind, VirtualTime,
+};
 use crate::net::{read_head, spawn_accept_loop, write_body};
 use crate::replica::ReplicaCell;
 use crate::router::{DirectoryInspect, Router};
@@ -98,21 +94,8 @@ pub struct Daemon {
     shutdown: Arc<AtomicBool>,
 }
 
-/// An outstanding ICP query round awaiting replies.
-struct Pending {
-    /// Queried peers that have not answered yet. The round ends on the
-    /// first HIT or once this empties; a reply from a peer outside it
-    /// (a duplicate, an unknown source, a peer not queried) changes
-    /// nothing.
-    waiting: Vec<u32>,
-    /// Receives the round's HIT sender, or `None` for an all-miss round.
-    done: SyncSender<Option<u32>>,
-    /// When the queries left, for per-peer RTT histograms.
-    sent_at: Instant,
-}
-
-/// One input for the protocol thread. All but `Inspect` become the
-/// router [`Event`] of the same name.
+/// One input for the protocol thread. All but `Query` and `Inspect`
+/// become the router [`Event`] of the same name.
 enum Input {
     /// A received datagram (ingest thread).
     Datagram { data: Vec<u8>, from: SocketAddr },
@@ -123,8 +106,26 @@ enum Input {
     Purged(UrlKey),
     /// A request that sent `Stored` or `Purged` finished.
     RequestDone,
+    /// Open an ICP round: send the encoded `query` to `peers`, and send
+    /// the HIT sender (or `None`) to `done` when the round ends. Replies
+    /// queue behind this input, so the round exists before they arrive.
+    Query {
+        reqnum: u32,
+        query: Vec<u8>,
+        peers: Vec<u32>,
+        deadline: VirtualTime,
+        done: SyncSender<Option<u32>>,
+    },
     /// Run a read-only closure against the router.
     Inspect(Box<dyn FnOnce(&Router) + Send>),
+}
+
+/// An open ICP round on the protocol thread.
+struct Round {
+    round: QueryRound,
+    done: SyncSender<Option<u32>>,
+    /// When the queries left, for per-peer RTT histograms.
+    sent_at: VirtualTime,
 }
 
 struct Inner {
@@ -140,7 +141,6 @@ struct Inner {
     /// ICP source address -> peer id, for dispatching replies.
     peer_of_addr: FxHashMap<SocketAddr, u32>,
     peers_by_id: FxHashMap<u32, PeerAddr>,
-    pending: Mutex<FxHashMap<u32, Pending>>,
     udp: UdpSocket,
     /// Producer side of the protocol thread's bounded input queue.
     input: SyncSender<Input>,
@@ -247,7 +247,6 @@ impl Daemon {
             epoch: Instant::now(),
             peer_of_addr: cfg.peers().iter().map(|p| (p.icp, p.id)).collect(),
             peers_by_id: cfg.peers().iter().map(|p| (p.id, *p)).collect(),
-            pending: Mutex::new(FxHashMap::default()),
             udp,
             input,
             next_reqnum: AtomicU32::new(1),
@@ -310,6 +309,7 @@ impl Daemon {
                 router,
                 loss_rng: Rng::seed_from_u64(0x5C_1C_F0_0D ^ ((inner.cfg.id() as u64) << 32)),
                 outputs: Vec::new(),
+                rounds: FxHashMap::default(),
             };
             let stop = shutdown.clone();
             let period = (inner.cfg.keepalive_ms() > 0 && !inner.cfg.peers().is_empty())
@@ -338,6 +338,8 @@ impl Daemon {
                             next_tick = Some(Instant::now() + period);
                         }
                     }
+                    let t = now(&protocol.inner);
+                    protocol.rounds.retain(|_, r| !r.round.expired(t));
                 }
             });
         }
@@ -404,9 +406,9 @@ impl Drop for Daemon {
 }
 
 /// What the protocol thread owns. It is the only thread that feeds the
-/// router or sends what the router decides, so sequence allocation and
-/// wire order agree by construction: two publishes cannot interleave
-/// into a phantom gap at a receiver.
+/// router or writes to the UDP socket, so sequence allocation and wire
+/// order agree by construction: two publishes cannot interleave into a
+/// phantom gap at a receiver.
 struct Protocol {
     inner: Arc<Inner>,
     router: Router,
@@ -417,6 +419,8 @@ struct Protocol {
     loss_rng: Rng,
     /// Warm router-output sink, reused across inputs.
     outputs: Vec<Output>,
+    /// Open ICP rounds by request number; dropped at their deadline.
+    rounds: FxHashMap<u32, Round>,
 }
 
 impl Protocol {
@@ -439,6 +443,27 @@ impl Protocol {
             ),
             Input::Purged(key) => self.route(None, Event::Purged { url: &key }),
             Input::RequestDone => self.route(None, Event::RequestDone),
+            Input::Query { reqnum, query, peers, deadline, done } => {
+                let inner = &*self.inner;
+                let sent_at = now(inner);
+                let mut round = QueryRound::new(&peers, deadline);
+                for id in peers {
+                    let peer = inner.peers_by_id.get(&id);
+                    if peer.is_some_and(|p| send_udp(inner, &query, p.icp)) {
+                        inner.stats.udp_out_to(Some(id), query.len());
+                        inner.stats.icp_queries_sent.incr();
+                        if let Some(p) = inner.stats.peer(id) {
+                            p.queries_sent.incr();
+                            p.update_staleness();
+                        }
+                    } else if round.strike(id) == Answer::Ended(None) {
+                        // Nothing left: the round is over before it began.
+                        let _ = done.try_send(None);
+                        return;
+                    }
+                }
+                self.rounds.insert(reqnum, Round { round, done, sent_at });
+            }
             Input::Inspect(f) => f(&self.router),
         }
     }
@@ -449,13 +474,14 @@ impl Protocol {
     fn route(&mut self, sender_addr: Option<SocketAddr>, event: Event<'_>) {
         let inner = &*self.inner;
         let dir = &CacheView(&inner.cache);
-        self.router.handle_into(now(inner), event, dir, &mut self.outputs);
+        let t = now(inner);
+        self.router.handle_into(t, event, dir, &mut self.outputs);
         let loss = inner.cfg.update_loss();
         for output in self.outputs.drain(..) {
             let send = match output {
                 Output::Send(send) => send,
                 Output::Effect(effect) => {
-                    apply_effect(inner, effect);
+                    apply_effect(&inner.stats, &mut self.rounds, t, effect);
                     continue;
                 }
             };
@@ -494,27 +520,25 @@ fn transmit(inner: &Inner, bytes: &[u8], addr: SocketAddr, peer: Option<u32>, ki
     if !send_udp(inner, bytes, addr) {
         return;
     }
+    let stats = &inner.stats;
     match kind {
-        SendKind::QueryReply | SendKind::Keepalive => {
-            inner.stats.udp_out_to(peer, bytes.len());
-        }
-        SendKind::UpdateDelta => {
-            inner.stats.udp_out_to(peer, bytes.len());
-            inner.stats.updates_sent.incr();
-            inner.stats.update_delta_bytes.record(bytes.len() as u64);
-        }
-        SendKind::UpdateFull => {
-            inner.stats.udp_out_to(peer, bytes.len());
-            inner.stats.updates_sent.incr();
-            inner.stats.update_full_bytes.record(bytes.len() as u64);
+        SendKind::QueryReply | SendKind::Keepalive => stats.udp_out_to(peer, bytes.len()),
+        SendKind::UpdateDelta | SendKind::UpdateFull => {
+            stats.udp_out_to(peer, bytes.len());
+            stats.updates_sent.incr();
+            let sizes = match kind {
+                SendKind::UpdateDelta => &stats.update_delta_bytes,
+                _ => &stats.update_full_bytes,
+            };
+            sizes.record(bytes.len() as u64);
         }
         SendKind::Resync {
             peer: publisher,
             last_generation,
         } => {
-            inner.stats.udp_out_to(Some(publisher), bytes.len());
-            inner.stats.resync_requests.incr();
-            inner.stats.journal().record(
+            stats.udp_out_to(Some(publisher), bytes.len());
+            stats.resync_requests.incr();
+            stats.journal().record(
                 EventKind::ResyncRequested,
                 Some(publisher),
                 format!("last seen gen {last_generation}"),
@@ -523,8 +547,8 @@ fn transmit(inner: &Inner, bytes: &[u8], addr: SocketAddr, peer: Option<u32>, ki
     }
 }
 
-/// Send one datagram (protocol thread or query fan-out); a send the
-/// socket refused is counted, not lost silently.
+/// Send one datagram (a router send or an ICP query); a send the socket
+/// refused is counted, not lost silently.
 fn send_udp(inner: &Inner, bytes: &[u8], addr: SocketAddr) -> bool {
     let sent = inner.udp.send_to(bytes, addr).is_ok();
     if !sent {
@@ -533,12 +557,17 @@ fn send_udp(inner: &Inner, bytes: &[u8], addr: SocketAddr) -> bool {
     sent
 }
 
-/// Apply one router effect to the sc-obs registry (and, for ICP
-/// replies, the waiting-request table).
-fn apply_effect(inner: &Inner, effect: Effect) {
+/// Apply one router effect to the sc-obs registry, or feed an ICP reply
+/// to its open round.
+fn apply_effect(
+    stats: &ProxyStats,
+    rounds: &mut FxHashMap<u32, Round>,
+    now: VirtualTime,
+    effect: Effect,
+) {
     match effect {
-        Effect::UpdateReceived => inner.stats.updates_received.incr(),
-        Effect::QueryServed => inner.stats.icp_queries_served.incr(),
+        Effect::UpdateReceived => stats.updates_received.incr(),
+        Effect::QueryServed => stats.icp_queries_served.incr(),
         Effect::ReplicaInstalled {
             peer,
             first_contact,
@@ -546,8 +575,8 @@ fn apply_effect(inner: &Inner, effect: Effect) {
             seq,
             bits,
         } => {
-            inner.stats.replica_resyncs.incr();
-            inner.stats.journal().record(
+            stats.replica_resyncs.incr();
+            stats.journal().record(
                 if first_contact {
                     EventKind::PeerSummaryInstalled
                 } else {
@@ -564,8 +593,8 @@ fn apply_effect(inner: &Inner, effect: Effect) {
             expected_generation,
             expected_seq,
         } => {
-            inner.stats.update_gaps.incr();
-            inner.stats.journal().record(
+            stats.update_gaps.incr();
+            stats.journal().record(
                 EventKind::UpdateGap,
                 Some(peer),
                 format!(
@@ -574,19 +603,13 @@ fn apply_effect(inner: &Inner, effect: Effect) {
             );
         }
         Effect::PeerFailed { peer } => {
-            inner.stats.peer_failures.incr();
-            inner
-                .stats
-                .journal()
-                .record(EventKind::PeerFailed, Some(peer), "summary replica dropped");
+            stats.peer_failures.incr();
+            stats.journal().record(EventKind::PeerFailed, Some(peer), "summary replica dropped");
         }
         Effect::PeerRecovered { peer } => {
-            inner.stats.peer_recoveries.incr();
-            inner.stats.journal().record(
-                EventKind::PeerRecovered,
-                Some(peer),
-                "bitmap re-sent, resync requested",
-            );
+            stats.peer_recoveries.incr();
+            let note = "bitmap re-sent, resync requested";
+            stats.journal().record(EventKind::PeerRecovered, Some(peer), note);
         }
         Effect::Published {
             flips,
@@ -597,9 +620,9 @@ fn apply_effect(inner: &Inner, effect: Effect) {
             // fan-out service time (the §V-D cost rule per lane), so a
             // publish journals the batched flips; full restatements
             // show up as `UpdateFull` sends in the per-peer counters.
-            inner.stats.summary_publishes.incr();
-            inner.stats.summary_staleness.set(staleness);
-            inner.stats.journal().record(
+            stats.summary_publishes.incr();
+            stats.summary_staleness.set(staleness);
+            stats.journal().record(
                 EventKind::DeltaPublished,
                 None,
                 format!("staleness {staleness:.4}, {flips} flip(s), {messages} message(s)"),
@@ -609,7 +632,21 @@ fn apply_effect(inner: &Inner, effect: Effect) {
             request_number,
             hit_from,
             replier,
-        } => dispatch_reply(inner, request_number, hit_from, replier),
+        } => {
+            let Some((peer, r)) = replier.zip(rounds.get_mut(&request_number)) else {
+                return; // an unknown source, or a round already over
+            };
+            let answer = r.round.reply(peer, hit_from.is_some(), now);
+            if answer != Answer::Ignored {
+                if let Some(ps) = stats.peer(peer) {
+                    ps.icp_rtt_us.record(now.saturating_since(r.sent_at).as_micros() as u64);
+                }
+            }
+            if let Answer::Ended(winner) = answer {
+                let _ = r.done.try_send(winner);
+                rounds.remove(&request_number);
+            }
+        }
     }
 }
 
@@ -631,7 +668,7 @@ fn serve_tcp(inner: &Inner, mut stream: TcpStream) -> std::io::Result<()> {
         if http::header(&req.headers, "x-peer-fetch").is_some() {
             serve_peer_fetch(inner, &mut stream, &req)?;
         } else {
-            serve_client(inner, &mut stream, &req)?;
+            with_scratch(|scratch| serve_client(inner, &mut stream, &req, scratch))?;
         }
     }
 }
@@ -667,14 +704,6 @@ fn serve_peer_fetch(
 /// [`RequestScratch`]: a steady-state request reuses the key, the
 /// candidate buffer, and the router-output sink instead of allocating.
 fn serve_client(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    req: &http::Request,
-) -> std::io::Result<()> {
-    with_scratch(|scratch| serve_client_on(inner, stream, req, scratch))
-}
-
-fn serve_client_on(
     inner: &Inner,
     stream: &mut TcpStream,
     req: &http::Request,
@@ -740,29 +769,14 @@ fn serve_client_on(
     };
 
     // 3. Origin on a full miss.
-    let meta = match fetched {
-        Some((peer, meta)) => {
-            inner.stats.remote_hits.incr();
-            if let Some(p) = inner.stats.peer(peer) {
-                p.remote_hits.incr();
-            }
-            inner
-                .stats
-                .journal()
-                .record(EventKind::RemoteHit, Some(peer), url.to_string());
-            meta
+    let fetched = fetched.or_else(|| fetch_http(inner, inner.cfg.origin(), url, want, false).ok()?);
+    let Some(meta) = fetched else {
+        if purged {
+            let _ = inner.input.send(Input::RequestDone);
         }
-        None => match fetch_http(inner, inner.cfg.origin(), url, want, false) {
-            Ok(Some(meta)) => meta,
-            _ => {
-                if purged {
-                    let _ = inner.input.send(Input::RequestDone);
-                }
-                respond_empty(inner, stream, 504, "Gateway Timeout")?;
-                inner.stats.latency(t0.elapsed().as_micros() as u64);
-                return Ok(());
-            }
-        },
+        respond_empty(inner, stream, 504, "Gateway Timeout")?;
+        inner.stats.latency(t0.elapsed().as_micros() as u64);
+        return Ok(());
     };
 
     // 4. Store and maintain the summary. A request that changed the
@@ -811,16 +825,11 @@ fn reply_doc(inner: &Inner, stream: &mut TcpStream, meta: DocMeta) -> std::io::R
 }
 
 /// Send ICP queries to `peer_ids`; if one answers HIT, fetch the
-/// document from it. Returns the serving peer and the fetched metadata
-/// when it matches the requested version (a mismatch is a remote stale
-/// hit). In SC mode `peer_ids` are the summary's candidates, and a round
-/// with no HIT is counted as a false hit.
-fn query_then_fetch(
-    inner: &Inner,
-    url: &str,
-    want: DocMeta,
-    peer_ids: &[u32],
-) -> Option<(u32, DocMeta)> {
+/// document from it. Returns the fetched metadata when it matches the
+/// requested version, a remote hit (a mismatch is a remote stale hit).
+/// In SC mode `peer_ids` are the summary's candidates, and a round with
+/// no HIT is counted as a false hit.
+fn query_then_fetch(inner: &Inner, url: &str, want: DocMeta, peer_ids: &[u32]) -> Option<DocMeta> {
     if peer_ids.is_empty() {
         return None;
     }
@@ -832,55 +841,29 @@ fn query_then_fetch(
     };
     // An oversized URL cannot be queried; treat it as a miss everywhere
     // rather than taking the daemon down.
-    let bytes = query.encode(inner.cfg.id()).ok()?;
-    let (tx, rx) = std::sync::mpsc::sync_channel(1);
-    lock(&inner.pending).insert(
-        reqnum,
-        Pending {
-            waiting: peer_ids.to_vec(),
-            done: tx,
-            sent_at: Instant::now(),
-        },
-    );
-    for id in peer_ids {
-        let sent = inner
-            .peers_by_id
-            .get(id)
-            .is_some_and(|peer| send_udp(inner, &bytes, peer.icp));
-        if sent {
-            inner.stats.udp_out_to(Some(*id), bytes.len());
-            inner.stats.icp_queries_sent.incr();
-            if let Some(p) = inner.stats.peer(*id) {
-                p.queries_sent.incr();
-                p.update_staleness();
-            }
-        } else {
-            // A query that never left (unknown peer, failed send) can
-            // get no reply: strike the peer at once, so an all-miss
-            // round still completes on its last real reply and a round
-            // where nothing left completes at once.
-            answered(&mut lock(&inner.pending), reqnum, *id, false);
-        }
-    }
-    let winner = rx
-        .recv_timeout(Duration::from_millis(inner.cfg.icp_timeout_ms()))
-        .ok()
-        .flatten();
-    lock(&inner.pending).remove(&reqnum);
-
-    let Some(winner) = winner else {
+    let query = query.encode(inner.cfg.id()).ok()?;
+    // The protocol thread sends the queries and runs the round. Its
+    // deadline is stamped before this thread starts waiting, so a reply
+    // the round takes always finds this thread still waiting.
+    let timeout = Duration::from_millis(inner.cfg.icp_timeout_ms());
+    let deadline = VirtualTime::from_micros((inner.epoch.elapsed() + timeout).as_micros() as u64);
+    let (done, rx) = std::sync::mpsc::sync_channel(1);
+    let peers = peer_ids.to_vec();
+    inner.input.send(Input::Query { reqnum, query, peers, deadline, done }).ok()?;
+    let stats = &inner.stats;
+    let Some(winner) = rx.recv_timeout(timeout).ok().flatten() else {
         if matches!(inner.cfg.mode(), Mode::SummaryCache { .. }) {
             // The summaries pointed here and no candidate answered HIT:
             // the paper's false hit. A HIT whose copy turns out stale is
             // a remote stale hit instead, counted below.
-            inner.stats.false_hits.incr();
+            stats.false_hits.incr();
             for id in peer_ids {
-                if let Some(p) = inner.stats.peer(*id) {
+                if let Some(p) = stats.peer(*id) {
                     p.false_hits.incr();
                     p.update_staleness();
                 }
             }
-            inner.stats.journal().record(
+            stats.journal().record(
                 EventKind::FalseHit,
                 peer_ids.first().copied(),
                 format!("{} candidate(s) for {url}", peer_ids.len()),
@@ -891,22 +874,22 @@ fn query_then_fetch(
     let peer = inner.peers_by_id.get(&winner)?;
     match fetch_http(inner, peer.http, url, want, true) {
         Ok(Some(meta)) if meta == want => {
-            if let Some(p) = inner.stats.peer(winner) {
+            stats.remote_hits.incr();
+            if let Some(p) = stats.peer(winner) {
                 p.tcp_bytes_fetched.add(meta.size);
+                p.remote_hits.incr();
             }
-            Some((winner, meta))
+            stats.journal().record(EventKind::RemoteHit, Some(winner), url.to_string());
+            Some(meta)
         }
         Ok(Some(_)) | Ok(None) => {
             // Copy exists but is the wrong version, or vanished between
             // the ICP reply and the fetch.
-            inner.stats.remote_stale_hits.incr();
-            if let Some(p) = inner.stats.peer(winner) {
+            stats.remote_stale_hits.incr();
+            if let Some(p) = stats.peer(winner) {
                 p.stale_hits.incr();
             }
-            inner
-                .stats
-                .journal()
-                .record(EventKind::RemoteStaleHit, Some(winner), url.to_string());
+            stats.journal().record(EventKind::RemoteStaleHit, Some(winner), url.to_string());
             None
         }
         Err(_) => None,
@@ -931,42 +914,6 @@ fn fetch_http(
     inner.stats.tcp_in(received);
     let reply = reply?;
     Ok((reply.status != 404).then_some(reply.meta))
-}
-
-/// Route an ICP reply to the waiting query round. Only the first reply
-/// from each queried peer counts; `replier` (the peer the source
-/// address maps to) gets that reply's round trip recorded into its RTT
-/// histogram.
-fn dispatch_reply(inner: &Inner, reqnum: u32, hit_from: Option<u32>, replier: Option<u32>) {
-    let Some(peer) = replier else {
-        return; // an unknown source was not queried
-    };
-    let sent_at = answered(&mut lock(&inner.pending), reqnum, peer, hit_from.is_some());
-    if let (Some(sent_at), Some(ps)) = (sent_at, inner.stats.peer(peer)) {
-        ps.icp_rtt_us.record(sent_at.elapsed().as_micros() as u64);
-    }
-}
-
-/// Strike `peer` from round `reqnum`'s waiting set, completing the round
-/// on its `hit` or once every queried peer has answered.
-/// Returns when the round's queries left, or `None` if `peer` was not
-/// waiting (a late reply after the round ended, or a duplicate).
-fn answered(
-    pending: &mut FxHashMap<u32, Pending>,
-    reqnum: u32,
-    peer: u32,
-    hit: bool,
-) -> Option<Instant> {
-    let p = pending.get_mut(&reqnum)?;
-    let at = p.waiting.iter().position(|&w| w == peer)?;
-    p.waiting.swap_remove(at);
-    let sent_at = p.sent_at;
-    if hit || p.waiting.is_empty() {
-        if let Some(p) = pending.remove(&reqnum) {
-            let _ = p.done.try_send(hit.then_some(peer));
-        }
-    }
-    Some(sent_at)
 }
 
 /// A generation identifier that is, with overwhelming probability,
@@ -1125,15 +1072,7 @@ mod tests {
             assert_eq!(c.get(url, doc()).expect("warm-up").status, 200);
         }
 
-        let (parked_tx, parked) = std::sync::mpsc::channel();
-        let (release, released) = std::sync::mpsc::channel::<()>();
-        let park = Input::Inspect(Box::new(move |_| {
-            let _ = parked_tx.send(());
-            let _ = released.recv();
-        }));
-        daemon.inner.input.send(park).expect("input queue");
-        parked.recv_timeout(Duration::from_secs(5)).expect("protocol thread parks");
-
+        let release = park_protocol_thread(&daemon);
         let served = Arc::new(AtomicU32::new(0));
         let (done_tx, done) = std::sync::mpsc::channel();
         let counter = served.clone();
@@ -1172,6 +1111,20 @@ mod tests {
         );
     }
 
+    /// Park the daemon's protocol thread inside an `Inspect` until the
+    /// returned sender sends (or drops); inputs queue up meanwhile.
+    fn park_protocol_thread(daemon: &Daemon) -> std::sync::mpsc::Sender<()> {
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let park = Input::Inspect(Box::new(move |_| {
+            let _ = parked_tx.send(());
+            let _ = released.recv();
+        }));
+        daemon.inner.input.send(park).expect("input queue");
+        parked.recv_timeout(Duration::from_secs(5)).expect("protocol thread parks");
+        release
+    }
+
     /// Publish parity with the simnet: `EveryRequests(n)` counts only
     /// requests that changed the directory, so local hits in between
     /// never bring a publish forward.
@@ -1192,20 +1145,20 @@ mod tests {
         assert_eq!(daemon.stats.summary_publishes.get(), 1, "the second store publishes");
     }
 
-    /// An ICP round ends when every queried peer has answered, not
-    /// after as many datagrams as there were queries: UDP may duplicate
-    /// a MISS, and a duplicate must not end the round before a slower
-    /// peer's HIT arrives.
-    #[test]
-    fn a_duplicated_miss_does_not_end_the_round_early() {
+    /// An ICP-mode daemon with no keep-alives whose peers 2, 3, ... are
+    /// sockets the test holds (their HTTP side is the origin), so the
+    /// test plays every peer's ICP part by hand.
+    fn icp_daemon(
+        peers: usize,
+        icp_timeout_ms: u64,
+    ) -> (Daemon, crate::origin::Origin, Vec<UdpSocket>) {
         let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
         let origin = crate::origin::Origin::spawn(Duration::ZERO).expect("origin");
         let sockets: Vec<UdpSocket> =
-            (0..2).map(|_| UdpSocket::bind(loopback).expect("peer socket")).collect();
-        let peers = [2, 3]
-            .iter()
+            (0..peers).map(|_| UdpSocket::bind(loopback).expect("peer socket")).collect();
+        let peers = (2..)
             .zip(&sockets)
-            .map(|(&id, socket)| PeerAddr {
+            .map(|(id, socket)| PeerAddr {
                 id,
                 icp: socket.local_addr().expect("peer addr"),
                 http: origin.addr,
@@ -1216,7 +1169,7 @@ mod tests {
             .mode(Mode::Icp)
             .peers(peers)
             .origin(origin.addr)
-            .icp_timeout_ms(5_000)
+            .icp_timeout_ms(icp_timeout_ms)
             .keepalive_ms(0)
             .build()
             .expect("config");
@@ -1226,32 +1179,54 @@ mod tests {
             UdpSocket::bind(loopback).expect("icp"),
         )
         .expect("daemon");
+        (daemon, origin, sockets)
+    }
+
+    /// GET `url` from `daemon` on a client thread.
+    fn get_in_background(daemon: &Daemon, url: &'static str) -> std::thread::JoinHandle<()> {
         let http = daemon.http_addr;
-        let client = std::thread::spawn(move || {
+        std::thread::spawn(move || {
             let mut c = ProxyClient::connect(http).expect("connect");
-            assert_eq!(c.get("http://s.invalid/dup", doc()).expect("get").status, 200);
-        });
-        let mut queries = Vec::new();
-        for socket in &sockets {
-            socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-            let mut buf = [0u8; 2048];
-            let (n, daemon_icp) = socket.recv_from(&mut buf).expect("a query");
-            let IcpMessage::Query { request_number, url, .. } =
-                IcpMessage::decode(&buf[..n]).expect("decodes")
-            else {
-                panic!("expected a query");
-            };
-            queries.push((daemon_icp, request_number, url));
-        }
-        let reply = |socket: &UdpSocket, id: u32, hit: bool, (to, request_number, url): &(SocketAddr, u32, String)| {
-            let (request_number, url) = (*request_number, url.clone());
-            let msg = if hit {
-                IcpMessage::Hit { request_number, url }
-            } else {
-                IcpMessage::Miss { request_number, url }
-            };
-            socket.send_to(&msg.encode(id).expect("encodes"), to).expect("send");
+            assert_eq!(c.get(url, doc()).expect("get").status, 200);
+        })
+    }
+
+    /// A query the daemon sent to `socket`: where it came from, its
+    /// request number and its URL.
+    type Query = (SocketAddr, u32, String);
+
+    fn recv_query(socket: &UdpSocket) -> Query {
+        socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut buf = [0u8; 2048];
+        let (n, daemon_icp) = socket.recv_from(&mut buf).expect("a query");
+        let IcpMessage::Query { request_number, url, .. } =
+            IcpMessage::decode(&buf[..n]).expect("decodes")
+        else {
+            panic!("expected a query");
         };
+        (daemon_icp, request_number, url)
+    }
+
+    /// Answer `query` from the peer `id` behind `socket`.
+    fn reply(socket: &UdpSocket, id: u32, hit: bool, (to, request_number, url): &Query) {
+        let (request_number, url) = (*request_number, url.clone());
+        let msg = if hit {
+            IcpMessage::Hit { request_number, url }
+        } else {
+            IcpMessage::Miss { request_number, url }
+        };
+        socket.send_to(&msg.encode(id).expect("encodes"), to).expect("send");
+    }
+
+    /// An ICP round ends when every queried peer has answered, not
+    /// after as many datagrams as there were queries: UDP may duplicate
+    /// a MISS, and a duplicate must not end the round before a slower
+    /// peer's HIT arrives.
+    #[test]
+    fn a_duplicated_miss_does_not_end_the_round_early() {
+        let (daemon, _origin, sockets) = icp_daemon(2, 5_000);
+        let client = get_in_background(&daemon, "http://s.invalid/dup");
+        let queries: Vec<Query> = sockets.iter().map(recv_query).collect();
         reply(&sockets[0], 2, false, &queries[0]);
         reply(&sockets[0], 2, false, &queries[0]);
         reply(&sockets[1], 3, true, &queries[1]);
@@ -1260,9 +1235,39 @@ mod tests {
         assert_eq!((s.remote_hits, s.icp_queries_sent), (1, 2), "{s:?}");
     }
 
+    /// A reply that arrives after the round's deadline changes nothing:
+    /// the request has already gone to the origin, no remote hit is
+    /// counted, and the late reply adds no round-trip sample.
+    #[test]
+    fn a_hit_after_the_deadline_is_ignored() {
+        let (daemon, _origin, sockets) = icp_daemon(1, 30);
+        let client = get_in_background(&daemon, "http://s.invalid/late");
+        let query = recv_query(&sockets[0]);
+        // With the protocol thread parked, the round cannot be dropped
+        // at its deadline: the late HIT meets the open round itself.
+        let release = park_protocol_thread(&daemon);
+        client.join().expect("served from the origin after the timeout");
+        reply(&sockets[0], 2, true, &query);
+        // A query from the same peer is handled after the HIT, so its
+        // answer means the HIT has been handled too.
+        let url = "http://s.invalid/probe".to_string();
+        let probe = IcpMessage::Query { request_number: 99, requester: 2, url };
+        sockets[0].send_to(&probe.encode(2).expect("encodes"), query.0).expect("send");
+        // The ingest thread queues each datagram before it reads the
+        // next, so once the probe is counted the HIT is queued.
+        let both_in = || daemon.stats.snapshot().udp_recv == 2;
+        assert!(sc_util::poll::wait_until(Duration::from_secs(5), Duration::from_millis(1), both_in));
+        let _ = release.send(());
+        sockets[0].recv_from(&mut [0u8; 2048]).expect("the probe's answer");
+        let s = daemon.stats.snapshot();
+        assert_eq!((s.http_requests, s.remote_hits, s.icp_queries_sent), (1, 0, 1), "{s:?}");
+        let rtt = &daemon.stats.peer(2).expect("peer 2").icp_rtt_us;
+        assert_eq!(rtt.snapshot().samples(), 0, "a late reply is not a round trip");
+    }
+
     /// A datagram the socket refuses is counted, through `send_udp`
     /// (which the query fan-out calls) and through `transmit` (the
-    /// protocol thread's path). Port 0 is not a valid destination, so
+    /// router's sends). Port 0 is not a valid destination, so
     /// the kernel refuses the send locally.
     #[test]
     fn refused_udp_sends_are_counted() {

@@ -8,8 +8,8 @@
 //! The pieces:
 //!
 //! * [`machine`] — the sans-I/O protocol vocabulary (events, outputs,
-//!   effects, virtual time, wire constants) that every
-//!   replication/ICP decision (query answering, replica sequencing,
+//!   effects, virtual time, wire constants, the ICP query round) that
+//!   every replication/ICP decision (query answering, replica sequencing,
 //!   gap-triggered resync, failure detection, publish fan-out) is
 //!   phrased in: a pure function of `(virtual time, event)` — no
 //!   sockets, no clocks, no sleeps.

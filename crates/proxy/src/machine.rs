@@ -1,35 +1,23 @@
-//! The replication/ICP protocol as a **sans-I/O state machine**.
+//! The vocabulary of the sans-I/O replication/ICP machine.
 //!
-//! Everything the daemon *decides* — how to answer a query, when a
-//! delta applies to a replica and when it forces a resync, which peers
-//! are alive, what a keep-alive tick broadcasts, when the summary
-//! publishes — lives here, as a pure function of
-//! `(now: VirtualTime, event)`:
+//! Every protocol decision — how to answer a query, when a delta applies
+//! to a replica and when it forces a resync, which peers are alive, what
+//! a keep-alive tick broadcasts, when the summary publishes — is a pure
+//! function of `(now: VirtualTime, event)`, made by
+//! [`crate::router::Router`] (with one fanout slot, the single machine).
+//! Inputs are [`Event`]s: a datagram, a timer tick, a local cache
+//! insert/evict, a finished client request. Outputs are datagram
+//! [`Send`]s and journal/metric [`Effect`]s. This module holds that
+//! vocabulary, the wire constants, and [`QueryRound`], the ICP query
+//! round both drivers run.
 //!
-//! * **inputs** are an incoming datagram, a timer tick, a local cache
-//!   insert/evict, or a completed client request;
-//! * **outputs** are a list of `(dest, datagram)` sends plus
-//!   journal/metric [`Effect`]s.
-//!
-//! There are no sockets, no `Instant::now()`, and no sleeps in this
-//! module (`crates/clippy.toml` makes clippy reject them): the live
-//! daemon feeds the machine from its real UDP socket and clock, and the
-//! deterministic [`crate::simnet`] harness feeds it from a virtual
-//! clock and a seeded fault plan. Both drive the *same* decision logic,
-//! which is what makes a simnet seed a faithful protocol schedule.
-//!
-//! The decision logic itself lives in [`crate::router`] (the local
-//! directory, peer replicas, and control plane); this module keeps the
-//! shared protocol vocabulary — [`Event`], [`Output`], [`Effect`],
-//! [`VirtualTime`], the wire constants. The single machine is
-//! [`crate::router::Router::new`] with one fanout slot.
-//!
-//! Time enters only as [`VirtualTime`] values the caller supplies;
-//! durations (resync backoff, failure timeout) are plain arithmetic on
-//! those values. Randomness never enters at all — loss injection and
-//! generation freshness are the *caller's* business (the daemon uses
-//! its seeded loss RNG and the wall clock; the simnet uses its fault
-//! plan and deterministic generation numbers).
+//! Nothing here opens a socket, reads a clock or sleeps
+//! (`crates/clippy.toml` makes clippy reject it). The live daemon feeds
+//! the machine from its UDP socket and wall clock, the deterministic
+//! [`crate::simnet`] from a virtual clock and a seeded fault plan, so a
+//! simnet seed is a faithful protocol schedule. Time enters only as
+//! caller-supplied [`VirtualTime`]s, and randomness never enters: loss
+//! injection and generation freshness are the caller's business.
 
 use sc_bloom::UrlKey;
 use sc_wire::icp::IcpMessage;
@@ -236,8 +224,8 @@ pub enum Effect {
         /// riding the fanout ticks).
         messages: usize,
     },
-    /// An ICP reply arrived for an outstanding query; the driver owns
-    /// the waiting-request table and must dispatch it.
+    /// An ICP reply arrived. The driver feeds it to the [`QueryRound`]
+    /// it opened under `request_number`, if that round is still open.
     ReplyReceived {
         /// The query's request number.
         request_number: u32,
@@ -266,18 +254,70 @@ pub trait DirectoryView {
     fn contains(&self, url: &str) -> bool;
 }
 
-/// The server-name component of a URL (host part), for summaries. Any
-/// `scheme://` prefix is stripped — not just `http://` — so `https://`
-/// (or `ftp://`) URLs group under their host instead of collapsing into
-/// one bogus `"scheme:"` server entry.
-pub fn server_of(url: &str) -> &[u8] {
-    let rest = match url.find("://") {
-        // Only a separator before any '/' is a scheme delimiter.
-        Some(i) if !url[..i].contains('/') => &url[i + 3..],
-        _ => url,
-    };
-    let end = rest.find('/').unwrap_or(rest.len());
-    &rest.as_bytes()[..end]
+/// One ICP query round (RFC 2186, which SC-ICP keeps under its
+/// summaries, paper §VI): the queried peers still waiting, and a
+/// deadline. The first HIT wins; the round ends all-miss once every
+/// peer has answered. The daemon's protocol thread and the simnet each
+/// keep their open rounds and feed them [`Effect::ReplyReceived`]s.
+#[derive(Debug, Clone)]
+pub struct QueryRound {
+    /// Queried peers that have not answered; empty once the round ends.
+    waiting: Vec<u32>,
+    deadline: VirtualTime,
+}
+
+/// What one answer did to a [`QueryRound`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// Nothing: the peer was not waiting (a duplicate, a peer not
+    /// queried, a round already over), or the reply came too late.
+    Ignored,
+    /// Counted; other peers are still waiting.
+    Counted,
+    /// The round is over: `Some(peer)` on a HIT, `None` when all missed.
+    Ended(Option<u32>),
+}
+
+impl QueryRound {
+    /// A round that queried `peers` (at least one) and ignores any
+    /// reply at or after `deadline`.
+    pub fn new(peers: &[u32], deadline: VirtualTime) -> QueryRound {
+        QueryRound { waiting: peers.to_vec(), deadline }
+    }
+
+    /// A reply from `peer` arriving at `now`.
+    pub fn reply(&mut self, peer: u32, hit: bool, now: VirtualTime) -> Answer {
+        if self.expired(now) {
+            return Answer::Ignored;
+        }
+        self.answer(peer, hit)
+    }
+
+    /// The query to `peer` never left, so no reply can come: count it
+    /// as a MISS at once.
+    pub fn strike(&mut self, peer: u32) -> Answer {
+        self.answer(peer, false)
+    }
+
+    /// Has the deadline passed by `now`?
+    pub fn expired(&self, now: VirtualTime) -> bool {
+        now >= self.deadline
+    }
+
+    fn answer(&mut self, peer: u32, hit: bool) -> Answer {
+        let Some(at) = self.waiting.iter().position(|&w| w == peer) else {
+            return Answer::Ignored;
+        };
+        self.waiting.swap_remove(at);
+        if hit {
+            self.waiting.clear();
+            Answer::Ended(Some(peer))
+        } else if self.waiting.is_empty() {
+            Answer::Ended(None)
+        } else {
+            Answer::Counted
+        }
+    }
 }
 
 #[cfg(test)]
@@ -324,15 +364,58 @@ mod tests {
         VirtualTime::from_micros(ms * 1000)
     }
 
+    /// Every way an answer can meet a round, from a round that queried
+    /// peers 2, 3 and 4 with a deadline at 10 ms.
     #[test]
-    fn server_of_extracts_host() {
-        assert_eq!(server_of("http://a.example.com/x/y"), b"a.example.com");
-        assert_eq!(server_of("http://bare"), b"bare");
-        assert_eq!(server_of("no-scheme/path"), b"no-scheme");
-        assert_eq!(server_of("http://h/"), b"h");
-        assert_eq!(server_of("https://h/x"), b"h");
-        assert_eq!(server_of("ftp://files.example.org/pub"), b"files.example.org");
-        assert_eq!(server_of("host/redirect?to=http://other"), b"host");
+    fn query_round_rules() {
+        use Answer::{Counted, Ended, Ignored};
+        // (answers as (peer, hit, at ms; None = a struck send), the
+        // Answer each gets)
+        type Step = (u32, bool, Option<u64>, Answer);
+        let table: [(&str, &[Step]); 7] = [
+            ("duplicated miss", &[
+                (2, false, Some(1), Counted),
+                (2, false, Some(2), Ignored),
+                (3, false, Some(3), Counted),
+                (4, true, Some(4), Ended(Some(4))),
+            ]),
+            ("peer not queried", &[(9, true, Some(1), Ignored), (2, false, Some(2), Counted)]),
+            ("failed send struck", &[
+                (3, false, None, Counted),
+                (3, true, Some(1), Ignored),
+                (2, false, None, Counted),
+                (4, false, Some(2), Ended(None)),
+            ]),
+            ("hit after a miss", &[
+                (2, false, Some(1), Counted),
+                (3, true, Some(2), Ended(Some(3))),
+            ]),
+            ("all miss", &[
+                (4, false, Some(1), Counted),
+                (2, false, Some(2), Counted),
+                (3, false, Some(3), Ended(None)),
+            ]),
+            ("reply exactly at the deadline", &[
+                (2, true, Some(10), Ignored),
+                (3, false, Some(9), Counted),
+            ]),
+            ("nothing after the end", &[
+                (2, true, Some(1), Ended(Some(2))),
+                (3, true, Some(2), Ignored),
+            ]),
+        ];
+        for (case, steps) in table {
+            let mut round = QueryRound::new(&[2, 3, 4], at(10));
+            for (i, &(peer, hit, when, want)) in steps.iter().enumerate() {
+                let got = match when {
+                    Some(ms) => round.reply(peer, hit, at(ms)),
+                    None => round.strike(peer),
+                };
+                assert_eq!(got, want, "{case}, step {i}");
+            }
+        }
+        assert!(!QueryRound::new(&[2], at(10)).expired(at(9)));
+        assert!(QueryRound::new(&[2], at(10)).expired(at(10)));
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! so a seed *is* a schedule: the same seed always produces the same
 //! event journal, byte-for-byte.
 //!
-//! The fault plan injects, all from one [`sc_util::Rng`]:
+//! The fault plan touches every datagram, ICP queries and replies
+//! included, and injects from two seeded [`sc_util::Rng`] streams (one
+//! for query traffic, so requests never shift the update draws):
 //!
-//! * **loss** — any datagram (including keep-alives, which exercises
-//!   failure detection) vanishes with probability `loss`;
+//! * **loss** — any datagram (keep-alive loss exercises failure
+//!   detection; query loss ends a round at its deadline) vanishes with
+//!   probability `loss`;
 //! * **duplication** — a second copy is delivered with an independent
 //!   delay with probability `duplicate`;
 //! * **reordering** — every delivery draws a random delay, so datagrams
@@ -32,19 +35,24 @@
 //!   conjured from a delta alone;
 //! * a detected seq gap produces *exactly one* DIRREQ, unless a DIRREQ
 //!   to that publisher is still inside [`RESYNC_BACKOFF`], in which case
-//!   it produces none.
+//!   it produces none;
+//! * a query round ends all-miss only once a reply from every queried
+//!   peer has been delivered.
 //!
-//! The same harness doubles as the **scenario driver**: build with
-//! [`Sim::with_scenario`] (or call [`run_scenario`]) to
-//! replay a composable, seeded [`sc_trace::scenario::Scenario`] —
-//! client requests, scripted crashes, evict-everywhere storms — on top
-//! of the random fault plan, and get back a [`ScenarioReport`]: the
+//! The same harness doubles as the **scenario driver**: [`run_scenario`]
+//! replays a seeded [`sc_trace::scenario::Scenario`] — client requests,
+//! scripted crashes, evict-everywhere storms — on top of the random
+//! fault plan. A local miss runs a real ICP round: the requester sends
+//! `ICP_OP_QUERY` to its summary candidates, their routers answer HIT
+//! or MISS, and a [`crate::machine::QueryRound`] decides, as in the
+//! daemon. Outcomes count in place into a [`ScenarioReport`], the
 //! per-scenario "good ruler" (hit ratio over time windows, summary
 //! staleness, false-hit rate, per-opcode message distribution, tail
-//! latency in virtual time), counted in place as the run goes.
+//! latency in virtual time).
 
 use crate::machine::{
-    Dest, DirectoryView, Effect, Event, Output, SendKind, VirtualTime, RESYNC_BACKOFF,
+    Answer, Dest, DirectoryView, Effect, Event, Output, QueryRound, SendKind, VirtualTime,
+    RESYNC_BACKOFF,
 };
 use crate::router::{DirectoryInspect, Router};
 use sc_bloom::UrlKey;
@@ -52,7 +60,9 @@ use sc_obs::Histogram;
 use sc_trace::model::render_url;
 use sc_trace::scenario::{Scenario, ScenarioKind};
 use sc_util::Rng;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use sc_wire::icp::IcpMessage;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use summary_cache_core::{ProxySummary, SummaryKind, UpdatePolicy};
 
 /// Knobs for one simulation run. The defaults describe an aggressive
@@ -181,6 +191,9 @@ pub struct SimReport {
     pub update_datagrams_sent: u64,
 }
 
+/// Ordered only to sit in the queue: its key `(at, order)` is unique,
+/// so two events are never compared.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum SimEvent {
     /// A datagram arrives at `to`.
     Deliver { to: usize, from: usize, bytes: Vec<u8> },
@@ -198,40 +211,14 @@ enum SimEvent {
     PartitionHeal,
     /// A scenario client of `node` requests `url` (scenario runs only).
     Request { node: usize, url: String },
+    /// Query round `reqnum` reaches its deadline (scenario runs only).
+    QueryDeadline { reqnum: u32 },
     /// `url` is evicted from every cache that holds it while the
     /// summaries keep advertising it — the false-hit-storm trigger
     /// (scenario runs only).
     PurgeEverywhere { url: String },
     /// End-of-window staleness sample point (scenario runs only).
     WindowMark { idx: usize },
-}
-
-struct QueueEntry {
-    at: u64,
-    order: u64,
-    ev: SimEvent,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.order == other.order
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first,
-        // with the scheduling order as a deterministic tie-break.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.order.cmp(&self.order))
-    }
 }
 
 /// The model cache directory: which URLs a node currently holds.
@@ -258,9 +245,12 @@ struct Node {
 pub struct Sim {
     cfg: SimConfig,
     rng: Rng,
+    /// Draws for queries, replies and peer fetches; the rest use `rng`.
+    query_rng: Rng,
     now: u64,
     order: u64,
-    queue: BinaryHeap<QueueEntry>,
+    /// Earliest first, ties in scheduling order.
+    queue: BinaryHeap<Reverse<(u64, u64, SimEvent)>>,
     nodes: Vec<Node>,
     partition: Option<Vec<bool>>,
     faults: bool,
@@ -279,8 +269,6 @@ pub struct Sim {
     /// Reusable router-output sink: every event drives the router
     /// through this one warm buffer ([`Sim::drive`]).
     out_scratch: Vec<Output>,
-    /// Reusable candidate buffer for the request loop's replica probe.
-    cand_scratch: Vec<u32>,
     /// Pooled request keys: [`Sim::store_doc`] re-digests them in place
     /// (`UrlKey::reset`) instead of allocating per stored document.
     key_scratch: Vec<UrlKey>,
@@ -299,14 +287,35 @@ struct ScnState {
     latency: Histogram,
     /// Width of one report window in virtual microseconds.
     window_us: u64,
-    /// Virtual round-trip to the origin server, charged on every miss
-    /// and false hit.
+    /// Virtual round-trip to the origin server, charged on every miss,
+    /// false hit and query timeout.
     origin_rtt_us: u64,
     /// Virtual local service time, charged on every served request.
     local_service_us: u64,
     /// URLs hit by [`SimEvent::PurgeEverywhere`] — the set the
     /// after-settle staleness probe walks.
     tracked_evicted: Vec<String>,
+    /// Requests in a query round, by request number (their ordinal).
+    rounds: BTreeMap<u32, OpenRound>,
+}
+
+/// A scenario request from its arrival (window, virtual µs) to its end.
+struct Request {
+    node: usize,
+    url: String,
+    key: UrlKey,
+    window: usize,
+    at: u64,
+}
+
+/// A request whose query round is open.
+struct OpenRound {
+    req: Request,
+    round: QueryRound,
+    /// The round's mirror, kept from delivered replies alone: queried
+    /// peers not heard from. The wire never refuses a send, so an
+    /// all-miss end with a peer left here is a round bug.
+    unheard: Vec<u32>,
 }
 
 /// Deterministic per-incarnation generation number: what the daemon
@@ -325,6 +334,7 @@ impl Sim {
         assert!(cfg.keepalive_ms > 0, "the heartbeat drives anti-entropy");
         assert!(cfg.delay_us.0 < cfg.delay_us.1, "delay range must be non-empty");
         let rng = Rng::seed_from_u64(seed ^ 0x5EED_CAFE_F00D_D00D);
+        let query_rng = Rng::seed_from_u64(seed ^ 0x1C90_E70D_D00D);
         let n = cfg.proxies;
         let nodes: Vec<Node> = (0..n)
             .map(|i| Node {
@@ -337,6 +347,7 @@ impl Sim {
             .collect();
         let mut sim = Sim {
             rng,
+            query_rng,
             now: 0,
             order: 0,
             queue: BinaryHeap::new(),
@@ -351,7 +362,6 @@ impl Sim {
                 ..SimReport::default()
             },
             out_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
             key_scratch: Vec::new(),
             scn: None,
             cfg,
@@ -406,17 +416,13 @@ impl Sim {
     fn schedule(&mut self, at: u64, ev: SimEvent) {
         let order = self.order;
         self.order += 1;
-        self.queue.push(QueueEntry { at, order, ev });
+        self.queue.push(Reverse((at, order, ev)));
     }
 
     /// Run the fault window, then settle; returns the report. Panics
     /// (with the offending virtual time and nodes) if a safety
     /// invariant breaks mid-run.
-    pub fn run(mut self) -> SimReport {
-        self.run_inner()
-    }
-
-    fn run_inner(&mut self) -> SimReport {
+    pub fn run(&mut self) -> SimReport {
         let horizon = self.cfg.horizon_ms * 1_000;
         self.advance(horizon);
         // Fault window over: heal everything and let the protocol's own
@@ -428,6 +434,8 @@ impl Sim {
         self.report.journal.push(note);
         let ka = self.cfg.keepalive_ms * 1_000;
         let budget = self.cfg.settle_ticks;
+        // Settled: every live pair agrees bit for bit, and no scenario
+        // request is still in a round.
         let settle_steps = sc_util::poll::converge(
             &mut *self,
             budget,
@@ -435,34 +443,34 @@ impl Sim {
                 let t = s.now + ka;
                 s.advance(t);
             },
-            |s| s.converged(),
+            |s| {
+                let idle = s.scn.as_ref().is_none_or(|scn| scn.rounds.is_empty());
+                idle && s.pairs_in_sync().all(|ok| ok)
+            },
         );
         self.report.converged = settle_steps.is_some();
         self.report.settle_steps = settle_steps;
         std::mem::take(&mut self.report)
     }
 
-    /// Has every live (observer, publisher) pair converged bit-for-bit?
-    fn converged(&self) -> bool {
-        (0..self.nodes.len()).all(|i| {
-            !self.nodes[i].up
-                || (0..self.nodes.len()).all(|j| {
-                    i == j
-                        || !self.nodes[j].up
-                        || self.nodes[i].router.replica_bits(j as u32)
-                            == self.nodes[j].router.published_bits()
-                })
+    /// One entry per live (observer, publisher) pair: does the
+    /// observer's replica equal the publisher's filter bit for bit?
+    fn pairs_in_sync(&self) -> impl Iterator<Item = bool> + '_ {
+        let (n, up) = (self.nodes.len(), |i: usize| self.nodes[i].up);
+        let pairs = (0..n).flat_map(move |i| (0..n).map(move |j| (i, j)));
+        pairs.filter(move |&(i, j)| i != j && up(i) && up(j)).map(|(i, j)| {
+            self.nodes[i].router.replica_bits(j as u32) == self.nodes[j].router.published_bits()
         })
     }
 
     /// Process every queued event with `at <= until`, then move the
     /// clock to `until`.
     fn advance(&mut self, until: u64) {
-        while self.queue.peek().is_some_and(|e| e.at <= until) {
-            let Some(entry) = self.queue.pop() else { break };
-            self.now = self.now.max(entry.at);
+        while self.queue.peek().is_some_and(|Reverse(e)| e.0 <= until) {
+            let Some(Reverse((at, _, ev))) = self.queue.pop() else { break };
+            self.now = self.now.max(at);
             self.report.events_processed += 1;
-            self.process(entry.ev);
+            self.process(ev);
         }
         self.now = self.now.max(until);
     }
@@ -518,11 +526,17 @@ impl Sim {
                 }
                 let url = format!("http://server-{node}.sim.invalid/doc/{}", self.next_doc);
                 self.next_doc += 1;
-                self.store_doc(node, url, "insert");
+                self.store_doc(node, url, "insert", None);
             }
             SimEvent::Crash { node } => {
                 self.report.journal.push(format!("{}us n{node} CRASH", self.now));
                 self.nodes[node].up = false;
+                // Its requests in flight die with it: unserved.
+                if let Some(scn) = &mut self.scn {
+                    let open = scn.rounds.len();
+                    scn.rounds.retain(|_, p| p.req.node != node);
+                    scn.report.unserved += (open - scn.rounds.len()) as u64;
+                }
             }
             SimEvent::Restart { node } => {
                 let inc = self.nodes[node].incarnation + 1;
@@ -554,6 +568,11 @@ impl Sim {
                 self.partition = None;
             }
             SimEvent::Request { node, url } => self.serve_request(node, url),
+            SimEvent::QueryDeadline { reqnum } => {
+                if let Some(p) = self.scn.as_mut().and_then(|scn| scn.rounds.remove(&reqnum)) {
+                    self.finish_request(p.req, "timeout");
+                }
+            }
             SimEvent::PurgeEverywhere { url } => self.purge_everywhere(url),
             SimEvent::WindowMark { idx } => self.sample_window(idx),
         }
@@ -561,15 +580,9 @@ impl Sim {
 
     /// Store `url` in `node`'s model cache (FIFO eviction at
     /// `cache_docs`) and drive the router through Stored +
-    /// RequestDone, publishing the summary flips.
-    fn store_doc(&mut self, node: usize, url: String, verb: &str) {
-        self.store_doc_keyed(node, url, verb, None)
-    }
-
-    /// [`Sim::store_doc`] with an optionally pre-digested request key
-    /// (the request loop digests the URL once for the candidate probe
-    /// and hands the key down, like the daemon's scratch key).
-    fn store_doc_keyed(&mut self, node: usize, url: String, verb: &str, key: Option<UrlKey>) {
+    /// RequestDone, publishing the summary flips. A request hands down
+    /// the `key` it probed with, like the daemon's scratch key.
+    fn store_doc(&mut self, node: usize, url: String, verb: &str, key: Option<UrlKey>) {
         let cap = self.cfg.cache_docs;
         let n = &mut self.nodes[node];
         n.docs.push_back(url.clone());
@@ -619,19 +632,16 @@ impl Sim {
     }
 
     /// Serve one scenario client request at `node`: local directory
-    /// hit, else probe the installed peer replicas
-    /// ([`Router::candidates_key_into`]), else fetch from the origin.
-    /// Remote and origin fetches both store the document locally (the paper's §II
-    /// sharing model), publishing the new summary bit. Latency is
-    /// virtual: local service time, plus one query RTT whenever peers
-    /// are probed, plus either a peer-fetch RTT or the origin RTT.
+    /// hit, else send `ICP_OP_QUERY` on the simulated wire to the peers
+    /// whose replicas advertise the URL, with a deadline of the longest
+    /// round trip the wire can take (2 × `delay_us.1`), else go to the
+    /// origin.
     fn serve_request(&mut self, node: usize, url: String) {
         let Some(scn) = &mut self.scn else { return };
         // Requests after the last window mark fold into the final window.
         let last = scn.report.windows.len() - 1;
         let w = ((self.now / scn.window_us) as usize).min(last);
         let r = &mut scn.report;
-        let mut latency = scn.local_service_us;
         r.requests += 1;
         r.windows[w].requests += 1;
         if !self.nodes[node].up {
@@ -641,6 +651,7 @@ impl Sim {
             return;
         }
         if self.nodes[node].dir.contains(&url) {
+            let latency = scn.local_service_us;
             r.local_hits += 1;
             r.windows[w].local_hits += 1;
             scn.latency.record(latency);
@@ -649,57 +660,92 @@ impl Sim {
             return;
         }
         // Digest once; probe the installed replicas through the
-        // memoized key path (the byte path would re-hash per peer) into
-        // the warm candidate buffer.
+        // memoized key path (the byte path would re-hash per peer).
         let key = UrlKey::new(url.as_bytes());
-        let mut candidates = std::mem::take(&mut self.cand_scratch);
-        self.nodes[node]
-            .router
-            .candidates_key_into(&key, &mut candidates);
-        // One request round trip on the virtual wire: two one-way
-        // delays, drawn exactly like [`Sim::transmit`] draws them.
-        let ((lo, hi), faults, rng) = (self.cfg.delay_us, self.faults, &mut self.rng);
-        let mut rtt = || {
-            if faults {
-                rng.gen_range(lo..hi) + rng.gen_range(lo..hi)
-            } else {
-                2 * lo
+        let mut candidates = Vec::new();
+        self.nodes[node].router.candidates_key_into(&key, &mut candidates);
+        let (reqnum, requester) = (r.requests as u32, node as u32);
+        let query = IcpMessage::Query { request_number: reqnum, requester, url: url.clone() };
+        let req = Request { node, url, key, window: w, at: self.now };
+        match query.encode(requester) {
+            Ok(bytes) if !candidates.is_empty() => {
+                r.queries_sent += candidates.len() as u64;
+                self.report.other_bytes_sent += (bytes.len() * candidates.len()) as u64;
+                let (now, len) = (self.now, bytes.len());
+                let sent = format!("{now}us n{node} query #{reqnum} -> {candidates:?} {len}B");
+                self.report.journal.push(sent);
+                let deadline = self.now + 2 * self.cfg.delay_us.1;
+                let round = QueryRound::new(&candidates, VirtualTime::from_micros(deadline));
+                for &peer in &candidates {
+                    self.transmit(node, peer as usize, &bytes, true);
+                }
+                self.schedule(deadline, SimEvent::QueryDeadline { reqnum });
+                if let Some(scn) = &mut self.scn {
+                    scn.rounds.insert(reqnum, OpenRound { req, round, unheard: candidates });
+                }
             }
-        };
-        let mut outcome = "miss";
-        if !candidates.is_empty() {
-            // One parallel ICP-style round to every advertising peer.
-            r.queries_sent += candidates.len() as u64;
-            latency += rtt();
-            let holders = candidates
-                .iter()
-                .filter(|&&c| {
-                    let c = c as usize;
-                    self.nodes[c].up && self.nodes[c].dir.contains(&url)
-                })
-                .count();
-            r.wasted_queries += (candidates.len() - holders) as u64;
-            if holders > 0 {
+            _ => self.finish_request(req, "miss"),
+        }
+    }
+
+    /// Count a request's end, now: a remote hit, a false hit (all
+    /// MISS), a timeout, or a miss (no candidates). Latency is the local
+    /// service time, the wait until now, and a peer-fetch or origin
+    /// round trip. The fetched document is stored (the paper's §II
+    /// sharing model) unless another request stored it first.
+    fn finish_request(&mut self, req: Request, outcome: &str) {
+        let Some(scn) = &mut self.scn else { return };
+        let (r, w) = (&mut scn.report, req.window);
+        let mut latency = scn.local_service_us + (self.now - req.at);
+        match outcome {
+            "remote-hit" => {
                 r.remote_hits += 1;
                 r.windows[w].remote_hits += 1;
-                latency += rtt();
-                outcome = "remote-hit";
-            } else {
-                // Every advertising replica lied: the paper's false hit.
+                // One round trip on the virtual wire, drawn like
+                // [`Sim::transmit`] draws delays.
+                let ((lo, hi), rng) = (self.cfg.delay_us, &mut self.query_rng);
+                let mut delay = || if self.faults { rng.gen_range(lo..hi) } else { lo };
+                latency += delay() + delay();
+            }
+            "false-hit" => {
                 r.false_hits += 1;
                 r.windows[w].false_hits += 1;
-                outcome = "false-hit";
             }
+            "timeout" => r.query_timeouts += 1,
+            _ => {}
         }
         if outcome != "remote-hit" {
             r.origin_fetches += 1;
             latency += scn.origin_rtt_us;
         }
         scn.latency.record(latency);
-        self.cand_scratch = candidates;
+        let Request { node, url, key, .. } = req;
         self.report.journal
             .push(format!("{}us n{node} req {url} {outcome} {latency}us", self.now));
-        self.store_doc_keyed(node, url, "fill", Some(key));
+        if !self.nodes[node].dir.contains(&url) {
+            self.store_doc(node, url, "fill", Some(key));
+        }
+    }
+
+    /// Feed a delivered ICP reply at `node` to its open round, checking
+    /// the round against its mirror when it ends all-miss.
+    fn answer_round(&mut self, node: usize, reqnum: u32, peer: u32, hit: bool) {
+        let Some(scn) = &mut self.scn else { return };
+        let Some(p) = scn.rounds.get_mut(&reqnum) else {
+            return; // the round is over: a late or duplicate reply
+        };
+        p.unheard.retain(|&q| q != peer);
+        let now = VirtualTime::from_micros(self.now);
+        let Answer::Ended(winner) = p.round.reply(peer, hit, now) else { return };
+        let Some(p) = scn.rounds.remove(&reqnum) else { return };
+        assert!(
+            winner.is_some() || p.unheard.is_empty(),
+            "invariant violated at {}us: node {node}'s query round #{reqnum} ended all-miss \
+             with no reply delivered from {:?}",
+            self.now,
+            p.unheard,
+        );
+        self.finish_request(p.req, if winner.is_some() { "remote-hit" } else { "false-hit" });
     }
 
     /// Evict `url` from every live cache that holds it, in node order.
@@ -733,28 +779,11 @@ impl Sim {
     /// publisher) pairs currently disagree with the publisher's filter
     /// bit-for-bit, recorded into window `idx` of the report.
     fn sample_window(&mut self, idx: usize) {
+        let sync: Vec<bool> = self.pairs_in_sync().collect();
+        let (stale, live) = (sync.iter().filter(|&&ok| !ok).count() as u64, sync.len() as u64);
         let Some(scn) = &mut self.scn else { return };
-        let mut stale = 0u64;
-        let mut live = 0u64;
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].up {
-                continue;
-            }
-            for j in 0..self.nodes.len() {
-                if i == j || !self.nodes[j].up {
-                    continue;
-                }
-                live += 1;
-                if self.nodes[i].router.replica_bits(j as u32)
-                    != self.nodes[j].router.published_bits()
-                {
-                    stale += 1;
-                }
-            }
-        }
         let window = &mut scn.report.windows[idx];
-        window.stale_pairs = stale;
-        window.live_pairs = live;
+        (window.stale_pairs, window.live_pairs) = (stale, live);
         self.report.journal.push(format!(
             "{}us window w{idx}: {stale}/{live} replica pairs stale",
             self.now
@@ -804,6 +833,10 @@ impl Sim {
                     }
                     if let Some(scn) = &mut self.scn {
                         scn.report.datagrams_by_op[op_index(&send.kind)].1 += 1;
+                        // A MISS answer: a query to a peer without the document.
+                        if matches!(send.msg, IcpMessage::Miss { .. }) {
+                            scn.report.wasted_queries += 1;
+                        }
                     }
                     if send.kind.is_update() {
                         self.report.update_bytes_sent += bytes.len() as u64;
@@ -820,16 +853,12 @@ impl Sim {
                     ));
                     let targets: Vec<usize> = match send.to {
                         Dest::Peer(id) => vec![id as usize],
-                        Dest::AllPeers => {
-                            (0..self.nodes.len()).filter(|&j| j != node).collect()
-                        }
-                        Dest::Sender => match sender {
-                            Some(s) => vec![s],
-                            None => Vec::new(),
-                        },
+                        Dest::AllPeers => (0..self.nodes.len()).filter(|&j| j != node).collect(),
+                        Dest::Sender => sender.into_iter().collect(),
                     };
+                    let query = send.kind == SendKind::QueryReply;
                     for to in targets {
-                        self.transmit(node, to, &bytes);
+                        self.transmit(node, to, &bytes, query);
                     }
                 }
             }
@@ -874,46 +903,36 @@ impl Sim {
                 self.report.failures += 1;
             }
             Effect::PeerRecovered { .. } => self.report.recoveries += 1,
+            Effect::ReplyReceived {
+                request_number,
+                hit_from,
+                replier: Some(peer),
+            } => self.answer_round(node, request_number, peer, hit_from.is_some()),
             _ => {}
         }
     }
 
     /// Put a datagram on the virtual wire, subject to the fault plan.
-    fn transmit(&mut self, from: usize, to: usize, bytes: &[u8]) {
-        if self.faults {
-            if let Some(sides) = &self.partition {
-                if sides[from] != sides[to] {
-                    self.report.datagrams_dropped += 1;
-                    return;
-                }
-            }
-            if self.rng.gen_bool(self.cfg.loss) {
-                self.report.datagrams_dropped += 1;
-                return;
-            }
+    /// Query traffic (`query`) draws from `query_rng`, the rest from
+    /// `rng`.
+    fn transmit(&mut self, from: usize, to: usize, bytes: &[u8], query: bool) {
+        let ((lo, hi), faults) = (self.cfg.delay_us, self.faults);
+        if faults && self.partition.as_ref().is_some_and(|sides| sides[from] != sides[to]) {
+            self.report.datagrams_dropped += 1;
+            return;
         }
-        let (lo, hi) = self.cfg.delay_us;
-        let delay = if self.faults { self.rng.gen_range(lo..hi) } else { lo };
-        self.schedule(
-            self.now + delay,
-            SimEvent::Deliver {
-                to,
-                from,
-                bytes: bytes.to_vec(),
-            },
-        );
-        if self.faults && self.rng.gen_bool(self.cfg.duplicate) {
-            let delay = self.rng.gen_range(lo..hi);
-            self.report.datagrams_duplicated += 1;
-            self.schedule(
-                self.now + delay,
-                SimEvent::Deliver {
-                    to,
-                    from,
-                    bytes: bytes.to_vec(),
-                },
-            );
+        let rng = if query { &mut self.query_rng } else { &mut self.rng };
+        if faults && rng.gen_bool(self.cfg.loss) {
+            self.report.datagrams_dropped += 1;
+            return;
         }
+        let delay = if faults { rng.gen_range(lo..hi) } else { lo };
+        let again = (faults && rng.gen_bool(self.cfg.duplicate)).then(|| rng.gen_range(lo..hi));
+        for delay in std::iter::once(delay).chain(again) {
+            let bytes = bytes.to_vec();
+            self.schedule(self.now + delay, SimEvent::Deliver { to, from, bytes });
+        }
+        self.report.datagrams_duplicated += u64::from(again.is_some());
     }
 }
 
@@ -973,7 +992,7 @@ pub struct ScenarioConfig {
     /// staleness are sampled per window).
     pub windows: usize,
     /// Virtual round-trip to the origin server (microseconds), charged
-    /// on every miss and false hit.
+    /// on every miss, false hit and query timeout.
     pub origin_rtt_us: u64,
     /// Virtual local service time (microseconds), charged on every
     /// served request.
@@ -991,68 +1010,6 @@ impl Default for ScenarioConfig {
             origin_rtt_us: 120_000,
             local_service_us: 200,
         }
-    }
-}
-
-impl Sim {
-    /// Build a simulation that replays `scenario` on top of the seeded
-    /// fault plan: scenario requests, crashes/restarts, and
-    /// evict-everywhere storms are scheduled at their virtual
-    /// timestamps alongside the random loss/dup/reorder/partition
-    /// plan, and every request outcome is counted into the good-ruler
-    /// report.
-    pub fn with_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Sim {
-        assert!(cfg.windows > 0, "a report needs at least one window");
-        let mut sim_cfg = cfg.sim;
-        sim_cfg.proxies = scenario.nodes as usize;
-        sim_cfg.crashes = sim_cfg.crashes.min(sim_cfg.proxies - 1);
-        sim_cfg.horizon_ms = sim_cfg.horizon_ms.max(scenario.horizon_us.div_ceil(1_000));
-        let mut sim = Sim::new(sim_cfg, seed);
-        for ev in &scenario.events {
-            let se = match &ev.kind {
-                ScenarioKind::Request { node, url, server } => SimEvent::Request {
-                    node: *node as usize,
-                    url: render_url(*server, *url),
-                },
-                ScenarioKind::Crash { node } => SimEvent::Crash {
-                    node: *node as usize,
-                },
-                ScenarioKind::Restart { node } => SimEvent::Restart {
-                    node: *node as usize,
-                },
-                ScenarioKind::EvictEverywhere { url, server } => SimEvent::PurgeEverywhere {
-                    url: render_url(*server, *url),
-                },
-            };
-            sim.schedule(ev.at_us, se);
-        }
-        let window_us = (scenario.horizon_us / cfg.windows as u64).max(1);
-        for idx in 0..cfg.windows {
-            let at = ((idx as u64 + 1) * window_us).min(scenario.horizon_us);
-            sim.schedule(at, SimEvent::WindowMark { idx });
-        }
-        let report = ScenarioReport {
-            name: scenario.name.clone(),
-            seed,
-            proxies: sim.cfg.proxies,
-            datagrams_by_op: SCENARIO_OPS.iter().map(|op| (op.to_string(), 0)).collect(),
-            windows: (0..cfg.windows)
-                .map(|idx| WindowStats {
-                    idx,
-                    ..WindowStats::default()
-                })
-                .collect(),
-            ..ScenarioReport::default()
-        };
-        sim.scn = Some(ScnState {
-            report,
-            latency: Histogram::new(),
-            window_us,
-            origin_rtt_us: cfg.origin_rtt_us,
-            local_service_us: cfg.local_service_us,
-            tracked_evicted: Vec::new(),
-        });
-        sim
     }
 }
 
@@ -1125,7 +1082,8 @@ pub struct ScenarioReport {
     pub settle_steps: Option<usize>,
     /// Total scenario requests issued.
     pub requests: u64,
-    /// Requests that arrived while their proxy was down.
+    /// Requests that arrived while their proxy was down, or whose proxy
+    /// crashed while their query round was open.
     pub unserved: u64,
     /// Requests answered from the local cache.
     pub local_hits: u64,
@@ -1135,10 +1093,14 @@ pub struct ScenarioReport {
     pub false_hits: u64,
     /// Requests that went to the origin (misses + false hits).
     pub origin_fetches: u64,
-    /// ICP-style queries sent to advertising peers.
+    /// ICP queries sent to advertising peers.
     pub queries_sent: u64,
-    /// Queries to peers that did not actually hold the document.
+    /// Queries answered MISS: the peer did not hold the document (a
+    /// duplicated query is answered, and counted, twice).
     pub wasted_queries: u64,
+    /// Query rounds that ended at their deadline with no HIT; each
+    /// request then went to the origin.
+    pub query_timeouts: u64,
     /// Cache entries removed by evict-everywhere storms.
     pub evictions: u64,
     /// Advertisement pairs still claiming a storm-evicted URL after
@@ -1199,15 +1161,65 @@ pub struct ScenarioOutcome {
     pub up: Vec<bool>,
 }
 
-/// Run `scenario` against a simulated cluster: replay the scenario on
-/// top of the seeded fault plan, settle, probe every storm-evicted URL
-/// for stale advertisements, and complete the good-ruler report with
-/// the run-level fields.
+/// Run `scenario` against a simulated cluster: schedule its events on
+/// top of the seeded fault plan, count every request into the
+/// good-ruler report, settle, probe every storm-evicted URL for stale
+/// advertisements, and complete the report with the run-level fields.
 pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> ScenarioOutcome {
-    let mut sim = Sim::with_scenario(cfg, seed, scenario);
-    let sim_report = sim.run_inner();
+    assert!(cfg.windows > 0, "a report needs at least one window");
+    let mut sim_cfg = cfg.sim;
+    sim_cfg.proxies = scenario.nodes as usize;
+    sim_cfg.crashes = sim_cfg.crashes.min(sim_cfg.proxies - 1);
+    sim_cfg.horizon_ms = sim_cfg.horizon_ms.max(scenario.horizon_us.div_ceil(1_000));
+    let mut sim = Sim::new(sim_cfg, seed);
+    for ev in &scenario.events {
+        let se = match &ev.kind {
+            ScenarioKind::Request { node, url, server } => SimEvent::Request {
+                node: *node as usize,
+                url: render_url(*server, *url),
+            },
+            ScenarioKind::Crash { node } => SimEvent::Crash {
+                node: *node as usize,
+            },
+            ScenarioKind::Restart { node } => SimEvent::Restart {
+                node: *node as usize,
+            },
+            ScenarioKind::EvictEverywhere { url, server } => SimEvent::PurgeEverywhere {
+                url: render_url(*server, *url),
+            },
+        };
+        sim.schedule(ev.at_us, se);
+    }
+    let window_us = (scenario.horizon_us / cfg.windows as u64).max(1);
+    for idx in 0..cfg.windows {
+        let at = ((idx as u64 + 1) * window_us).min(scenario.horizon_us);
+        sim.schedule(at, SimEvent::WindowMark { idx });
+    }
+    let report = ScenarioReport {
+        name: scenario.name.clone(),
+        seed,
+        proxies: sim.cfg.proxies,
+        datagrams_by_op: SCENARIO_OPS.iter().map(|op| (op.to_string(), 0)).collect(),
+        windows: (0..cfg.windows)
+            .map(|idx| WindowStats {
+                idx,
+                ..WindowStats::default()
+            })
+            .collect(),
+        ..ScenarioReport::default()
+    };
+    sim.scn = Some(ScnState {
+        report,
+        latency: Histogram::new(),
+        window_us,
+        origin_rtt_us: cfg.origin_rtt_us,
+        local_service_us: cfg.local_service_us,
+        tracked_evicted: Vec::new(),
+        rounds: BTreeMap::new(),
+    });
+    let sim_report = sim.run();
     let Some(scn) = sim.scn.take() else {
-        unreachable!("with_scenario always installs scenario state");
+        unreachable!("the scenario state was installed above");
     };
     let up: Vec<bool> = sim.nodes.iter().map(|n| n.up).collect();
     let nodes = std::mem::take(&mut sim.nodes);
@@ -1356,6 +1368,17 @@ mod tests {
         assert_eq!(a.sim.journal, b.sim.journal, "journals must be bit-identical");
         assert_eq!(a.report, b.report, "reports must be bit-identical");
         assert!(a.report.requests > 0);
+    }
+
+    /// Scenario requests query on the simulated wire: with no loss
+    /// every query is answered exactly once and no round times out.
+    #[test]
+    fn queries_and_replies_travel_the_simulated_wire() {
+        let scenario = sc_trace::scenario::diurnal_drift(4, 77);
+        let r = run_scenario(quiet_scn_cfg(), 77, &scenario).report;
+        assert!(r.queries_sent > 0, "no query went out:\n{r:#?}");
+        assert_eq!(r.datagrams_by_op[3].1, r.queries_sent, "one reply per query:\n{r:#?}");
+        assert_eq!(r.query_timeouts, 0, "{r:#?}");
     }
 
     #[test]

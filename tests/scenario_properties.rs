@@ -76,6 +76,7 @@ struct Headline {
     origin_fetches: u64,
     queries_sent: u64,
     wasted_queries: u64,
+    query_timeouts: u64,
     evictions: u64,
     stale_after_settle: u64,
     latency_p50_us: u64,
@@ -94,6 +95,7 @@ fn headline(r: &ScenarioReport) -> Headline {
         origin_fetches: r.origin_fetches,
         queries_sent: r.queries_sent,
         wasted_queries: r.wasted_queries,
+        query_timeouts: r.query_timeouts,
         evictions: r.evictions,
         stale_after_settle: r.stale_advertised_after_settle,
         latency_p50_us: r.latency_p50_us,
@@ -126,19 +128,20 @@ fn pinned_flash_crowd() {
         pinned_cfg(),
         Headline {
             requests: 2100,
-            unserved: 57,
-            local_hits: 1099,
-            remote_hits: 406,
-            false_hits: 26,
-            origin_fetches: 538,
-            queries_sent: 850,
-            wasted_queries: 96,
+            unserved: 58,
+            local_hits: 1068,
+            remote_hits: 363,
+            false_hits: 22,
+            origin_fetches: 611,
+            queries_sent: 853,
+            wasted_queries: 92,
+            query_timeouts: 82,
             evictions: 0,
             stale_after_settle: 0,
             latency_p50_us: 200,
-            latency_p99_us: 147456,
-            update_datagrams: 2451,
-            resyncs: 330,
+            latency_p99_us: 196608,
+            update_datagrams: 2472,
+            resyncs: 329,
         },
     );
 }
@@ -152,19 +155,20 @@ fn pinned_diurnal_drift() {
         pinned_cfg(),
         Headline {
             requests: 2000,
-            unserved: 106,
-            local_hits: 488,
-            remote_hits: 602,
-            false_hits: 65,
-            origin_fetches: 804,
-            queries_sent: 1230,
-            wasted_queries: 161,
+            unserved: 111,
+            local_hits: 447,
+            remote_hits: 498,
+            false_hits: 50,
+            origin_fetches: 944,
+            queries_sent: 1264,
+            wasted_queries: 157,
+            query_timeouts: 151,
             evictions: 0,
             stale_after_settle: 0,
-            latency_p50_us: 94208,
-            latency_p99_us: 163840,
-            update_datagrams: 2156,
-            resyncs: 232,
+            latency_p50_us: 118784,
+            latency_p99_us: 196608,
+            update_datagrams: 2233,
+            resyncs: 227,
         },
     );
 }
@@ -184,19 +188,20 @@ fn pinned_peer_churn_at_64() {
         cfg,
         Headline {
             requests: 1600,
-            unserved: 14,
-            local_hits: 203,
-            remote_hits: 844,
-            false_hits: 7,
-            origin_fetches: 539,
-            queries_sent: 5184,
-            wasted_queries: 127,
+            unserved: 21,
+            local_hits: 198,
+            remote_hits: 729,
+            false_hits: 4,
+            origin_fetches: 652,
+            queries_sent: 5084,
+            wasted_queries: 78,
+            query_timeouts: 93,
             evictions: 0,
             stale_after_settle: 0,
-            latency_p50_us: 90112,
-            latency_p99_us: 126976,
-            update_datagrams: 53146,
-            resyncs: 10340,
+            latency_p50_us: 86016,
+            latency_p99_us: 196608,
+            update_datagrams: 53243,
+            resyncs: 10405,
         },
     );
 }
@@ -210,19 +215,20 @@ fn pinned_false_hit_storm() {
         pinned_cfg(),
         Headline {
             requests: 1548,
-            unserved: 73,
-            local_hits: 751,
-            remote_hits: 316,
-            false_hits: 21,
-            origin_fetches: 408,
-            queries_sent: 720,
-            wasted_queries: 90,
+            unserved: 75,
+            local_hits: 718,
+            remote_hits: 266,
+            false_hits: 14,
+            origin_fetches: 489,
+            queries_sent: 749,
+            wasted_queries: 103,
+            query_timeouts: 85,
             evictions: 42,
             stale_after_settle: 0,
-            latency_p50_us: 200,
-            latency_p99_us: 147456,
-            update_datagrams: 2470,
-            resyncs: 319,
+            latency_p50_us: 38912,
+            latency_p99_us: 196608,
+            update_datagrams: 2481,
+            resyncs: 313,
         },
     );
 }
@@ -240,19 +246,20 @@ fn pinned_two_level_hierarchy() {
         pinned_cfg(),
         Headline {
             requests: 3000,
-            unserved: 248,
-            local_hits: 983,
-            remote_hits: 731,
-            false_hits: 89,
-            origin_fetches: 1038,
-            queries_sent: 1627,
-            wasted_queries: 248,
+            unserved: 253,
+            local_hits: 956,
+            remote_hits: 595,
+            false_hits: 72,
+            origin_fetches: 1196,
+            queries_sent: 1575,
+            wasted_queries: 225,
+            query_timeouts: 172,
             evictions: 0,
             stale_after_settle: 0,
-            latency_p50_us: 81920,
-            latency_p99_us: 163840,
-            update_datagrams: 2185,
-            resyncs: 195,
+            latency_p50_us: 86016,
+            latency_p99_us: 196608,
+            update_datagrams: 2357,
+            resyncs: 196,
         },
     );
     // The hierarchy tier: pinned (child, sibling, parent, origin)
@@ -289,7 +296,7 @@ fn pinned_two_level_hierarchy() {
 /// this pin also covers the windows, every opcode row, p90/max latency
 /// and the per-window stale/live pairs. `ScenarioReport` has no float
 /// field, so its `{:?}` is deterministic.
-const FULL_REPORTS_MD5: &str = "f907d6ba932e37e71d69a06485d93957";
+const FULL_REPORTS_MD5: &str = "97ab306c4ca36d05977147a51848ec93";
 
 #[test]
 fn scenario_reports_are_pinned_in_full() {
