@@ -94,18 +94,14 @@ fn bench_delta(b: &mut Bench) {
     });
 }
 
-/// MD5 vs Rabin hash family (the paper's Section V-D alternative) and
-/// the Golomb-coded bitmap transmission.
+/// The paper's MD5 index derivation and the Golomb-coded bitmap
+/// transmission (the Section V-D compression alternative).
 fn bench_alternatives(b: &mut Bench) {
     let key = b"http://server-123.trace.invalid/doc/456789";
 
     let md5_spec = sc_bloom::HashSpec::paper_default(4, 1 << 20).unwrap();
     b.bench("hash-family/4-indices/md5", || {
         black_box(md5_spec.indices(black_box(key)));
-    });
-    let rabin = sc_bloom::rabin::RabinFamily::new(4, 1 << 20);
-    b.bench("hash-family/4-indices/rabin", || {
-        black_box(rabin.indices(black_box(key)));
     });
 
     // Compression of a realistic published bitmap (fill ~0.22, the k=4

@@ -52,31 +52,6 @@ fn bench_md5(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     results.push(("md5/url-digest".into(), Value::Float(ns)));
 }
 
-/// Four-URL batch digest: four scalar `md5` calls vs one interleaved
-/// `md5_x4` pass. The speedup row is what the ISSUE acceptance
-/// criterion tracks (≥2.5× on 4-URL batches).
-fn bench_md5_x4(b: &mut Bench, results: &mut Vec<(String, Value)>) {
-    let urls: Vec<Vec<u8>> = (0..4).map(|i| url(9_000 + i)).collect();
-    let x1 = b.bench_min("md5/x1-4urls", 5, || {
-        for u in &urls {
-            black_box(sc_md5::md5(black_box(u)));
-        }
-    });
-    results.push(("md5/x1-4urls".into(), Value::Float(x1)));
-    let x4 = b.bench_min("md5/x4-4urls", 5, || {
-        black_box(sc_md5::md5_x4([
-            black_box(&urls[0]),
-            black_box(&urls[1]),
-            black_box(&urls[2]),
-            black_box(&urls[3]),
-        ]));
-    });
-    results.push(("md5/x4-4urls".into(), Value::Float(x4)));
-    let speedup = x1 / x4;
-    println!("hotpath/md5/x4-vs-x1 speedup: {speedup:.2}x on 4-URL batches");
-    results.push(("md5/x4-vs-x1".into(), Value::Float(speedup)));
-}
-
 fn bench_indices(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     let key = url(123_456);
     let spec = sc_bloom::HashSpec::paper_default(4, 1 << 20).expect("valid spec");
@@ -334,7 +309,6 @@ fn main() {
     let mut b = Bench::new("hotpath");
     let mut results: Vec<(String, Value)> = Vec::new();
     bench_md5(&mut b, &mut results);
-    bench_md5_x4(&mut b, &mut results);
     bench_indices(&mut b, &mut results);
     bench_probe_all(&mut b, &mut results);
     bench_cache(&mut b, &mut results);

@@ -57,7 +57,7 @@ fn main() {
         let elapsed = start.elapsed();
         let r = &out.report;
         assert!(
-            r.converged,
+            out.sim.converged,
             "{name} must reconverge under the bench fault plan"
         );
         let ns_per_req = elapsed.as_nanos() as f64 / r.requests.max(1) as f64;

@@ -37,7 +37,6 @@ fn run_mode(mode: Mode, hit_ratio: f64) -> ExperimentReport {
         origin_delay: Duration::from_millis(origin_delay_ms()),
         icp_timeout_ms: 500,
         keepalive_ms: 1_000,
-        update_loss: 0.0,
     };
     let cluster = Cluster::start(&cfg).expect("cluster start");
     let cpu0 = CpuTimes::now();

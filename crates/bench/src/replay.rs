@@ -40,7 +40,6 @@ pub fn run_mode(mode: Mode, trace: &Trace, replay: ReplayMode) -> ExperimentRepo
         origin_delay: Duration::from_millis(origin_delay_ms()),
         icp_timeout_ms: 500,
         keepalive_ms: 1_000,
-        update_loss: 0.0,
     };
     let cluster = Cluster::start(&cfg).expect("cluster start");
     let cpu0 = CpuTimes::now();

@@ -10,7 +10,7 @@
 //! `DIRUPDATE` and clusters configure it uniformly) costs one MD5 total.
 
 use crate::hashing::HashSpec;
-use sc_md5::{md5, md5_x4, Digest};
+use sc_md5::{md5, Digest};
 use std::cell::RefCell;
 
 /// A key (URL or server name) hashed once, with per-spec memoized
@@ -61,19 +61,6 @@ impl UrlKey {
             digest: md5(bytes),
             memo: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Hash four keys in one interleaved pass ([`md5_x4`]) — same
-    /// digests as four [`UrlKey::new`] calls at roughly a third of the
-    /// latency. Bulk ingest (trace replay, summary rebuilds, the simnet
-    /// request loop) batches its keys through here.
-    pub fn new_batch(batch: [&[u8]; 4]) -> [UrlKey; 4] {
-        let digests = md5_x4(batch);
-        core::array::from_fn(|l| UrlKey {
-            bytes: batch[l].to_vec(),
-            digest: digests[l],
-            memo: RefCell::new(Vec::new()),
-        })
     }
 
     /// Re-point this key at new bytes, reusing every allocation: the
@@ -175,24 +162,6 @@ mod tests {
             0,
             "construction already paid the digest; probes must be hash-free"
         );
-    }
-
-    #[test]
-    fn batch_keys_equal_scalar_keys() {
-        let urls: [&[u8]; 4] = [
-            b"http://a.example/1",
-            b"http://b.example/22",
-            b"http://c.example/333",
-            b"",
-        ];
-        let spec = HashSpec::paper_default(4, 1 << 12).unwrap();
-        let batch = UrlKey::new_batch(urls);
-        for (l, url) in urls.iter().enumerate() {
-            let scalar = UrlKey::new(url);
-            assert_eq!(batch[l].digest(), scalar.digest(), "lane {l}");
-            assert_eq!(batch[l].bytes(), *url);
-            assert_eq!(batch[l].indices(&spec), scalar.indices(&spec));
-        }
     }
 
     #[test]

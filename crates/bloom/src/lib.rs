@@ -56,7 +56,6 @@ pub mod delta;
 pub mod filter;
 pub mod hashing;
 pub mod key;
-pub mod rabin;
 
 pub use bits::BitVec;
 pub use compress::{compress, decompress, rice_parameter, CompressedBits};

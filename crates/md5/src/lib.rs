@@ -22,11 +22,9 @@
 
 mod digest;
 mod stream;
-mod x4;
 
 pub use digest::{md5, Digest, DIGEST_LEN};
 pub use stream::{blocks_hashed, Md5};
-pub use x4::md5_x4;
 
 /// Render a digest (or any byte slice) as lowercase hexadecimal.
 pub fn to_hex(bytes: &[u8]) -> String {

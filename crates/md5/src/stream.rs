@@ -25,23 +25,15 @@ pub fn blocks_hashed() -> u64 {
     BLOCKS_HASHED.with(|c| c.get())
 }
 
-/// Credit `n` compressed blocks to this thread's counter. The 4-lane
-/// kernel counts only the *real* blocks it absorbed (finished lanes
-/// ride along as dead weight), so the cost accounting stays identical
-/// to four scalar digests.
-pub(crate) fn bump_blocks(n: u64) {
-    BLOCKS_HASHED.with(|c| c.set(c.get() + n));
-}
-
 /// RFC 1321 initial chaining state.
-pub(crate) const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
 
 /// Longest message whose padded form still fits a single 64-byte
 /// block: 55 bytes of message + 0x80 + the 8-byte length.
 pub(crate) const ONESHOT_MAX: usize = 55;
 
 /// Per-round shift amounts, RFC 1321 section 3.4.
-pub(crate) const S: [u32; 64] = [
+const S: [u32; 64] = [
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, // round 1
     5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, // round 2
     4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, // round 3
@@ -49,7 +41,7 @@ pub(crate) const S: [u32; 64] = [
 ];
 
 /// Sine-derived constants K[i] = floor(2^32 * abs(sin(i+1))).
-pub(crate) const K: [u32; 64] = [
+const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
     0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
     0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
@@ -149,9 +141,8 @@ impl Md5 {
 }
 
 /// One compression round trip: fold a 64-byte block into `state`.
-/// Shared by the streaming context, the short-message one-shot path,
-/// and the 4-lane straggler drain.
-pub(crate) fn compress_block(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
+/// Shared by the streaming context and the short-message one-shot path.
+fn compress_block(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
     BLOCKS_HASHED.with(|c| c.set(c.get() + 1));
     let mut m = [0u32; 16];
     for (i, w) in m.iter_mut().enumerate() {
@@ -183,7 +174,7 @@ pub(crate) fn compress_block(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
 }
 
 /// Serialize a chaining state into the little-endian digest bytes.
-pub(crate) fn digest_of(state: [u32; 4]) -> Digest {
+fn digest_of(state: [u32; 4]) -> Digest {
     let mut out = [0u8; DIGEST_LEN];
     for (i, word) in state.iter().enumerate() {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
@@ -195,7 +186,7 @@ pub(crate) fn digest_of(state: [u32; 4]) -> Digest {
 /// `total` is the padded block count `(len + 8) / 64 + 1`. Blocks
 /// before the tail are verbatim message bytes; the tail block(s) carry
 /// 0x80, zeros, and the little-endian bit length in the last one.
-pub(crate) fn padded_block(data: &[u8], i: usize, total: usize) -> [u8; BLOCK_LEN] {
+fn padded_block(data: &[u8], i: usize, total: usize) -> [u8; BLOCK_LEN] {
     let mut block = [0u8; BLOCK_LEN];
     let start = i * BLOCK_LEN;
     if start + BLOCK_LEN <= data.len() {
@@ -211,11 +202,6 @@ pub(crate) fn padded_block(data: &[u8], i: usize, total: usize) -> [u8; BLOCK_LE
         block[56..].copy_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
     }
     block
-}
-
-/// Padded block count for a message of `len` bytes.
-pub(crate) fn padded_blocks(len: usize) -> usize {
-    (len + 8) / BLOCK_LEN + 1
 }
 
 /// One-shot digest of a message short enough to pad into a single
@@ -301,11 +287,11 @@ mod tests {
 
     #[test]
     fn padded_block_tiles_match_streaming_buffer() {
-        // Every (length, block index) pair the 4-lane driver can produce
-        // must reproduce what the streaming padder would have fed.
+        // Every (length, block index) pair must reproduce what the
+        // streaming padder would have fed.
         for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
             let data: Vec<u8> = (0..len as u32).map(|i| (i * 13 % 251) as u8).collect();
-            let total = padded_blocks(len);
+            let total = (len + 8) / BLOCK_LEN + 1;
             let mut state = INIT;
             for i in 0..total {
                 compress_block(&mut state, &padded_block(&data, i, total));

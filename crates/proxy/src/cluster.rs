@@ -29,9 +29,6 @@ pub struct ClusterConfig {
     pub icp_timeout_ms: u64,
     /// Keep-alive interval (ms); 0 disables.
     pub keepalive_ms: u64,
-    /// Fraction of outgoing directory-update datagrams each proxy
-    /// silently drops (fault injection emulating WAN loss); 0 disables.
-    pub update_loss: f64,
 }
 
 impl Default for ClusterConfig {
@@ -44,7 +41,6 @@ impl Default for ClusterConfig {
             origin_delay: Duration::from_millis(1000),
             icp_timeout_ms: 500,
             keepalive_ms: 1_000,
-            update_loss: 0.0,
         }
     }
 }
@@ -97,7 +93,6 @@ impl Cluster {
                 .origin(origin.addr)
                 .icp_timeout_ms(cfg.icp_timeout_ms)
                 .keepalive_ms(cfg.keepalive_ms)
-                .update_loss(cfg.update_loss)
                 .build()
                 .map_err(std::io::Error::other)?;
             daemons.push(Daemon::spawn_on(pc, listener, udp)?);
@@ -239,7 +234,6 @@ mod tests {
             origin_delay: Duration::from_millis(5),
             icp_timeout_ms: 300,
             keepalive_ms: 0,
-            update_loss: 0.0,
         }
     }
 

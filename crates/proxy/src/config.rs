@@ -71,7 +71,6 @@ pub struct ProxyConfig {
     origin: SocketAddr,
     icp_timeout_ms: u64,
     keepalive_ms: u64,
-    update_loss: f64,
     shards: usize,
 }
 
@@ -124,13 +123,6 @@ impl ProxyConfig {
         self.keepalive_ms
     }
 
-    /// Fault injection: fraction of outgoing directory-update datagrams
-    /// (DIRUPDATE / DIRFULL) to silently drop, emulating WAN packet
-    /// loss. 0 (the default) disables injection.
-    pub fn update_loss(&self) -> f64 {
-        self.update_loss
-    }
-
     /// Document-cache stripes: the cache splits into this many
     /// independently locked parts by `UrlKey` digest, so request
     /// threads contend only per stripe (never 0; defaults to the
@@ -158,8 +150,6 @@ pub enum ConfigError {
     /// A query mode (ICP / SC-ICP) with a zero reply timeout would
     /// treat every query as an instant miss everywhere.
     ZeroIcpTimeout,
-    /// `update_loss` outside `[0, 1)` (1 would drop every update).
-    BadUpdateLoss(f64),
     /// `shards(0)` — the document cache needs at least one stripe.
     ZeroShards,
 }
@@ -176,9 +166,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::PeerIsSelf(id) => write!(f, "peer id {id} is this proxy's own id"),
             ConfigError::ZeroIcpTimeout => {
                 write!(f, "ICP / SC-ICP mode requires icp_timeout_ms > 0")
-            }
-            ConfigError::BadUpdateLoss(p) => {
-                write!(f, "update_loss {p} outside [0, 1)")
             }
             ConfigError::ZeroShards => write!(f, "shards must be > 0"),
         }
@@ -202,7 +189,6 @@ pub struct ProxyConfigBuilder {
     origin: Option<SocketAddr>,
     icp_timeout_ms: Option<u64>,
     keepalive_ms: Option<u64>,
-    update_loss: Option<f64>,
     shards: Option<usize>,
 }
 
@@ -256,13 +242,6 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// Set the injected update-datagram loss fraction (see
-    /// [`ProxyConfig::update_loss`]).
-    pub fn update_loss(mut self, fraction: f64) -> Self {
-        self.update_loss = Some(fraction);
-        self
-    }
-
     /// Set the document-cache stripe count (see
     /// [`ProxyConfig::shards`]). 0 is rejected at [`build`]; unset
     /// defaults to `std::thread::available_parallelism`.
@@ -297,10 +276,6 @@ impl ProxyConfigBuilder {
         if icp_timeout_ms == 0 && !matches!(mode, Mode::NoIcp) {
             return Err(ConfigError::ZeroIcpTimeout);
         }
-        let update_loss = self.update_loss.unwrap_or(0.0);
-        if !(0.0..1.0).contains(&update_loss) {
-            return Err(ConfigError::BadUpdateLoss(update_loss));
-        }
         let shards = match self.shards {
             Some(0) => return Err(ConfigError::ZeroShards),
             Some(n) => n,
@@ -317,7 +292,6 @@ impl ProxyConfigBuilder {
             origin,
             icp_timeout_ms,
             keepalive_ms: self.keepalive_ms.unwrap_or(1000),
-            update_loss,
             shards,
         })
     }
@@ -359,7 +333,6 @@ mod tests {
         assert_eq!(*cfg.mode(), Mode::NoIcp);
         assert_eq!(cfg.icp_timeout_ms(), 500);
         assert_eq!(cfg.keepalive_ms(), 1000);
-        assert_eq!(cfg.update_loss(), 0.0);
         assert!(cfg.peers().is_empty());
     }
 
@@ -392,15 +365,6 @@ mod tests {
         );
         // A zero timeout is fine when nothing ever queries.
         assert!(b().icp_timeout_ms(0).build().is_ok());
-        assert_eq!(
-            b().update_loss(1.0).build().unwrap_err(),
-            ConfigError::BadUpdateLoss(1.0)
-        );
-        assert_eq!(
-            b().update_loss(-0.1).build().unwrap_err(),
-            ConfigError::BadUpdateLoss(-0.1)
-        );
-        assert!(b().update_loss(0.05).build().is_ok());
         assert_eq!(b().shards(0).build().unwrap_err(), ConfigError::ZeroShards);
         assert_eq!(b().shards(4).build().expect("valid").shards(), 4);
         assert!(b().build().expect("valid").shards() >= 1, "default is available parallelism");

@@ -49,7 +49,6 @@ use sc_bloom::BitVec;
 use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_obs::EventKind;
 use sc_util::fxhash::FxHashMap;
-use sc_util::Rng;
 use sc_wire::http;
 use sc_wire::icp::IcpMessage;
 use crate::scratch::{with_scratch, RequestScratch};
@@ -307,7 +306,6 @@ impl Daemon {
             let mut protocol = Protocol {
                 inner: inner.clone(),
                 router,
-                loss_rng: Rng::seed_from_u64(0x5C_1C_F0_0D ^ ((inner.cfg.id() as u64) << 32)),
                 outputs: Vec::new(),
                 rounds: FxHashMap::default(),
             };
@@ -412,11 +410,6 @@ impl Drop for Daemon {
 struct Protocol {
     inner: Arc<Inner>,
     router: Router,
-    /// Fault injection: decides which outgoing update datagrams the
-    /// [`ProxyConfig::update_loss`] knob silently drops. Draws happen in
-    /// the order the router decides sends, so the drop sequence is a
-    /// function of the protocol schedule alone.
-    loss_rng: Rng,
     /// Warm router-output sink, reused across inputs.
     outputs: Vec<Output>,
     /// Open ICP rounds by request number; dropped at their deadline.
@@ -468,15 +461,13 @@ impl Protocol {
         }
     }
 
-    /// Run one router event and apply its outputs: encode each send
-    /// once, decide fault-injection drops, transmit the survivors, and
-    /// apply the journal/metric effects.
+    /// Run one router event and apply its outputs: encode and transmit
+    /// each send, and apply the journal/metric effects.
     fn route(&mut self, sender_addr: Option<SocketAddr>, event: Event<'_>) {
         let inner = &*self.inner;
         let dir = &CacheView(&inner.cache);
         let t = now(inner);
         self.router.handle_into(t, event, dir, &mut self.outputs);
-        let loss = inner.cfg.update_loss();
         for output in self.outputs.drain(..) {
             let send = match output {
                 Output::Send(send) => send,
@@ -488,28 +479,17 @@ impl Protocol {
             let Ok(bytes) = send.msg.encode(inner.cfg.id()) else {
                 continue; // oversized full bitmap: skip (documented limit)
             };
-            let targets: Vec<(Option<u32>, SocketAddr)> = match send.to {
+            let (peer, addr) = match send.to {
                 Dest::Peer(id) => match inner.peers_by_id.get(&id) {
-                    Some(p) => vec![(Some(id), p.icp)],
+                    Some(p) => (Some(id), p.icp),
                     None => continue,
                 },
-                Dest::AllPeers => inner
-                    .cfg
-                    .peers()
-                    .iter()
-                    .map(|p| (Some(p.id), p.icp))
-                    .collect(),
                 Dest::Sender => match sender_addr {
-                    Some(addr) => vec![(inner.peer_of_addr.get(&addr).copied(), addr)],
+                    Some(addr) => (inner.peer_of_addr.get(&addr).copied(), addr),
                     None => continue,
                 },
             };
-            for (peer, addr) in targets {
-                if send.kind.is_update() && loss > 0.0 && self.loss_rng.gen_bool(loss) {
-                    continue; // injected loss: the datagram never leaves
-                }
-                transmit(inner, &bytes, addr, peer, send.kind);
-            }
+            transmit(inner, &bytes, addr, peer, send.kind);
         }
     }
 }

@@ -115,14 +115,11 @@ pub enum Event<'a> {
 pub enum Dest {
     /// One configured peer, by id.
     Peer(u32),
-    /// Every configured peer (the driver encodes once and fans out).
-    AllPeers,
     /// Reply to the source of the datagram currently being handled.
     Sender,
 }
 
-/// What a send *is*, so the driver can apply the right accounting (and
-/// the update-loss fault knob, which only ever drops updates).
+/// What a send *is*, so the caller can apply the right accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendKind {
     /// HIT/MISS answer to an ICP query.
@@ -144,7 +141,7 @@ pub enum SendKind {
 }
 
 impl SendKind {
-    /// Is this datagram subject to the injected update-loss knob?
+    /// Is this a directory update (delta or full bitmap)?
     pub fn is_update(self) -> bool {
         matches!(self, SendKind::UpdateDelta | SendKind::UpdateFull)
     }

@@ -851,15 +851,14 @@ impl Sim {
                         send.to,
                         bytes.len()
                     ));
-                    let targets: Vec<usize> = match send.to {
-                        Dest::Peer(id) => vec![id as usize],
-                        Dest::AllPeers => (0..self.nodes.len()).filter(|&j| j != node).collect(),
-                        Dest::Sender => sender.into_iter().collect(),
+                    let to = match send.to {
+                        Dest::Peer(id) => id as usize,
+                        Dest::Sender => match sender {
+                            Some(to) => to,
+                            None => continue,
+                        },
                     };
-                    let query = send.kind == SendKind::QueryReply;
-                    for to in targets {
-                        self.transmit(node, to, &bytes, query);
-                    }
+                    self.transmit(node, to, &bytes, send.kind == SendKind::QueryReply);
                 }
             }
         }
@@ -1066,8 +1065,9 @@ pub struct WindowStats {
 /// paper says a cache-network evaluation must publish — hit ratio over
 /// time windows, summary staleness, false-hit rate, per-opcode message
 /// distribution, and virtual-time tail latency — counted in place
-/// while the scenario runs, plus run-level totals from the underlying
-/// [`SimReport`].
+/// while the scenario runs. Run-level counts (convergence, bytes,
+/// drops, resyncs, failures) stay in the [`SimReport`] next to it in
+/// the [`ScenarioOutcome`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name (e.g. `flash-crowd`).
@@ -1076,10 +1076,6 @@ pub struct ScenarioReport {
     pub seed: u64,
     /// Cluster size.
     pub proxies: usize,
-    /// Did the cluster reconverge bit-for-bit after settle?
-    pub converged: bool,
-    /// Settle keep-alive windows consumed (`None` = budget ran out).
-    pub settle_steps: Option<usize>,
     /// Total scenario requests issued.
     pub requests: u64,
     /// Requests that arrived while their proxy was down, or whose proxy
@@ -1118,18 +1114,6 @@ pub struct ScenarioReport {
     pub datagrams_by_op: Vec<(String, u64)>,
     /// Per-window hit/staleness slices.
     pub windows: Vec<WindowStats>,
-    /// DIRUPDATE bytes on the wire (from the [`SimReport`]).
-    pub update_bytes_sent: u64,
-    /// Non-update bytes on the wire.
-    pub other_bytes_sent: u64,
-    /// Datagrams the fault plan dropped.
-    pub datagrams_dropped: u64,
-    /// DIRREQs sent.
-    pub resyncs_requested: u64,
-    /// Peer-failure declarations.
-    pub failures: u64,
-    /// Peer-recovery detections.
-    pub recoveries: u64,
 }
 
 impl ScenarioReport {
@@ -1164,7 +1148,8 @@ pub struct ScenarioOutcome {
 /// Run `scenario` against a simulated cluster: schedule its events on
 /// top of the seeded fault plan, count every request into the
 /// good-ruler report, settle, probe every storm-evicted URL for stale
-/// advertisements, and complete the report with the run-level fields.
+/// advertisements, and complete the report with the latency
+/// percentiles.
 pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> ScenarioOutcome {
     assert!(cfg.windows > 0, "a report needs at least one window");
     let mut sim_cfg = cfg.sim;
@@ -1232,19 +1217,11 @@ pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Scen
         .sum();
     let hist = scn.latency.snapshot();
     let report = ScenarioReport {
-        converged: sim_report.converged,
-        settle_steps: sim_report.settle_steps,
         stale_advertised_after_settle: stale,
         latency_p50_us: hist.percentile(0.50),
         latency_p90_us: hist.percentile(0.90),
         latency_p99_us: hist.percentile(0.99),
         latency_max_us: hist.percentile(1.0),
-        update_bytes_sent: sim_report.update_bytes_sent,
-        other_bytes_sent: sim_report.other_bytes_sent,
-        datagrams_dropped: sim_report.datagrams_dropped,
-        resyncs_requested: sim_report.resyncs_requested,
-        failures: sim_report.failures,
-        recoveries: sim_report.recoveries,
         ..scn.report
     };
     ScenarioOutcome {
@@ -1384,8 +1361,9 @@ mod tests {
     #[test]
     fn false_hit_storm_produces_false_hits_then_quiesces_clean() {
         let scenario = sc_trace::scenario::false_hit_storm(4, 3);
-        let r = &run_scenario(quiet_scn_cfg(), 3, &scenario).report;
-        assert!(r.converged, "quiet storm must settle:\n{r:#?}");
+        let out = run_scenario(quiet_scn_cfg(), 3, &scenario);
+        let r = &out.report;
+        assert!(out.sim.converged, "quiet storm must settle:\n{r:#?}");
         assert!(r.evictions > 0, "the storm evicted nothing:\n{r:#?}");
         assert!(r.false_hits > 0, "evict-everywhere must produce false hits:\n{r:#?}");
         assert_eq!(

@@ -90,33 +90,7 @@ pub fn simulate_summary_cache(
     let mut m = Metrics::default();
     let mut icp_queries = 0u64;
 
-    // Bulk trace ingest: each request needs a URL key and a server key,
-    // so a pair of consecutive requests fills all four lanes of one
-    // interleaved MD5 pass ([`UrlKey::new_batch`]). The keys are pure
-    // functions of the trace record, so deriving them a pair ahead
-    // changes nothing downstream.
-    let mut pairs = trace.requests.chunks_exact(2);
-    for pair in pairs.by_ref() {
-        let (a, b) = (&pair[0], &pair[1]);
-        let (ua, sa) = (url_key(a.url), server_key(a.server));
-        let (ub, sb) = (url_key(b.url), server_key(b.server));
-        let [ukey_a, skey_a, ukey_b, skey_b] = UrlKey::new_batch([&ua, &sa, &ub, &sb]);
-        for (r, ukey, skey) in [(a, ukey_a, skey_a), (b, ukey_b, skey_b)] {
-            step_request(
-                r,
-                &ukey,
-                &skey,
-                &mut proxies,
-                &mut server_of,
-                &mut m,
-                &mut icp_queries,
-                config,
-                trace,
-            );
-        }
-    }
-    for r in pairs.remainder() {
-        // Odd trailing request: scalar keys, same hash-once pipeline.
+    for r in &trace.requests {
         let ukey = UrlKey::new(&url_key(r.url));
         let skey = UrlKey::new(&server_key(r.server));
         step_request(

@@ -33,7 +33,6 @@ fn main() -> std::io::Result<()> {
             origin_delay: Duration::from_millis(20),
             icp_timeout_ms: 300,
             keepalive_ms: 0,
-            update_loss: 0.0,
         };
         let cluster = Cluster::start(&cfg)?;
         let (wall, latency) = cluster.run_replay(&trace, 5, ReplayMode::PerClient)?;
@@ -62,7 +61,6 @@ fn main() -> std::io::Result<()> {
             origin_delay: Duration::from_millis(5),
             icp_timeout_ms: 300,
             keepalive_ms: 0,
-            update_loss: 0.0,
         };
         let cluster = Cluster::start(&cfg)?;
         cluster

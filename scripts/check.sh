@@ -61,9 +61,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 # The benchmark package (its own workspace and lock file) compiles
 # against public paths in crates/*; build it so a rename fails here.
+# `--locked`: a changed dependency edge between the crates would
+# rewrite benchmark/Cargo.lock, which is frozen, so it fails here.
 echo "==> benchmark/ build + determinism, list, replay_vs_live"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --release -q --offline --manifest-path benchmark/Cargo.toml \
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --release -q --offline --locked --manifest-path benchmark/Cargo.toml \
     --test determinism --test list --test replay_vs_live
 
 if [ "$SOAK" = 1 ]; then

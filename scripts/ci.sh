@@ -47,10 +47,11 @@ echo "==> bench smoke (SC_BENCH_MS=${SC_BENCH_MS:-25})"
 # The committed row is the baseline the request-path gate compares
 # against. The smoke writes to a scratch dir, so the tracked files
 # stay exactly as committed.
-nspr_of() {
-    awk -F': ' '/"e2e\/ns-per-request"/ { gsub(/,/, "", $2); print $2 }' "$1" 2>/dev/null
+row_of() {
+    awk -F': ' -v row="\"$1\"" 'index($1, row) { gsub(/,/, "", $2); print $2 }' "$2" 2>/dev/null
 }
-BASE_NSPR="$(nspr_of BENCH_hotpath.json || true)"
+BASE_NSPR="$(row_of e2e/ns-per-request BENCH_hotpath.json || true)"
+BASE_MD5="$(row_of md5/url-digest BENCH_hotpath.json || true)"
 SMOKE_OUT="$(mktemp -d)"
 SC_BENCH_OUT="$SMOKE_OUT" SC_BENCH_MS="${SC_BENCH_MS:-25}" scripts/bench.sh
 
@@ -75,7 +76,9 @@ fi
 # too short to find a scheduler-quiet run, so the gate re-measures the
 # hotpath bench with its own window (SC_GATE_MS, default 300 ms) and
 # retries up to three times — a real regression fails every attempt,
-# a busy-box blip passes a later one.
+# a busy-box blip passes a later one. Each attempt also prints the same
+# run's md5/url-digest row next to the committed one; it decides nothing,
+# but when host load slows the run, both rows slow together.
 if [ -n "$BASE_NSPR" ]; then
     GATE_MS="${SC_GATE_MS:-300}"
     GATE_JSON="$(mktemp)"
@@ -84,8 +87,10 @@ if [ -n "$BASE_NSPR" ]; then
     while [ "$attempt" -le 3 ]; do
         SC_BENCH_JSON="$GATE_JSON" SC_BENCH_MS="$GATE_MS" \
             cargo bench --offline -q -p sc-bench --bench hotpath >/dev/null
-        NEW_NSPR="$(nspr_of "$GATE_JSON" || true)"
+        NEW_NSPR="$(row_of e2e/ns-per-request "$GATE_JSON" || true)"
+        NEW_MD5="$(row_of md5/url-digest "$GATE_JSON" || true)"
         echo "==> hotpath gate (attempt ${attempt}): e2e/ns-per-request ${NEW_NSPR} vs committed ${BASE_NSPR} (limit +20%)"
+        echo "    same run, for host load: md5/url-digest ${NEW_MD5} vs committed ${BASE_MD5}"
         if [ -n "$NEW_NSPR" ] &&
             awk -v new="$NEW_NSPR" -v base="$BASE_NSPR" 'BEGIN { exit !(new <= base * 1.2) }'; then
             passed=yes

@@ -246,3 +246,32 @@ fn trace_simulator_counts_are_pinned() {
     ];
     assert_eq!(effect, want, "filter-effect rows drifted");
 }
+
+/// Hash-once pin for the trace simulator: each request digests its URL
+/// key and its server key exactly once (8 bytes each, one MD5 block
+/// each), however many peer summaries it probes. Every proxy gets the
+/// whole trace's cacheable bytes, so nothing is evicted and no victim
+/// key is digested. The counter pin above cannot see a loop that
+/// digests once per peer; this one can.
+#[test]
+fn trace_simulator_digests_each_key_once() {
+    use summary_cache::md5::blocks_hashed;
+    let trace = profile("UPisa").expect("profile").generate_scaled(40);
+    let requests = trace.requests.len() as u64;
+    let budget = TraceStats::compute(&trace).infinite_cache_bytes * u64::from(trace.groups);
+    for kind in [
+        SummaryKind::ExactDirectory,
+        SummaryKind::ServerName,
+        SummaryKind::Bloom { load_factor: 8, hashes: 4 },
+    ] {
+        let cfg = SummaryCacheConfig {
+            kind,
+            policy: UpdatePolicy::Threshold(0.01),
+            multicast_updates: false,
+        };
+        let before = blocks_hashed();
+        let r = simulate_summary_cache(&trace, &cfg, budget);
+        assert_eq!(r.metrics.requests, requests);
+        assert_eq!(blocks_hashed() - before, 2 * requests, "{kind:?}");
+    }
+}

@@ -3,13 +3,22 @@
 //! heard again after a failure receives a full-bitmap
 //! reinitialization.
 
-use std::net::UdpSocket;
+use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use summary_cache::cache::DocMeta;
 use summary_cache::proxy::client::ProxyClient;
+use summary_cache::proxy::config::PeerAddr;
+use summary_cache::proxy::daemon::Daemon;
+use summary_cache::proxy::origin::Origin;
 use summary_cache::proxy::router::DirectoryInspect;
-use summary_cache::proxy::{Cluster, ClusterConfig, Mode};
-use summary_cache::wire::icp::{DirContent, IcpMessage};
+use summary_cache::proxy::{Cluster, ClusterConfig, Mode, ProxyConfig};
+use summary_cache::util::Rng;
+use summary_cache::wire::icp::{
+    DirContent, IcpMessage, ICP_OP_DIRFULL, ICP_OP_DIRFULL_GR, ICP_OP_DIRUPDATE,
+};
 
 fn sc_mode() -> Mode {
     Mode::SummaryCache {
@@ -28,7 +37,6 @@ fn cluster_cfg() -> ClusterConfig {
         origin_delay: Duration::from_millis(1),
         icp_timeout_ms: 200,
         keepalive_ms: 50, // failure threshold = 3 periods = 150 ms
-        update_loss: 0.0,
     }
 }
 
@@ -62,23 +70,108 @@ fn silent_peer_replica_is_evicted() {
     cluster.daemons[0].shutdown();
 }
 
+/// A lossy wire between the daemons of a cluster. For each ordered
+/// pair (i, j) the relay binds one socket, which daemon i is configured
+/// to know as peer j's ICP address. A datagram daemon i sends there
+/// leaves from the socket daemon j knows as peer i, so its source still
+/// names the sender. The relay drops a seeded fraction of the directory
+/// updates (DIRUPDATE, DIRFULL, DIRFULL_GR, chosen by the opcode byte)
+/// and forwards every other datagram.
+struct LossyRelay {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl LossyRelay {
+    /// Relay between daemons whose ICP sockets are at `icp`. Returns the
+    /// relay and `peer_icp`, where `peer_icp[i][j]` is the address daemon
+    /// i must use for peer j.
+    fn start(icp: &[SocketAddr], loss: f64) -> (LossyRelay, Vec<Vec<SocketAddr>>) {
+        let n = icp.len();
+        let socks: Vec<Vec<UdpSocket>> = (0..n)
+            .map(|_| (0..n).map(|_| UdpSocket::bind("127.0.0.1:0").unwrap()).collect())
+            .collect();
+        let peer_icp = socks
+            .iter()
+            .map(|row| row.iter().map(|s| s.local_addr().unwrap()).collect())
+            .collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut threads = Vec::new();
+        for (i, row) in socks.iter().enumerate() {
+            for (j, inbound) in row.iter().enumerate().filter(|&(j, _)| j != i) {
+                let inbound = inbound.try_clone().unwrap();
+                inbound.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+                let outbound = socks[j][i].try_clone().unwrap();
+                let to = icp[j];
+                let stop = stop.clone();
+                let mut rng = Rng::seed_from_u64(0x5C_1C_F0_0D ^ (i * n + j) as u64);
+                threads.push(std::thread::spawn(move || {
+                    let mut buf = vec![0u8; 65536];
+                    while !stop.load(Ordering::Relaxed) {
+                        let Ok(len) = inbound.recv(&mut buf) else { continue };
+                        let update = matches!(
+                            buf[..len].first(),
+                            Some(&(ICP_OP_DIRUPDATE | ICP_OP_DIRFULL | ICP_OP_DIRFULL_GR))
+                        );
+                        if !(update && rng.gen_bool(loss)) {
+                            let _ = outbound.send_to(&buf[..len], to);
+                        }
+                    }
+                }));
+            }
+        }
+        (LossyRelay { stop, threads }, peer_icp)
+    }
+}
+
+impl Drop for LossyRelay {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
 /// The tentpole acceptance scenario: a 4-proxy SC cluster whose update
-/// datagrams suffer 5% injected loss must not drift — every daemon's
-/// replica of every peer reconverges to that peer's published bitmap,
-/// because seq gaps are detected and answered with full-bitmap resyncs.
+/// datagrams cross a wire that loses 5% of them must not drift — every
+/// daemon's replica of every peer reconverges to that peer's published
+/// bitmap, because seq gaps are detected and answered with full-bitmap
+/// resyncs.
 #[test]
 fn lossy_cluster_reconverges_via_resync() {
-    let cfg = ClusterConfig {
-        proxies: 4,
-        mode: sc_mode(),
-        cache_bytes: 8 << 20,
-        expected_docs: 2_000,
-        origin_delay: Duration::from_millis(1),
-        icp_timeout_ms: 200,
-        keepalive_ms: 50, // heartbeat doubles as the gap detector
-        update_loss: 0.05,
-    };
-    let cluster = Cluster::start(&cfg).unwrap();
+    let n = 4;
+    let origin = Origin::spawn(Duration::from_millis(1)).unwrap();
+    let listeners: Vec<TcpListener> =
+        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    let udps: Vec<UdpSocket> = (0..n).map(|_| UdpSocket::bind("127.0.0.1:0").unwrap()).collect();
+    let http: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let icp: Vec<SocketAddr> = udps.iter().map(|u| u.local_addr().unwrap()).collect();
+    let (_relay, peer_icp) = LossyRelay::start(&icp, 0.05);
+    let daemons = listeners
+        .into_iter()
+        .zip(udps)
+        .enumerate()
+        .map(|(i, (listener, udp))| {
+            let peers = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| PeerAddr { id: j as u32, icp: peer_icp[i][j], http: http[j] })
+                .collect();
+            let cfg = ProxyConfig::builder()
+                .id(i as u32)
+                .cache_bytes(8 << 20)
+                .expected_docs(2_000)
+                .mode(sc_mode())
+                .peers(peers)
+                .origin(origin.addr)
+                .icp_timeout_ms(200)
+                .keepalive_ms(50) // heartbeat doubles as the gap detector
+                .build()
+                .unwrap();
+            Daemon::spawn_on(cfg, listener, udp).unwrap()
+        })
+        .collect();
+    let cluster = Cluster { daemons, origin };
 
     // Disjoint streams: each proxy caches (and publishes) 120 unique
     // documents, so every publish is a delta some peer may lose.

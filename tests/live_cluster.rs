@@ -25,7 +25,6 @@ fn cfg(proxies: u32, mode: Mode) -> ClusterConfig {
         origin_delay: Duration::from_millis(10),
         icp_timeout_ms: 400,
         keepalive_ms: 0,
-        update_loss: 0.0,
     }
 }
 

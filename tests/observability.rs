@@ -23,7 +23,6 @@ fn sc_cluster() -> Cluster {
         origin_delay: Duration::from_millis(2),
         icp_timeout_ms: 400,
         keepalive_ms: 0,
-        update_loss: 0.0,
     };
     Cluster::start(&cfg).expect("cluster start")
 }

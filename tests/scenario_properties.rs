@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 use summary_cache::proxy::simnet::{
-    run_scenario, stale_advertised_pairs, ScenarioConfig, ScenarioReport, SimConfig,
+    run_scenario, stale_advertised_pairs, ScenarioConfig, ScenarioOutcome, SimConfig, SimReport,
 };
 use summary_cache::sim::hierarchy::filter_effect;
 use summary_cache::trace::scenario::{self, Scenario, ScenarioKind};
@@ -85,7 +85,8 @@ struct Headline {
     resyncs: u64,
 }
 
-fn headline(r: &ScenarioReport) -> Headline {
+fn headline(out: &ScenarioOutcome) -> Headline {
+    let r = &out.report;
     Headline {
         requests: r.requests,
         unserved: r.unserved,
@@ -101,7 +102,7 @@ fn headline(r: &ScenarioReport) -> Headline {
         latency_p50_us: r.latency_p50_us,
         latency_p99_us: r.latency_p99_us,
         update_datagrams: r.datagrams_by_op[0].1 + r.datagrams_by_op[1].1,
-        resyncs: r.resyncs_requested,
+        resyncs: out.sim.resyncs_requested,
     }
 }
 
@@ -109,8 +110,8 @@ fn headline(r: &ScenarioReport) -> Headline {
 fn check_pinned(scenario: &Scenario, seed: u64, cfg: ScenarioConfig, want: Headline) {
     let out = run_scenario(cfg, seed, scenario);
     let r = &out.report;
-    assert!(r.converged, "{} did not converge:\n{r:#?}", r.name);
-    let got = headline(r);
+    assert!(out.sim.converged, "{} did not converge:\n{r:#?}", r.name);
+    let got = headline(&out);
     assert_eq!(got, want, "{} headline numbers drifted:\n{r:#?}", r.name);
     // The outcome accounting identity always holds, pinned or not.
     assert_eq!(
@@ -292,11 +293,30 @@ fn pinned_two_level_hierarchy() {
 }
 
 /// MD5 of the `{:?}` of every canned scenario's full report under
-/// [`pinned_cfg`]. The headlines above read only part of a report;
-/// this pin also covers the windows, every opcode row, p90/max latency
-/// and the per-window stale/live pairs. `ScenarioReport` has no float
-/// field, so its `{:?}` is deterministic.
-const FULL_REPORTS_MD5: &str = "97ab306c4ca36d05977147a51848ec93";
+/// [`pinned_cfg`], each followed by its [`run_level`] counts. The
+/// headlines above read only part of a report; this pin also covers
+/// the windows, every opcode row, p90/max latency and the per-window
+/// stale/live pairs. `ScenarioReport` has no float field, so its
+/// `{:?}` is deterministic.
+const FULL_REPORTS_MD5: &str = "8f10068c65707302db0b17472cf68a09";
+
+/// The run-level counts of a scenario run that its [`SimReport`] keeps:
+/// convergence, settle steps, bytes on the wire, drops, resyncs,
+/// failures and recoveries.
+fn run_level(sim: &SimReport) -> String {
+    format!(
+        "converged: {}, settle_steps: {:?}, update_bytes_sent: {}, other_bytes_sent: {}, \
+         datagrams_dropped: {}, resyncs_requested: {}, failures: {}, recoveries: {}",
+        sim.converged,
+        sim.settle_steps,
+        sim.update_bytes_sent,
+        sim.other_bytes_sent,
+        sim.datagrams_dropped,
+        sim.resyncs_requested,
+        sim.failures,
+        sim.recoveries,
+    )
+}
 
 #[test]
 fn scenario_reports_are_pinned_in_full() {
@@ -309,8 +329,8 @@ fn scenario_reports_are_pinned_in_full() {
         ("two-level-hierarchy", 0x2113),
     ] {
         let s = scenario::by_name(name, 8, seed).expect("canned name");
-        let report = run_scenario(pinned_cfg(), seed, &s).report;
-        md5.update(format!("{report:?}\n").as_bytes());
+        let out = run_scenario(pinned_cfg(), seed, &s);
+        md5.update(format!("{:?}\n{}\n", out.report, run_level(&out.sim)).as_bytes());
     }
     let digest = summary_cache::md5::to_hex(&md5.finalize());
     assert_eq!(
@@ -341,7 +361,7 @@ fn storm_quiesces_with_every_stale_advertisement_cleared() {
     cfg.sim.cache_docs = 512;
     let out = run_scenario(cfg, seed, &scenario);
     let r = &out.report;
-    assert!(r.converged, "quiet storm must settle:\n{r:#?}");
+    assert!(out.sim.converged, "quiet storm must settle:\n{r:#?}");
     assert!(r.evictions > 0, "the storm evicted nothing:\n{r:#?}");
     assert!(r.false_hits > 0, "evict-everywhere produced no false hits:\n{r:#?}");
     assert_eq!(
@@ -385,7 +405,7 @@ fn check_sweep_seed(name: &str, seed: u64) {
     let out = run_scenario(cfg, seed, &scenario);
     let r = &out.report;
     assert!(
-        r.converged,
+        out.sim.converged,
         "{name} did not reconverge under the fault plan; repro: SC_SIM_SEED={seed:#x} \
          SC_SIM_PEERS={} cargo test --test scenario_properties -- --nocapture",
         r.proxies
