@@ -10,38 +10,37 @@
 // A timing harness: it reads the wall clock by design.
 #![allow(clippy::disallowed_methods)]
 
-use sc_bloom::{FilterConfig, Flip};
+use sc_bloom::{BloomFilter, FilterConfig, Flip};
 use sc_cache::{DocMeta, Lookup, WebCache};
 use sc_json::Value;
 use sc_proxy::machine::{Event, VirtualTime};
+use sc_proxy::replica::ReplicaSnapshot;
 use sc_proxy::router::Router;
 use sc_proxy::simnet::{Sim, SimConfig};
 use sc_util::bench::{black_box, Bench};
 use sc_wire::icp::{DirContent, DirUpdate, IcpMessage};
-use summary_cache_core::{filter_candidates_key, ProxySummary, SummaryKind, SummarySnapshot, UrlKey};
+use summary_cache_core::{ProxySummary, SummaryKind, UrlKey};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn url(i: u32) -> Vec<u8> {
     format!("http://server-{}.trace.invalid/doc/{}", i / 12, i).into_bytes()
 }
 
-fn server(i: u32) -> Vec<u8> {
-    format!("server-{}.trace.invalid", i / 12).into_bytes()
-}
-
-/// `n` peers' published Bloom summaries, each holding 200 documents.
-fn table_with_peers(n: u32) -> Vec<(u32, SummarySnapshot)> {
-    let mut table = Vec::new();
-    for id in 0..n {
-        let mut s = ProxySummary::with_expected_docs(SummaryKind::recommended(), 256);
-        for j in 0..200u32 {
-            let doc = id * 1_000 + j;
-            s.insert_key(&UrlKey::new(&url(doc)), &UrlKey::new(&server(doc)));
-        }
-        s.publish();
-        table.push((id, s.snapshot_published()));
-    }
-    table
+/// `n` peers' Bloom replicas, each holding 200 documents, as the
+/// daemon's request threads read them.
+fn replicas_of(n: u32) -> ReplicaSnapshot {
+    let cfg = FilterConfig::with_load_factor(256, 8, 4);
+    let peers = (0..n)
+        .map(|id| {
+            let mut f = BloomFilter::new(cfg);
+            for j in 0..200u32 {
+                f.insert_key(&UrlKey::new(&url(id * 1_000 + j)));
+            }
+            (id, Arc::new(f))
+        })
+        .collect();
+    ReplicaSnapshot::new(peers, (0..n).collect())
 }
 
 fn bench_md5(b: &mut Bench, results: &mut Vec<(String, Value)>) {
@@ -79,20 +78,16 @@ fn bench_indices(b: &mut Bench, results: &mut Vec<(String, Value)>) {
 
 fn bench_probe_all(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     for peers in [4u32, 8, 16] {
-        let table = table_with_peers(peers);
+        let replicas = replicas_of(peers);
         let probe_url = url(3_007); // in peer 3's directory
-        let probe_server = server(3_007);
+        let mut candidates = Vec::new();
 
         // The key path includes key construction each iteration: this is
         // the full per-request cost, hashed once and probed everywhere.
         let ns = b.bench(&format!("probe-all/{peers}-peers/urlkey"), || {
             let uk = UrlKey::new(black_box(&probe_url));
-            let sk = UrlKey::new(black_box(&probe_server));
-            black_box(filter_candidates_key(
-                table.iter().map(|(id, snap)| (*id, snap)),
-                &uk,
-                &sk,
-            ));
+            replicas.candidates_key_into(&uk, &mut candidates);
+            black_box(&candidates);
         });
         results.push((format!("probe-all/{peers}-peers/urlkey"), Value::Float(ns)));
     }
@@ -172,14 +167,14 @@ fn bench_breakdown(b: &mut Bench, results: &mut Vec<(String, Value)>) {
     // probe: candidate selection against a published 8-peer snapshot
     // (the lock-free read path the daemon takes on every SC request).
     let fcfg = FilterConfig { bits: 1 << 14, hashes: 4, function_bits: 32 };
-    let snapshot = sc_proxy::replica::ReplicaSnapshot::new(
+    let snapshot = ReplicaSnapshot::new(
         (0..8u32)
             .map(|p| {
-                let mut f = sc_bloom::BloomFilter::new(fcfg);
+                let mut f = BloomFilter::new(fcfg);
                 for j in 0..200u32 {
                     f.insert_key(&UrlKey::new(&url(p * 1_000 + j)));
                 }
-                (p, std::sync::Arc::new(f))
+                (p, Arc::new(f))
             })
             .collect(),
         (0..8u32).collect(),

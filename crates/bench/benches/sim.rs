@@ -38,7 +38,6 @@ fn main() {
     let bloom_cfg = SummaryCacheConfig {
         kind: SummaryKind::Bloom { load_factor: 8, hashes: 4 },
         policy: UpdatePolicy::Threshold(0.01),
-        multicast_updates: false,
     };
     b.bench_throughput("summary/bloom-lf8", n, || {
         black_box(simulate_summary_cache(black_box(&trace), &bloom_cfg, budget));
@@ -46,7 +45,6 @@ fn main() {
     let exact_cfg = SummaryCacheConfig {
         kind: SummaryKind::ExactDirectory,
         policy: UpdatePolicy::Threshold(0.01),
-        multicast_updates: false,
     };
     b.bench_throughput("summary/exact-directory", n, || {
         black_box(simulate_summary_cache(black_box(&trace), &exact_cfg, budget));

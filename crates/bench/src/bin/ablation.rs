@@ -57,7 +57,6 @@ fn main() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::Bloom { load_factor: 16, hashes: k },
             policy: UpdatePolicy::EveryRequests(200),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
         let rates = r.metrics.rates();
@@ -91,7 +90,6 @@ fn main() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::Bloom { load_factor: lf, hashes: 4 },
             policy: UpdatePolicy::EveryRequests(200),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
         let row = LfRow {
@@ -178,7 +176,6 @@ fn main() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::Bloom { load_factor: 16, hashes: 4 },
             policy,
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
         let row = PolicyRow {

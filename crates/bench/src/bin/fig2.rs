@@ -47,7 +47,6 @@ fn run(
     let cfg = SummaryCacheConfig {
         kind: SummaryKind::ExactDirectory,
         policy,
-        multicast_updates: false,
     };
     let r = simulate_summary_cache(trace, &cfg, budget);
     let rates = r.metrics.rates();

@@ -72,7 +72,6 @@ fn main() {
             let cfg = SummaryCacheConfig {
                 kind,
                 policy: UpdatePolicy::Threshold(0.01),
-                multicast_updates: false,
             };
             let r = simulate_summary_cache(&trace, &cfg, budget);
             let rates = r.metrics.rates();
@@ -120,7 +119,6 @@ fn main() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::Bloom { load_factor: 8, hashes: 4 },
             policy: UpdatePolicy::EveryRequests(300),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
         let rates = r.metrics.rates();

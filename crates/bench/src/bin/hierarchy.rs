@@ -52,7 +52,6 @@ fn main() {
                         hashes: 4,
                     },
                     policy: UpdatePolicy::EveryRequests(200),
-                    multicast_updates: false,
                 }),
                 child_tier_bytes: infinite / 10,
                 parent_bytes: infinite / 10,

@@ -112,7 +112,6 @@ fn main() {
             // Request-cadence trigger keeps the update rate comparable
             // across group counts (Section V-A equivalence).
             policy: UpdatePolicy::EveryRequests(300),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, budget);
         let n = r.metrics.requests.max(1) as f64;

@@ -53,7 +53,6 @@ fn main() {
             let cfg = SummaryCacheConfig {
                 kind,
                 policy: UpdatePolicy::Threshold(0.01),
-                multicast_updates: false,
             };
             let r = simulate_summary_cache(&trace, &cfg, budget);
             let row = Row {

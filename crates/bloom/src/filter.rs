@@ -110,12 +110,6 @@ impl BloomFilter {
         self.bits.set(index as usize, value)
     }
 
-    /// Discard all keys.
-    pub fn clear(&mut self) {
-        self.bits.clear();
-        self.inserted = 0;
-    }
-
     /// The underlying bit array.
     pub fn bits(&self) -> &BitVec {
         &self.bits
@@ -182,16 +176,6 @@ mod tests {
         // The filter's own prediction should agree with observation.
         let predicted = f.false_positive_rate();
         assert!((rate - predicted).abs() < 0.01, "{rate} vs predicted {predicted}");
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut f = BloomFilter::new(FilterConfig::with_load_factor(10, 8, 4));
-        let x = UrlKey::new(b"x");
-        f.insert_key(&x);
-        f.clear();
-        assert!(!f.contains_key(&x));
-        assert_eq!(f.bits().count_ones(), 0);
     }
 
     #[test]

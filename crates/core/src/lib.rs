@@ -17,28 +17,27 @@
 //!   factor* (bits per document), the representation the paper
 //!   recommends.
 //!
-//! Summaries are **not** kept fresh: a proxy publishes a new
-//! [`SummarySnapshot`] only when the fraction of documents not yet
-//! reflected crosses an [`UpdatePolicy`] threshold (Section V-A);
-//! [`ProxySummary::request_done`] makes that decision. Peers
-//! hold the snapshots and probe them on local misses with
-//! [`filter_candidates_key`]; the tolerated errors are *false hits*
-//! (wasted query) and *false misses* (lost remote hit), never incorrect
+//! Summaries are **not** kept fresh: a proxy publishes its pending
+//! changes only when the fraction of documents not yet reflected
+//! crosses an [`UpdatePolicy`] threshold (Section V-A);
+//! [`ProxySummary::request_done`] makes that decision. On a local miss
+//! a proxy probes each peer's *published* summary with
+//! [`ProxySummary::probe_published_key`] and queries only the peers
+//! that answer yes; the tolerated errors are *false hits* (wasted
+//! query) and *false misses* (lost remote hit), never incorrect
 //! documents.
 //!
 //! [`wire_cost`] carries the paper's Section V-D message-size model and
 //! [`scalability`] the Section V-F extrapolation; both feed the
 //! experiment harnesses.
 
-pub mod probe;
 pub mod representation;
 pub mod scalability;
 pub mod summary;
 pub mod update;
 pub mod wire_cost;
 
-pub use probe::{filter_candidates_key, SummaryProbe};
-pub use representation::{SummaryKind, SummarySnapshot};
+pub use representation::SummaryKind;
 pub use summary::{ProxySummary, PublishOutcome};
 pub use update::UpdatePolicy;
 

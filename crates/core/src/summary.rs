@@ -3,7 +3,7 @@
 //! state, and produces update messages when published.
 
 use crate::expected_docs;
-use crate::representation::{bloom_bits, SummaryKind, SummarySnapshot};
+use crate::representation::{bloom_bits, SummaryKind};
 use crate::update::UpdatePolicy;
 use crate::wire_cost;
 use sc_bloom::{BitVec, CountingBloomFilter, FilterConfig, Flip, HashSpec, UrlKey};
@@ -353,33 +353,6 @@ impl ProxySummary {
         }
     }
 
-    /// The published view as a [`crate::SummaryProbe`] — the probe peers
-    /// evaluate locally before deciding to query.
-    pub fn published(&self) -> crate::probe::PublishedView<'_> {
-        crate::probe::PublishedView(self)
-    }
-
-    /// Materialize the currently *published* view as a shippable
-    /// snapshot (what a newly joined peer should receive).
-    pub fn snapshot_published(&self) -> SummarySnapshot {
-        match &self.state {
-            State::Exact {
-                set,
-                pending_add,
-                pending_remove,
-            } => {
-                let mut s: HashSet<Digest> = set.difference(pending_add).copied().collect();
-                s.extend(pending_remove.iter().copied());
-                SummarySnapshot::Exact(s)
-            }
-            State::Server { published, .. } => SummarySnapshot::Server(published.clone()),
-            State::Bloom { filter, baseline, .. } => SummarySnapshot::Bloom {
-                spec: filter.spec(),
-                bits: baseline.clone(),
-            },
-        }
-    }
-
     /// Memory the owner spends on this summary: the live structure plus,
     /// for Bloom, the counter array (Section V-C: 4 bits per counter).
     /// This is the Table III "storage requirement" for one's own summary.
@@ -391,7 +364,7 @@ impl ProxySummary {
         }
     }
 
-    /// Memory a *peer* spends holding this summary's published snapshot.
+    /// Memory a *peer* spends holding this summary's published view.
     pub fn peer_memory_bytes(&self) -> usize {
         match &self.state {
             State::Exact { set, .. } => set.len() * 16,
@@ -437,6 +410,16 @@ mod tests {
             );
             s.publish();
             assert!(s.probe_published_key(&u, &srv), "{kind:?}");
+            // Another document of the same server: only a server-name
+            // summary answers yes, a false hit by design.
+            let (sibling, _) = url(2);
+            assert_eq!(
+                s.probe_published_key(&sibling, &srv),
+                kind == SummaryKind::ServerName,
+                "{kind:?}"
+            );
+            let (elsewhere, elsewhere_srv) = url(25);
+            assert!(!s.probe_published_key(&elsewhere, &elsewhere_srv), "{kind:?}");
         }
     }
 
@@ -538,31 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_probe_published() {
-        for kind in all_kinds() {
-            let mut s = ProxySummary::new(kind, 1 << 20);
-            for i in 0..50 {
-                let (u, srv) = url(i);
-                s.insert_key(&u, &srv);
-            }
-            s.publish();
-            for i in 50..80 {
-                let (u, srv) = url(i);
-                s.insert_key(&u, &srv); // unpublished
-            }
-            let snap = s.snapshot_published();
-            for i in 0..80 {
-                let (u, srv) = url(i);
-                assert_eq!(
-                    snap.probe_key(&u, &srv),
-                    s.probe_published_key(&u, &srv),
-                    "{kind:?} doc {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn generation_defaults_to_one_and_restarts_seq() {
         let mut s = ProxySummary::new(SummaryKind::recommended(), 1 << 20);
         assert_eq!((s.generation(), s.seq()), (1, 0), "usable before the owner assigns one");
@@ -630,9 +588,10 @@ mod tests {
 
     /// The key ops land exactly where the retained primitives say, for
     /// every representation, through publish boundaries and the
-    /// pending-add/pending-remove bookkeeping: the published snapshot
-    /// equals one built directly from `md5` and `HashSpec::indices` over
-    /// the live documents.
+    /// pending-add/pending-remove bookkeeping: a published Bloom bitmap
+    /// equals one built directly from `HashSpec::indices` over the live
+    /// documents, and every probe answers as `md5` of the live URLs (or
+    /// servers) and those bits say.
     #[test]
     fn key_ops_match_a_reference_built_from_primitives() {
         for kind in all_kinds() {
@@ -661,30 +620,83 @@ mod tests {
             }
             s.publish();
             assert_eq!(s.docs(), live.len() as u64, "{kind:?}");
-            let reference = match s.snapshot_published() {
-                SummarySnapshot::Exact(_) => {
-                    SummarySnapshot::Exact(live.iter().map(|&i| sc_md5::md5(&raw(i).0)).collect())
-                }
-                SummarySnapshot::Server(_) => {
-                    SummarySnapshot::Server(live.iter().map(|&i| sc_md5::md5(&raw(i).1)).collect())
-                }
-                SummarySnapshot::Bloom { spec, .. } => {
-                    let mut bits = BitVec::new(spec.table_bits() as usize);
-                    for &i in &live {
-                        for j in spec.indices(&raw(i).0) {
-                            bits.set(j as usize, true);
-                        }
+            let bloom = s.bloom().map(|(spec, published)| {
+                let mut bits = BitVec::new(spec.table_bits() as usize);
+                for &i in &live {
+                    for j in spec.indices(&raw(i).0) {
+                        bits.set(j as usize, true);
                     }
-                    SummarySnapshot::Bloom { spec, bits }
                 }
-            };
-            assert_eq!(s.snapshot_published(), reference, "{kind:?}");
+                assert_eq!(published, &bits, "{kind:?}");
+                (spec, bits)
+            });
+            let live_urls: HashSet<Digest> = live.iter().map(|&i| sc_md5::md5(&raw(i).0)).collect();
+            let live_servers: HashSet<Digest> =
+                live.iter().map(|&i| sc_md5::md5(&raw(i).1)).collect();
             for i in 0..60 {
+                let (u, srv) = raw(i);
+                let want = match (&bloom, kind) {
+                    (Some((spec, bits)), _) => {
+                        spec.indices(&u).iter().all(|&j| bits.get(j as usize))
+                    }
+                    (None, SummaryKind::ServerName) => live_servers.contains(&sc_md5::md5(&srv)),
+                    (None, _) => live_urls.contains(&sc_md5::md5(&u)),
+                };
                 let (uk, sk) = url(i);
-                let want = reference.probe_key(&uk, &sk);
                 assert_eq!(s.probe_published_key(&uk, &sk), want, "{kind:?} published doc {i}");
             }
         }
+    }
+
+    /// Probing 8 published Bloom summaries through the hash-once
+    /// pipeline costs 2 MD5 block compressions per request (URL +
+    /// server key construction) and none per probe, counted via the
+    /// sc-md5 test hook rather than wall clock. Digesting the URL afresh
+    /// per peer, as a byte-slice probe would, costs 8 blocks at 8 peers
+    /// (k=4, w=32) — 4× more.
+    #[test]
+    fn key_probe_all_at_8_peers_cuts_md5_blocks_3x() {
+        let peers: Vec<ProxySummary> = (0..8u32)
+            .map(|id| {
+                let mut s = ProxySummary::new(SummaryKind::recommended(), 1 << 20);
+                let server = UrlKey::new(format!("peer{id}").as_bytes());
+                for j in 0..10 {
+                    let url = UrlKey::new(format!("http://peer{id}/doc{j}").as_bytes());
+                    s.insert_key(&url, &server);
+                }
+                s.publish();
+                s
+            })
+            .collect();
+        let url = b"http://peer3/doc7"; // short: one MD5 block per digest
+        let server = b"peer3";
+
+        let before = sc_md5::blocks_hashed();
+        let (uk, sk) = (UrlKey::new(url), UrlKey::new(server));
+        let key_blocks = sc_md5::blocks_hashed() - before;
+        let before = sc_md5::blocks_hashed();
+        let by_key: Vec<usize> =
+            (0..peers.len()).filter(|&id| peers[id].probe_published_key(&uk, &sk)).collect();
+        let probe_blocks = sc_md5::blocks_hashed() - before;
+
+        let before = sc_md5::blocks_hashed();
+        let reference: Vec<usize> = (0..peers.len())
+            .filter(|&id| {
+                let (spec, bits) = peers[id].bloom().expect("a Bloom summary");
+                spec.indices(url).iter().all(|&i| bits.get(i as usize))
+            })
+            .collect();
+        let reference_blocks = sc_md5::blocks_hashed() - before;
+
+        assert_eq!(reference, by_key);
+        assert!(by_key.contains(&3));
+        assert_eq!(key_blocks, 2, "URL + server key construction");
+        assert_eq!(probe_blocks, 0, "probes reuse the memoized indices");
+        assert_eq!(reference_blocks, 8, "one digest per Bloom peer when rehashing");
+        assert!(
+            reference_blocks >= 3 * (key_blocks + probe_blocks),
+            "hash-once pipeline must cut MD5 blocks ≥ 3×: {reference_blocks} vs {key_blocks}"
+        );
     }
 
     /// The flip list a publish ships is exactly the diff between the

@@ -1076,10 +1076,7 @@ mod tests {
             hashes: 4,
         };
         let summary = ProxySummary::with_expected_docs(kind, daemon.inner.cfg.expected_docs());
-        let summary_cache_core::SummarySnapshot::Bloom { spec, .. } = summary.snapshot_published()
-        else {
-            panic!("a Bloom summary snapshots as Bloom");
-        };
+        let (spec, _) = summary.bloom().expect("a Bloom summary");
         let covered = |bits: &BitVec| {
             fresh.iter().all(|url| spec.indices(url.as_bytes()).iter().all(|&i| bits.get(i as usize)))
         };

@@ -1016,7 +1016,7 @@ pub fn stripe_of(key: &UrlKey, stripes: usize) -> usize {
 mod tests {
     use super::*;
     use sc_bloom::{CountingBloomFilter, FilterConfig};
-    use summary_cache_core::{SummaryKind, SummarySnapshot};
+    use summary_cache_core::SummaryKind;
 
     struct NoDocs;
     impl DirectoryView for NoDocs {
@@ -1085,11 +1085,8 @@ mod tests {
         sc_util::prop::check("publish_matches_reference", 128, |rng| {
             let mut r = sc_router(1, vec![2], 7);
             let kind = SummaryKind::Bloom { load_factor: 8, hashes: 4 };
-            let SummarySnapshot::Bloom { spec, .. } =
-                ProxySummary::with_expected_docs(kind, 64).snapshot_published()
-            else {
-                panic!("a Bloom summary snapshots as Bloom");
-            };
+            let (spec, _) =
+                ProxySummary::with_expected_docs(kind, 64).bloom().expect("a Bloom summary");
             let mut reference = CountingBloomFilter::new(FilterConfig {
                 bits: spec.table_bits(),
                 hashes: spec.k(),

@@ -1072,8 +1072,6 @@ pub struct WindowStats {
 pub struct ScenarioReport {
     /// Scenario name (e.g. `flash-crowd`).
     pub name: String,
-    /// The seed the run was built from.
-    pub seed: u64,
     /// Cluster size.
     pub proxies: usize,
     /// Total scenario requests issued.
@@ -1182,7 +1180,6 @@ pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Scen
     }
     let report = ScenarioReport {
         name: scenario.name.clone(),
-        seed,
         proxies: sim.cfg.proxies,
         datagrams_by_op: SCENARIO_OPS.iter().map(|op| (op.to_string(), 0)).collect(),
         windows: (0..cfg.windows)

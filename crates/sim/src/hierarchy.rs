@@ -10,11 +10,10 @@
 //! sibling cache sharing offloads the parent and the origin.
 
 use crate::keys::{server_key, url_key};
-use crate::summary_sim::SummaryCacheConfig;
+use crate::summary_sim::{Groups, SummaryCacheConfig};
 use sc_cache::{Lookup, WebCache};
-use sc_trace::{group_of_client, Trace};
-use std::collections::HashMap;
-use summary_cache_core::{ProxySummary, UrlKey};
+use sc_trace::Trace;
+use summary_cache_core::UrlKey;
 
 /// Hierarchy simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +100,6 @@ pub fn filter_effect(
                 sibling_sharing: kind.map(|kind| SummaryCacheConfig {
                     kind,
                     policy: UpdatePolicy::EveryRequests(50),
-                    multicast_updates: false,
                 }),
                 child_tier_bytes,
                 parent_bytes,
@@ -117,20 +115,17 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
     assert!(groups >= 1);
     let per_child = (cfg.child_tier_bytes / groups as u64).max(1);
 
-    let mut children: Vec<WebCache<u64>> = (0..groups).map(|_| WebCache::new(per_child)).collect();
-    let mut summaries: Vec<ProxySummary> = match &cfg.sibling_sharing {
-        Some(sc) => (0..groups)
-            .map(|_| {
-                ProxySummary::with_expected_docs(
-                    sc.kind,
-                    (per_child / summary_cache_core::AVG_DOC_BYTES).max(16),
-                )
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+    let mut children = Groups::new(
+        groups,
+        per_child,
+        cfg.sibling_sharing.map(|sc| {
+            (
+                sc.kind,
+                (per_child / summary_cache_core::AVG_DOC_BYTES).max(16),
+            )
+        }),
+    );
     let mut parent: WebCache<u64> = WebCache::new(cfg.parent_bytes.max(1));
-    let mut server_of: HashMap<u64, u32> = HashMap::new();
 
     let mut r_out = HierarchyResult {
         requests: 0,
@@ -145,11 +140,10 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
 
     for req in &trace.requests {
         r_out.requests += 1;
-        server_of.entry(req.url).or_insert(req.server);
-        let home = group_of_client(req.client, trace.groups) as usize;
+        let home = children.home(req);
         let meta = crate::meta(req);
         let mut local_stale = false;
-        match children[home].lookup(&req.url, meta) {
+        match children.caches[home].lookup(&req.url, meta) {
             Lookup::Hit => {
                 r_out.child_hits += 1;
                 continue;
@@ -159,29 +153,23 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
         }
         let ukey = UrlKey::new(&url_key(req.url));
         let skey = UrlKey::new(&server_key(req.server));
-        if local_stale && !summaries.is_empty() {
-            summaries[home].remove_key(&ukey, &skey);
+        if local_stale {
+            children.purge(home, &ukey, &skey);
         }
 
         // Sibling tier (summary-cache style), if enabled.
         let mut served_by_sibling = false;
         if let Some(sc) = &cfg.sibling_sharing {
-            let candidates: Vec<usize> = summary_cache_core::filter_candidates_key(
-                (0..groups)
-                    .filter(|&g| g != home)
-                    .map(|g| (g, summaries[g].published())),
-                &ukey,
-                &skey,
-            );
+            let candidates = children.candidates(home, &ukey, &skey);
             r_out.sibling_queries += candidates.len() as u64;
-            for g in candidates {
-                if children[g].peek(&req.url) == Some(meta) {
-                    served_by_sibling = true;
-                    break;
-                }
-            }
+            served_by_sibling = candidates
+                .iter()
+                .any(|&g| children.caches[g].peek(&req.url) == Some(meta));
             // Publish bookkeeping for the home child.
-            if summaries[home].request_done(sc.policy, req.time_ms).is_some() {
+            if children.summaries[home]
+                .request_done(sc.policy, req.time_ms)
+                .is_some()
+            {
                 r_out.update_messages += (groups - 1) as u64;
             }
         }
@@ -201,15 +189,7 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
         }
 
         // Either way, the child caches the document.
-        if let Some(evicted) = children[home].store(req.url, meta) {
-            if !summaries.is_empty() {
-                summaries[home].insert_key(&ukey, &skey);
-                for victim in evicted {
-                    let vs = UrlKey::new(&server_key(server_of[&victim]));
-                    summaries[home].remove_key(&UrlKey::new(&url_key(victim)), &vs);
-                }
-            }
-        }
+        children.store(home, req, &ukey, &skey);
     }
     r_out
 }
@@ -230,7 +210,6 @@ mod tests {
                     hashes: 4,
                 },
                 policy: UpdatePolicy::EveryRequests(50),
-                multicast_updates: false,
             }),
             child_tier_bytes: infinite / 10,
             parent_bytes: infinite / 10,
@@ -282,7 +261,6 @@ mod tests {
             sibling_sharing: Some(SummaryCacheConfig {
                 kind: SummaryKind::recommended(),
                 policy: UpdatePolicy::EveryMillis(trace.duration_ms() / 20),
-                multicast_updates: false,
             }),
             child_tier_bytes: infinite / 10,
             parent_bytes: infinite / 10,

@@ -12,11 +12,9 @@ use crate::keys::{server_key, url_key};
 use crate::meta;
 use crate::metrics::Metrics;
 use sc_cache::{Lookup, WebCache};
-use sc_trace::{group_of_client, Trace};
+use sc_trace::{group_of_client, Request, Trace};
 use std::collections::HashMap;
-use summary_cache_core::{
-    filter_candidates_key, wire_cost, ProxySummary, SummaryKind, UpdatePolicy, UrlKey,
-};
+use summary_cache_core::{wire_cost, ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
 
 /// Configuration of one summary-cache simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -25,11 +23,6 @@ pub struct SummaryCacheConfig {
     pub kind: SummaryKind,
     /// When to publish updates.
     pub policy: UpdatePolicy,
-    /// Deliver updates via unreliable multicast (Section V-F: "update
-    /// messages can be transferred via a nonreliable multicast scheme"):
-    /// one message per publish instead of one per peer. Byte accounting
-    /// charges the payload once.
-    pub multicast_updates: bool,
 }
 
 /// Everything one run produces.
@@ -55,9 +48,77 @@ pub struct SummarySimResult {
     pub summary_memory_fraction_of_cache: f64,
 }
 
-struct ProxyState {
-    cache: WebCache<u64>,
-    summary: ProxySummary,
+/// The proxy groups of a trace simulation: each group's cache and the
+/// summary of its directory, plus the server of every document stored,
+/// from which an eviction rebuilds the victim's server key. Both trace
+/// simulators (this one and [`crate::hierarchy`]) run their per-group
+/// steps through it.
+pub(crate) struct Groups {
+    pub(crate) caches: Vec<WebCache<u64>>,
+    /// One per cache, or none when the groups do not share.
+    pub(crate) summaries: Vec<ProxySummary>,
+    server_of: HashMap<u64, u32>,
+}
+
+impl Groups {
+    /// `n` groups of `cache_bytes` each, summarized under `kind` sized
+    /// for `expected_docs` documents, or unsummarized for `None`.
+    pub(crate) fn new(n: usize, cache_bytes: u64, summary: Option<(SummaryKind, u64)>) -> Groups {
+        Groups {
+            caches: (0..n).map(|_| WebCache::new(cache_bytes)).collect(),
+            summaries: summary
+                .map(|(kind, docs)| {
+                    (0..n)
+                        .map(|_| ProxySummary::with_expected_docs(kind, docs))
+                        .collect()
+                })
+                .unwrap_or_default(),
+            server_of: HashMap::new(),
+        }
+    }
+
+    /// The group a request's client belongs to.
+    pub(crate) fn home(&self, r: &Request) -> usize {
+        group_of_client(r.client, self.caches.len() as u32) as usize
+    }
+
+    /// The lookup at `home` found a stale copy and purged it: take it
+    /// out of `home`'s summary too.
+    pub(crate) fn purge(&mut self, home: usize, url: &UrlKey, server: &UrlKey) {
+        if let Some(summary) = self.summaries.get_mut(home) {
+            summary.remove_key(url, server);
+        }
+    }
+
+    /// The other groups whose *published* summary names the document,
+    /// in group order: the peers a local miss at `home` queries.
+    pub(crate) fn candidates(&self, home: usize, url: &UrlKey, server: &UrlKey) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (g, summary) in self.summaries.iter().enumerate() {
+            if g != home && summary.probe_published_key(url, server) {
+                out.push(g);
+            }
+        }
+        out
+    }
+
+    /// Cache `r`'s document at `home` and mirror the store in its
+    /// summary: the document's keys go in, and each evicted victim's
+    /// keys, rebuilt from its id and its recorded server, come out.
+    pub(crate) fn store(&mut self, home: usize, r: &Request, url: &UrlKey, server: &UrlKey) {
+        self.server_of.entry(r.url).or_insert(r.server);
+        let Some(evicted) = self.caches[home].store(r.url, meta(r)) else {
+            return;
+        };
+        let Some(summary) = self.summaries.get_mut(home) else {
+            return;
+        };
+        summary.insert_key(url, server);
+        for victim in evicted {
+            let vs = server_key(self.server_of[&victim]);
+            summary.remove_key(&UrlKey::new(&url_key(victim)), &UrlKey::new(&vs));
+        }
+    }
 }
 
 /// Run the summary-cache simulation over `trace` with
@@ -77,53 +138,40 @@ pub fn simulate_summary_cache(
     // traces averaged that; our synthetic mix differs.)
     let expected_docs = expected_docs_for(trace, per_proxy);
 
-    let mut proxies: Vec<ProxyState> = (0..groups)
-        .map(|_| ProxyState {
-            cache: WebCache::new(per_proxy),
-            summary: ProxySummary::with_expected_docs(config.kind, expected_docs),
-        })
-        .collect();
-    // Server component of each document, learned from the trace, so
-    // evictions can maintain server-name summaries.
-    let mut server_of: HashMap<u64, u32> = HashMap::new();
-
-    let mut m = Metrics::default();
-    let mut icp_queries = 0u64;
-
+    let mut sim = SummarySim {
+        groups: Groups::new(groups, per_proxy, Some((config.kind, expected_docs))),
+        config: *config,
+        metrics: Metrics::default(),
+        icp_queries: 0,
+    };
     for r in &trace.requests {
-        let ukey = UrlKey::new(&url_key(r.url));
-        let skey = UrlKey::new(&server_key(r.server));
-        step_request(
-            r,
-            &ukey,
-            &skey,
-            &mut proxies,
-            &mut server_of,
-            &mut m,
-            &mut icp_queries,
-            config,
-            trace,
-        );
+        sim.step(r);
     }
+    let SummarySim {
+        groups: Groups { summaries, .. },
+        metrics,
+        icp_queries,
+        ..
+    } = sim;
 
     let peer_bytes: Vec<u64> = {
-        // Each proxy holds every *other* proxy's published snapshot.
-        let snapshot_sizes: Vec<u64> = proxies
+        // Each proxy holds every *other* proxy's published summary.
+        let published_sizes: Vec<u64> = summaries
             .iter()
-            .map(|p| p.summary.peer_memory_bytes() as u64)
+            .map(|s| s.peer_memory_bytes() as u64)
             .collect();
-        let total: u64 = snapshot_sizes.iter().sum();
-        snapshot_sizes.iter().map(|&own| total - own).collect()
+        let total: u64 = published_sizes.iter().sum();
+        published_sizes.iter().map(|&own| total - own).collect()
     };
     let avg_peer = peer_bytes.iter().sum::<u64>() as f64 / groups as f64;
-    let avg_own = proxies
+    let avg_own = summaries
         .iter()
-        .map(|p| p.summary.owner_memory_bytes() as u64)
+        .map(|s| s.owner_memory_bytes() as u64)
         .sum::<u64>() as f64
         / groups as f64;
 
     SummarySimResult {
-        metrics: m,
+        metrics,
         icp_queries,
         icp_query_bytes: icp_queries * wire_cost::QUERY_BYTES as u64,
         per_proxy_cache_bytes: per_proxy,
@@ -152,133 +200,107 @@ fn expected_docs_for(trace: &Trace, cache_bytes: u64) -> u64 {
     (cache_bytes / mean).max(1)
 }
 
-/// One trace request through the protocol: local lookup, peer-summary
-/// probe, query/error accounting, store, and the post-request publish
-/// check. The request's two keys arrive pre-digested (hash-once: every
-/// peer probe, the stale purge, and the store reuse their indices).
-#[allow(clippy::too_many_arguments)]
-fn step_request(
-    r: &sc_trace::Request,
-    ukey: &UrlKey,
-    skey: &UrlKey,
-    proxies: &mut [ProxyState],
-    server_of: &mut HashMap<u64, u32>,
-    m: &mut Metrics,
-    icp_queries: &mut u64,
-    config: &SummaryCacheConfig,
-    trace: &Trace,
-) {
-    let groups = trace.groups as usize;
-    m.requests += 1;
-    m.requested_bytes += r.size;
-    server_of.entry(r.url).or_insert(r.server);
-    let home = group_of_client(r.client, trace.groups) as usize;
-
-    let mut local_stale = false;
-    match proxies[home].cache.lookup(&r.url, meta(r)) {
-        Lookup::Hit => {
-            m.local_hits += 1;
-            m.hit_bytes += r.size;
-            after_request(&mut proxies[home].summary, m, r.time_ms, config, groups);
-            return;
-        }
-        Lookup::StaleHit => {
-            m.local_stale_hits += 1;
-            local_stale = true;
-        }
-        Lookup::Miss => {}
-    }
-    if local_stale {
-        // lookup() purged the stale copy; keep the summary in sync.
-        proxies[home].summary.remove_key(ukey, skey);
-    }
-
-    // Local miss: ICP would query every neighbour now.
-    *icp_queries += (groups - 1) as u64;
-
-    // Summary cache probes the published peer summaries instead —
-    // the same candidate selection the proxy daemon runs.
-    let candidates: Vec<usize> = filter_candidates_key(
-        proxies
-            .iter()
-            .enumerate()
-            .filter(|&(g, _)| g != home)
-            .map(|(g, p)| (g, p.summary.published())),
-        ukey,
-        skey,
-    );
-
-    // Send queries to the candidates; learn what they actually hold.
-    let mut fresh_at_candidate = false;
-    let mut stale_at_candidate = false;
-    for &g in &candidates {
-        m.queries_sent += 1;
-        m.query_bytes += wire_cost::QUERY_BYTES as u64;
-        match proxies[g].cache.peek(&r.url) {
-            Some(have) if have == meta(r) => fresh_at_candidate = true,
-            Some(_) => stale_at_candidate = true,
-            None => m.wasted_queries += 1,
-        }
-    }
-
-    // Ground truth over all neighbours, for false-miss accounting.
-    let fresh_somewhere = (0..groups).any(|g| {
-        g != home && proxies[g].cache.peek(&r.url) == Some(meta(r))
-    });
-
-    if fresh_at_candidate {
-        m.remote_hits += 1;
-        m.hit_bytes += r.size;
-    } else {
-        if stale_at_candidate {
-            m.remote_stale_hits += 1;
-        } else if !candidates.is_empty() {
-            m.false_hits += 1;
-        }
-        if fresh_somewhere {
-            m.false_misses += 1;
-        }
-    }
-
-    // Either way the document ends up cached at the home proxy
-    // (fetched from the peer on a remote hit, from the server
-    // otherwise) — ICP-style simple sharing.
-    if let Some(evicted) = proxies[home].cache.store(r.url, meta(r)) {
-        proxies[home].summary.insert_key(ukey, skey);
-        for victim in evicted {
-            let vs = server_key(*server_of.get(&victim).expect("victim was inserted"));
-            proxies[home]
-                .summary
-                .remove_key(&UrlKey::new(&url_key(victim)), &UrlKey::new(&vs));
-        }
-    }
-
-    after_request(&mut proxies[home].summary, m, r.time_ms, config, groups);
+/// One summary-cache run in progress: the groups, the configuration,
+/// and the counters so far.
+struct SummarySim {
+    groups: Groups,
+    config: SummaryCacheConfig,
+    metrics: Metrics,
+    /// What ICP would have sent: a query to every neighbour per local miss.
+    icp_queries: u64,
 }
 
-fn after_request(
-    summary: &mut ProxySummary,
-    m: &mut Metrics,
-    now_ms: u64,
-    config: &SummaryCacheConfig,
-    groups: usize,
-) {
-    if let Some(out) = summary.request_done(config.policy, now_ms) {
-        m.publishes += 1;
-        let fanout = if config.multicast_updates {
-            1
+impl SummarySim {
+    /// One trace request through the protocol: local lookup, peer-summary
+    /// probe, query/error accounting, store, and the post-request publish
+    /// check. The request digests its two keys once (hash-once: every
+    /// peer probe, the stale purge, and the store reuse their indices).
+    fn step(&mut self, r: &Request) {
+        let ukey = UrlKey::new(&url_key(r.url));
+        let skey = UrlKey::new(&server_key(r.server));
+        let groups = self.groups.caches.len();
+        let m = &mut self.metrics;
+        m.requests += 1;
+        m.requested_bytes += r.size;
+        let home = self.groups.home(r);
+
+        match self.groups.caches[home].lookup(&r.url, meta(r)) {
+            Lookup::Hit => {
+                m.local_hits += 1;
+                m.hit_bytes += r.size;
+                self.request_done(home, r.time_ms);
+                return;
+            }
+            Lookup::StaleHit => {
+                m.local_stale_hits += 1;
+                // lookup() purged the stale copy; keep the summary in sync.
+                self.groups.purge(home, &ukey, &skey);
+            }
+            Lookup::Miss => {}
+        }
+
+        // Local miss: ICP would query every neighbour now.
+        self.icp_queries += (groups - 1) as u64;
+
+        // Summary cache probes the published peer summaries instead.
+        let candidates = self.groups.candidates(home, &ukey, &skey);
+
+        // Send queries to the candidates; learn what they actually hold.
+        let caches = &self.groups.caches;
+        let m = &mut self.metrics;
+        let mut fresh_at_candidate = false;
+        let mut stale_at_candidate = false;
+        for &g in &candidates {
+            m.queries_sent += 1;
+            m.query_bytes += wire_cost::QUERY_BYTES as u64;
+            match caches[g].peek(&r.url) {
+                Some(have) if have == meta(r) => fresh_at_candidate = true,
+                Some(_) => stale_at_candidate = true,
+                None => m.wasted_queries += 1,
+            }
+        }
+
+        // Ground truth over all neighbours, for false-miss accounting.
+        let fresh_somewhere =
+            (0..groups).any(|g| g != home && caches[g].peek(&r.url) == Some(meta(r)));
+
+        if fresh_at_candidate {
+            m.remote_hits += 1;
+            m.hit_bytes += r.size;
         } else {
-            (groups - 1) as u64
-        };
-        m.update_messages += fanout;
-        m.update_bytes += out.update_bytes as u64 * fanout;
+            if stale_at_candidate {
+                m.remote_stale_hits += 1;
+            } else if !candidates.is_empty() {
+                m.false_hits += 1;
+            }
+            if fresh_somewhere {
+                m.false_misses += 1;
+            }
+        }
+
+        // Either way the document ends up cached at the home proxy
+        // (fetched from the peer on a remote hit, from the server
+        // otherwise) — ICP-style simple sharing.
+        self.groups.store(home, r, &ukey, &skey);
+        self.request_done(home, r.time_ms);
+    }
+
+    /// Count a finished request at `home`; a publish it triggers sends
+    /// one update to every other group.
+    fn request_done(&mut self, home: usize, now_ms: u64) {
+        let fanout = (self.groups.caches.len() - 1) as u64;
+        if let Some(out) = self.groups.summaries[home].request_done(self.config.policy, now_ms) {
+            self.metrics.publishes += 1;
+            self.metrics.update_messages += fanout;
+            self.metrics.update_bytes += out.update_bytes as u64 * fanout;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_trace::{profile, Request, TraceStats};
+    use sc_trace::{profile, TraceStats};
 
     fn req(client: u32, url: u64, size: u64, lm: u64) -> Request {
         Request {
@@ -303,7 +325,6 @@ mod tests {
         SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::Threshold(0.0), // publish after every insert
-            multicast_updates: false,
         }
     }
 
@@ -326,7 +347,6 @@ mod tests {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::EveryRequests(1_000),
-            multicast_updates: false,
         };
         let t = trace2(vec![req(1, 1, 100, 0), req(0, 1, 100, 0)]);
         let r = simulate_summary_cache(&t, &cfg, 10_000);
@@ -343,7 +363,6 @@ mod tests {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::EveryRequests(1_000), // publish manually never
-            multicast_updates: false,
         };
         // Capacity 400 total -> 200/proxy -> two 100-byte docs each.
         let t = trace2(vec![
@@ -365,7 +384,6 @@ mod tests {
         let cfg_mid = SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::Threshold(0.5),
-            multicast_updates: false,
         };
         let zero = simulate_summary_cache(&t, &cfg_pub_first, 400);
         assert_eq!(zero.metrics.false_hits, 0);
@@ -378,7 +396,6 @@ mod tests {
         let cfg_every2 = SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::EveryRequests(2),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&t, &cfg_every2, 400);
         // Proxy 1 publishes after its 2nd request (docs 1,3 visible).
@@ -399,7 +416,6 @@ mod tests {
                 hashes: 4,
             },
             policy: UpdatePolicy::Threshold(0.01),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, infinite / 10);
         let rates = r.metrics.rates();
@@ -424,7 +440,6 @@ mod tests {
             &SummaryCacheConfig {
                 kind: SummaryKind::ExactDirectory,
                 policy: UpdatePolicy::Threshold(0.01),
-                multicast_updates: false,
             },
             budget,
         );
@@ -454,7 +469,6 @@ mod tests {
                 hashes: 4,
             },
             policy: UpdatePolicy::EveryRequests(200),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, infinite / 10);
         assert!(
@@ -483,7 +497,6 @@ mod tests {
                 &SummaryCacheConfig {
                     kind,
                     policy: UpdatePolicy::Threshold(0.01),
-                    multicast_updates: false,
                 },
                 budget,
             )
@@ -502,34 +515,6 @@ mod tests {
         assert!(
             bloom32 > bloom8 * 3.0 && bloom32 < bloom8 * 5.0,
             "bloom sizes scale with load factor: {bloom8} vs {bloom32}"
-        );
-    }
-
-    #[test]
-    fn multicast_collapses_update_fanout() {
-        let trace = profile("UPisa").unwrap().generate_scaled(20);
-        let infinite = TraceStats::compute(&trace).infinite_cache_bytes;
-        let base = SummaryCacheConfig {
-            kind: SummaryKind::Bloom { load_factor: 16, hashes: 4 },
-            policy: UpdatePolicy::EveryRequests(100),
-            multicast_updates: false,
-        };
-        let uni = simulate_summary_cache(&trace, &base, infinite / 10);
-        let multi = simulate_summary_cache(
-            &trace,
-            &SummaryCacheConfig { multicast_updates: true, ..base },
-            infinite / 10,
-        );
-        assert_eq!(uni.metrics.publishes, multi.metrics.publishes);
-        assert_eq!(
-            uni.metrics.update_messages,
-            multi.metrics.update_messages * 7,
-            "8 groups: unicast fanout is 7x multicast"
-        );
-        assert_eq!(
-            uni.metrics.local_hits + uni.metrics.remote_hits,
-            multi.metrics.local_hits + multi.metrics.remote_hits,
-            "transport does not change hit behaviour"
         );
     }
 

@@ -18,13 +18,13 @@ use sc_util::Rng;
 /// churn *which* item is popular without rebuilding the CDF.
 /// [`Zipf::sample`] keeps returning raw ranks (frozen popularity
 /// order, the historical behavior); [`Zipf::sample_item`] maps the
-/// drawn rank through the permutation, and [`Zipf::permute_with`] is
-/// the hook that mutates the map in place (the diurnal-drift scenario
-/// rotates it a little every virtual period).
+/// drawn rank through the permutation, and [`Zipf::churn`] swaps
+/// entries of the map in place (the diurnal-drift scenario churns it a
+/// little every virtual period).
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    /// `map[rank] = item`; identity until [`Zipf::permute_with`] runs.
+    /// `map[rank] = item`; identity until [`Zipf::churn`] runs.
     map: Vec<u32>,
 }
 
@@ -65,32 +65,6 @@ impl Zipf {
     /// is exactly [`Zipf::sample`].
     pub fn sample_item(&self, rng: &mut Rng) -> usize {
         self.map[self.sample(rng)] as usize
-    }
-
-    /// The current `rank → item` map (`permutation()[0]` is the most
-    /// popular item).
-    pub fn permutation(&self) -> &[u32] {
-        &self.map
-    }
-
-    /// The rank-permutation hook: hand the `rank → item` map to `f` for
-    /// in-place mutation (shuffle it, rotate the head, swap a drifting
-    /// fraction of pairs — whatever the workload calls for).
-    ///
-    /// # Panics
-    /// If `f` leaves the map something other than a permutation of
-    /// `0..n` (every item must keep exactly one rank).
-    pub fn permute_with(&mut self, f: impl FnOnce(&mut [u32])) {
-        f(&mut self.map);
-        let n = self.map.len();
-        let mut seen = vec![false; n];
-        for &item in &self.map {
-            assert!(
-                (item as usize) < n && !seen[item as usize],
-                "rank map is no longer a permutation of 0..{n}"
-            );
-            seen[item as usize] = true;
-        }
     }
 
     /// Canned drift step: `swaps` seeded random transpositions of the
@@ -199,8 +173,8 @@ mod tests {
         Zipf::new(0, 1.0);
     }
 
-    /// Chi-square goodness-of-fit for the permuted sampler: with a
-    /// seeded shuffle installed through the hook, the *item* histogram
+    /// Chi-square goodness-of-fit for the permuted sampler: after a
+    /// seeded churn of the rank map, the *item* histogram
     /// must match the Zipf law pushed through that permutation. 49
     /// degrees of freedom; the 99.9th percentile of χ²₄₉ is ≈ 85.4, so
     /// a statistic under 90 accepts with huge margin while any broken
@@ -212,13 +186,11 @@ mod tests {
         const DRAWS: u64 = 200_000;
         let mut z = Zipf::new(N, 0.8);
         let mut rng = Rng::seed_from_u64(0xD81F7);
-        z.permute_with(|map| {
-            // Seeded Fisher–Yates, independent of the sampling rng.
-            let mut perm_rng = Rng::seed_from_u64(0xFACADE);
-            perm_rng.shuffle(map);
-        });
-        let perm = z.permutation().to_vec();
-        assert_ne!(perm, (0..N as u32).collect::<Vec<_>>(), "shuffle did move ranks");
+        // Seeded swaps, independent of the sampling rng: enough of them
+        // that almost every rank moves.
+        z.churn(&mut Rng::seed_from_u64(0xFACADE), 4 * N);
+        let perm = z.map.clone();
+        assert_ne!(perm, (0..N as u32).collect::<Vec<_>>(), "churn did move ranks");
 
         let mut counts = vec![0u64; N];
         for _ in 0..DRAWS {
@@ -247,7 +219,7 @@ mod tests {
     #[test]
     fn identity_map_makes_sample_item_match_sample_law() {
         let z = Zipf::new(100, 0.8);
-        assert_eq!(z.permutation(), (0..100).collect::<Vec<u32>>());
+        assert_eq!(z.map, (0..100).collect::<Vec<u32>>());
         let mut rng = Rng::seed_from_u64(11);
         let mut counts = vec![0u32; 100];
         for _ in 0..50_000 {
@@ -263,16 +235,9 @@ mod tests {
         for _ in 0..10 {
             z.churn(&mut rng, 64);
         }
-        let mut sorted = z.permutation().to_vec();
+        let mut sorted = z.map.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..257).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "no longer a permutation")]
-    fn permute_with_rejects_non_permutations() {
-        let mut z = Zipf::new(4, 0.8);
-        z.permute_with(|map| map[0] = map[1]);
     }
 
     #[test]

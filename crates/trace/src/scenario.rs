@@ -254,7 +254,7 @@ impl ScenarioBuilder {
 /// Zipf-popularity request stream over a document window, optionally
 /// with **rank drift** (the diurnal model: every `period_us` the rank
 /// permutation churns by `swaps` transpositions through
-/// [`Zipf::permute_with`]'s canned [`Zipf::churn`] step).
+/// [`Zipf::churn`]).
 #[derive(Debug, Clone)]
 pub struct ZipfLoad {
     /// First request at/after this stamp.

@@ -38,7 +38,6 @@ fn main() {
     let cfg = SummaryCacheConfig {
         kind: SummaryKind::recommended(),
         policy: UpdatePolicy::EveryRequests(50),
-        multicast_updates: false,
     };
     let r = simulate_summary_cache(&trace, &cfg, budget);
     let rates = r.metrics.rates();

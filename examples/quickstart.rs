@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use summary_cache::bloom::analysis;
-use summary_cache::core::{filter_candidates_key, ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
+use summary_cache::core::{ProxySummary, SummaryKind, UpdatePolicy, UrlKey};
 
 fn main() {
     // Proxy B summarizes its directory at the paper's recommended
@@ -35,10 +35,16 @@ fn main() {
         update.changes, update.update_bytes
     );
 
-    // Proxy A holds B's published snapshot, keyed by B's peer id.
-    let peers = [(1u32, proxy_b.snapshot_published())];
-    let probe_all = |url: &UrlKey, server: &UrlKey| {
-        filter_candidates_key(peers.iter().map(|(id, snap)| (*id, snap)), url, server)
+    // Proxy A probes what B has *published*, keyed by B's peer id.
+    let peers = [(1u32, &proxy_b)];
+    let probe_all = |url: &UrlKey, server: &UrlKey| -> Vec<u32> {
+        let mut candidates = Vec::new();
+        for (id, summary) in peers {
+            if summary.probe_published_key(url, server) {
+                candidates.push(id);
+            }
+        }
+        candidates
     };
 
     // A's local miss for a document B has: the probe says "ask B".
@@ -62,7 +68,7 @@ fn main() {
     );
     println!(
         "memory for B's summary at A: {} bytes for {} documents",
-        peers[0].1.memory_bytes(),
+        proxy_b.peer_memory_bytes(),
         proxy_b.docs()
     );
 }

@@ -32,7 +32,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use summary_cache::core::{filter_candidates_key, ProxySummary, SummaryKind, UrlKey};
+//! use summary_cache::core::{ProxySummary, SummaryKind, UrlKey};
 //!
 //! // Each URL is digested once; every summary operation reuses the key.
 //! let (a, b) = (UrlKey::new(b"http://example.com/a"), UrlKey::new(b"http://example.com/b"));
@@ -41,13 +41,12 @@
 //! // A proxy summarizes its cache directory as a Bloom filter…
 //! let mut mine = ProxySummary::new(SummaryKind::recommended(), 64 << 20);
 //! mine.insert_key(&a, &server);
+//! assert!(!mine.probe_published_key(&a, &server), "peers see only what is published");
 //! mine.publish();
 //!
-//! // …and peers probe the published snapshot before querying anyone.
-//! let peers = [(1u32, mine.snapshot_published())];
-//! let probe = |url: &UrlKey| filter_candidates_key(peers.iter().map(|(id, s)| (*id, s)), url, &server);
-//! assert_eq!(probe(&a), vec![1]);
-//! assert!(probe(&b).is_empty());
+//! // …and peers probe the published summary before querying anyone.
+//! assert!(mine.probe_published_key(&a, &server));
+//! assert!(!mine.probe_published_key(&b, &server));
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and

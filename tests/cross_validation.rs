@@ -15,7 +15,6 @@ fn fresh_exact() -> SummaryCacheConfig {
     SummaryCacheConfig {
         kind: SummaryKind::ExactDirectory,
         policy: UpdatePolicy::Threshold(0.0), // publish after every insert
-        multicast_updates: false,
     }
 }
 
@@ -101,7 +100,6 @@ fn prop_metrics_conserved() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::Bloom { load_factor: 8, hashes: 4 },
             policy: UpdatePolicy::Threshold(threshold),
-            multicast_updates: false,
         };
         let r = simulate_summary_cache(&trace, &cfg, 50_000);
         let m = &r.metrics;

@@ -41,7 +41,6 @@ fn update_delay_degrades_gracefully() {
         let cfg = SummaryCacheConfig {
             kind: SummaryKind::ExactDirectory,
             policy: UpdatePolicy::Threshold(t),
-            multicast_updates: false,
         };
         simulate_summary_cache(&trace, &cfg, budget)
             .metrics
@@ -65,7 +64,6 @@ fn false_hit_ordering_across_representations() {
         let cfg = SummaryCacheConfig {
             kind,
             policy: UpdatePolicy::Threshold(0.01),
-            multicast_updates: false,
         };
         simulate_summary_cache(&trace, &cfg, budget)
             .metrics
@@ -93,7 +91,6 @@ fn hit_ratio_insensitive_to_representation() {
         let cfg = SummaryCacheConfig {
             kind,
             policy: UpdatePolicy::Threshold(0.01),
-            multicast_updates: false,
         };
         simulate_summary_cache(&trace, &cfg, budget)
             .metrics
@@ -121,7 +118,6 @@ fn summary_cache_slashes_messages() {
     let cfg = SummaryCacheConfig {
         kind: SummaryKind::Bloom { load_factor: 16, hashes: 4 },
         policy: UpdatePolicy::EveryRequests(300),
-        multicast_updates: false,
     };
     let r = simulate_summary_cache(&trace, &cfg, budget);
     let sc = r.metrics.queries_sent + r.metrics.update_messages;
@@ -154,7 +150,6 @@ fn nlanr_anomaly_amplifies_delay_sensitivity() {
             let cfg = SummaryCacheConfig {
                 kind: SummaryKind::ExactDirectory,
                 policy: UpdatePolicy::Threshold(t),
-                multicast_updates: false,
             };
             simulate_summary_cache(trace, &cfg, budget)
                 .metrics
@@ -205,7 +200,7 @@ fn trace_simulator_counts_are_pinned() {
             UpdatePolicy::EveryRequests(300),
             UpdatePolicy::EveryMillis(trace.duration_ms() / 20),
         ] {
-            let cfg = SummaryCacheConfig { kind, policy, multicast_updates: false };
+            let cfg = SummaryCacheConfig { kind, policy };
             rows.push(counts(&simulate_summary_cache(&trace, &cfg, budget).metrics));
         }
     }
@@ -267,7 +262,6 @@ fn trace_simulator_digests_each_key_once() {
         let cfg = SummaryCacheConfig {
             kind,
             policy: UpdatePolicy::Threshold(0.01),
-            multicast_updates: false,
         };
         let before = blocks_hashed();
         let r = simulate_summary_cache(&trace, &cfg, budget);

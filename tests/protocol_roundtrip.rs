@@ -5,7 +5,7 @@
 //! bit-flip encoding was designed for (Section VI-A).
 
 use summary_cache::bloom::{BitVec, BloomFilter, HashSpec, UrlKey};
-use summary_cache::core::{ProxySummary, SummaryKind, SummarySnapshot};
+use summary_cache::core::{ProxySummary, SummaryKind};
 use summary_cache::wire::icp::{DirContent, DirUpdate, IcpMessage};
 
 fn url(i: u32) -> (UrlKey, UrlKey) {
@@ -20,9 +20,7 @@ fn url(i: u32) -> (UrlKey, UrlKey) {
 /// receiver below does not check seqs; the router's lanes number the
 /// live protocol's datagrams.
 fn encode_publish(summary: &ProxySummary, full: bool, flips: Vec<summary_cache::bloom::Flip>) -> Vec<Vec<u8>> {
-    let SummarySnapshot::Bloom { spec, bits } = summary.snapshot_published() else {
-        panic!("bloom summaries only");
-    };
+    let (spec, bits) = summary.bloom().expect("bloom summaries only");
     let mk = |seq: u32, content| {
         IcpMessage::DirUpdate {
             request_number: 1,

@@ -298,7 +298,7 @@ fn pinned_two_level_hierarchy() {
 /// the windows, every opcode row, p90/max latency and the per-window
 /// stale/live pairs. `ScenarioReport` has no float field, so its
 /// `{:?}` is deterministic.
-const FULL_REPORTS_MD5: &str = "8f10068c65707302db0b17472cf68a09";
+const FULL_REPORTS_MD5: &str = "20cea81492308d8a54052287f70887e3";
 
 /// The run-level counts of a scenario run that its [`SimReport`] keeps:
 /// convergence, settle steps, bytes on the wire, drops, resyncs,
