@@ -4,10 +4,11 @@
 //!
 //! Run via `scripts/bench.sh`, which sets `SC_BENCH_MS` for a real
 //! measurement window and `SC_BENCH_JSON` to write the tracked
-//! `BENCH_hotpath.json` at the repo root. Under plain `cargo test` the
-//! suite runs with a tiny window and writes no file.
+//! `BENCH_hotpath.json` at the repo root. Run alone (`cargo bench`) the
+//! suite uses a small window and writes no file.
 
-// A timing harness: it reads the wall clock by design.
+// A timing harness: it reads the wall clock and `SC_BENCH_JSON` by
+// design.
 #![allow(clippy::disallowed_methods)]
 
 use sc_bloom::{BloomFilter, FilterConfig, Flip};

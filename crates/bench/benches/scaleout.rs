@@ -23,6 +23,9 @@
 //! Run via `scripts/bench.sh`, which sets `SC_BENCH_JSON` to write the
 //! tracked `BENCH_scaleout.json` at the repo root.
 
+// A harness: it reads `SC_BENCH_JSON` by design.
+#![allow(clippy::disallowed_methods)]
+
 use sc_bloom::{compress, BitVec, HashSpec};
 use sc_json::Value;
 use sc_proxy::simnet::{Sim, SimConfig, SimReport};

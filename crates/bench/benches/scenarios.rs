@@ -10,7 +10,8 @@
 //! `BENCH_scenarios.json` at the repo root. The ruler numbers are
 //! deterministic; only the ns/request timing varies between hosts.
 
-// A timing harness: it reads the wall clock by design.
+// A timing harness: it reads the wall clock and `SC_BENCH_JSON` by
+// design.
 #![allow(clippy::disallowed_methods)]
 
 use sc_json::Value;

@@ -19,10 +19,16 @@ use std::path::PathBuf;
 
 pub mod replay;
 
+/// A harness knob from the environment: the one place this library
+/// reads it (`crates/clippy.toml` bans `std::env::var` elsewhere).
+#[allow(clippy::disallowed_methods)]
+fn knob(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Trace scale divisor from `SC_SCALE`.
 pub fn scale() -> usize {
-    std::env::var("SC_SCALE")
-        .ok()
+    knob("SC_SCALE")
         .and_then(|v| v.parse().ok())
         .filter(|&s| s >= 1)
         .unwrap_or(1)
@@ -30,8 +36,7 @@ pub fn scale() -> usize {
 
 /// Origin delay for live experiments, from `SC_ORIGIN_DELAY_MS`.
 pub fn origin_delay_ms() -> u64 {
-    std::env::var("SC_ORIGIN_DELAY_MS")
-        .ok()
+    knob("SC_ORIGIN_DELAY_MS")
         .and_then(|v| v.parse().ok())
         .unwrap_or(100)
 }
@@ -53,7 +58,7 @@ pub fn load_trace(p: &TraceProfile) -> Trace {
 
 /// Where results land.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("SC_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    let dir = knob("SC_RESULTS_DIR").unwrap_or_else(|| "results".into());
     let p = PathBuf::from(dir);
     let _ = std::fs::create_dir_all(&p);
     p

@@ -68,12 +68,6 @@ impl BitVec {
         true
     }
 
-    /// Reset every bit to zero, keeping the length.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.ones = 0;
-    }
-
     /// Iterate over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
@@ -180,15 +174,6 @@ mod tests {
         assert_eq!(a.diff_indices(&b), vec![1, 99]);
         assert_eq!(b.diff_indices(&a), vec![1, 99]);
         assert!(a.diff_indices(&a).is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut v = BitVec::new(66);
-        v.set(65, true);
-        v.clear();
-        assert_eq!(v.count_ones(), 0);
-        assert!(!v.get(65));
     }
 
     #[test]

@@ -164,6 +164,25 @@ mod tests {
         );
     }
 
+    /// The cost side of the paper's "less than optimal k" tradeoff, in
+    /// MD5 blocks rather than a timing: with 32-bit functions one digest
+    /// yields 4 indices, so k = 4 derives from the key's own digest and
+    /// the optimal k = 11 (load factor 16) needs MD5(url‖url) and
+    /// MD5(url‖url‖url) on top, 2 + 3 blocks for a 42-byte URL.
+    #[test]
+    fn index_derivation_md5_blocks_at_k4_and_k11() {
+        let url = b"http://server-123.trace.invalid/doc/456789";
+        let blocks = |k| {
+            let spec = HashSpec::paper_default(k, 1 << 20).unwrap();
+            let key = UrlKey::new(url);
+            let before = sc_md5::blocks_hashed();
+            key.with_indices(&spec, |idx| assert_eq!(idx.len(), usize::from(k)));
+            sc_md5::blocks_hashed() - before
+        };
+        assert_eq!(blocks(4), 0, "k = 4 reuses the key's digest");
+        assert_eq!(blocks(11), 5, "k = 11 adds two overflow digests");
+    }
+
     #[test]
     fn reset_behaves_like_a_fresh_key() {
         let spec = HashSpec::paper_default(4, 1 << 12).unwrap();

@@ -56,6 +56,7 @@ mod tests {
     use super::*;
     use crate::web::tests::{filled, meta};
     use crate::{DocMeta, Lookup, WebCache, MAX_CACHEABLE_BYTES};
+    use sc_util::mix64;
     use sc_util::prop::{check, vec_of};
 
     #[test]
@@ -192,22 +193,14 @@ mod tests {
         });
     }
 
-    /// splitmix64's finaliser over `h ^ x`: the fixed mixer the pin
-    /// folds every outcome through.
-    fn mix(h: u64, x: u64) -> u64 {
-        let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Pins which documents each policy evicts, and when. A seeded 200
     /// k-op stream — lookup (storing on a miss or stale hit), store,
     /// remove, touch — runs over 50 k keys (80 % of picks from the
     /// hottest 500) with 1–8192 B documents in 3 versions and a 256 KiB
-    /// cache; every `Lookup`, victim key and outcome is mixed into one
-    /// u64. The constants were recorded from the intrusive-list LRU
-    /// store and the BTreeMap-indexed policy store this one replaced.
+    /// cache; every `Lookup`, victim key and outcome is folded into one
+    /// u64 through `mix64(h ^ x)`. The constants were recorded from the
+    /// intrusive-list LRU store and the BTreeMap-indexed policy store
+    /// this one replaced.
     #[test]
     fn victim_stream_is_pinned_for_every_policy() {
         let pins = [
@@ -224,26 +217,28 @@ mod tests {
                 let hot = rng.gen_bool(0.8);
                 let key = rng.gen_range(0..if hot { 500u64 } else { 50_000 });
                 let version = if rng.gen_bool(0.9) { 0 } else { rng.gen_range(1..3u64) };
-                let doc = DocMeta { size: 1 + mix(key, version) % 8192, last_modified: version };
+                let doc = DocMeta { size: 1 + mix64(key ^ version) % 8192, last_modified: version };
                 let stored = match rng.gen_range(0..10u32) {
                     0..=5 => {
                         let l = c.lookup(&key, doc);
-                        h = mix(h, l as u64);
+                        h = mix64(h ^ l as u64);
                         (l != Lookup::Hit).then(|| c.store(key, doc))
                     }
                     6 | 7 => Some(c.store(key, doc)),
                     8 => {
-                        h = mix(h, 10 + c.remove(&key) as u64);
+                        h = mix64(h ^ (10 + c.remove(&key) as u64));
                         None
                     }
                     _ => {
-                        h = mix(h, 20 + c.touch(&key) as u64);
+                        h = mix64(h ^ (20 + c.touch(&key) as u64));
                         None
                     }
                 };
                 h = match stored {
-                    Some(Some(v)) => v.iter().fold(mix(h, 30 + v.len() as u64), |h, &k| mix(h, k)),
-                    Some(None) => mix(h, u64::MAX),
+                    Some(Some(v)) => {
+                        v.iter().fold(mix64(h ^ (30 + v.len() as u64)), |h, &k| mix64(h ^ k))
+                    }
+                    Some(None) => mix64(h ^ u64::MAX),
                     None => h,
                 };
             }

@@ -32,8 +32,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// An immutable view of every installed peer replica, in configured
 /// peer order (which [`candidates_key_into`](ReplicaSnapshot::candidates_key_into)
-/// preserves, matching the router's own probe order), plus the peers
-/// not currently marked failed.
+/// preserves), plus the peers not currently marked failed.
 #[derive(Debug, Default)]
 pub struct ReplicaSnapshot {
     peers: Vec<(u32, Arc<BloomFilter>)>,

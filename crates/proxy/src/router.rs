@@ -44,6 +44,7 @@ use crate::machine::{
 };
 use crate::replica::{ReplicaCell, ReplicaSnapshot};
 use sc_bloom::{BitVec, BloomFilter, Flip, HashSpec, UrlKey};
+use sc_util::mix64;
 use sc_wire::icp::{
     DirContent, DirUpdate, IcpMessage, DIRFULL_GR_SEGMENT_LEN, DIRUPDATE_HEADER_LEN, HEADER_LEN,
 };
@@ -67,15 +68,6 @@ thread_local! {
 /// to count its copies — same pattern as [`sc_md5::blocks_hashed`]).
 pub fn cow_copies() -> u64 {
     COW_COPIES.with(|c| c.get())
-}
-
-/// The splitmix64 finalizer — a full-avalanche mix for fanout stagger
-/// slots (deterministic, endian-free, no external state).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One read-only introspection surface over a directory owner — the
@@ -321,10 +313,10 @@ impl Router {
         }
     }
 
-    /// Gather the installed replicas (in configured peer order,
-    /// matching [`Router::candidates_key_into`]'s probe order) and the
-    /// live peers into one immutable snapshot and publish it to the
-    /// cell.
+    /// Gather the installed replicas (in configured peer order, the
+    /// order [`ReplicaSnapshot::candidates_key_into`] probes them in)
+    /// and the live peers into one immutable snapshot and publish it to
+    /// the cell.
     fn publish_replicas(&self) {
         let peers = self
             .peers
@@ -401,20 +393,6 @@ impl Router {
     /// Peers not currently marked failed (what ICP mode queries).
     pub fn live_peers(&self) -> Vec<u32> {
         self.peers.iter().filter(|p| !p.failed).map(|p| p.id).collect()
-    }
-
-    /// Peers whose installed summary replica advertises `url`, in
-    /// configured peer order (peers without a synced replica cannot be
-    /// candidates), into a caller-owned buffer (cleared first; capacity
-    /// reused): the key's memoized index set is derived once and tested
-    /// against every installed replica.
-    pub fn candidates_key_into(&self, url: &UrlKey, out: &mut Vec<u32>) {
-        out.clear();
-        for p in &self.peers {
-            if p.replica.filter.as_ref().is_some_and(|f| f.contains_key(url)) {
-                out.push(p.id);
-            }
-        }
     }
 
     /// Is a replica of `peer` currently installed?

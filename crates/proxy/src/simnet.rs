@@ -115,21 +115,10 @@ pub struct SimConfig {
     pub initial_seq: u32,
 }
 
-/// The `SC_SIM_PEERS` override for [`SimConfig::default`]: how many
-/// proxies the default cluster simulates (the big-N scaling knob; CI's
-/// big-N smoke sets 64). Unset or unparsable means the historical 4.
-fn env_peers() -> usize {
-    std::env::var("SC_SIM_PEERS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            proxies: env_peers(),
+            proxies: 4,
             local_ops: 240,
             horizon_ms: 2_000,
             keepalive_ms: 50,
@@ -476,11 +465,10 @@ impl Sim {
     }
 
     /// Feed one event to `node`'s router through the reusable output
-    /// scratch and dispatch the results. Replica-cell publication is
-    /// never flushed here: the simnet probes candidates through the
-    /// router's replicas directly, so deferring the snapshot forever
-    /// keeps every delta apply copy-free (`Arc::make_mut` always sees a
-    /// uniquely owned filter) without changing a single output.
+    /// scratch and dispatch the results. Replica changes stay pending
+    /// here, as in a daemon batch: the request path flushes them to the
+    /// replica cell right before it probes, so the deltas between two
+    /// requests share one snapshot.
     fn drive(&mut self, node: usize, sender: Option<usize>, ev: Event<'_>) {
         let mut outputs = std::mem::take(&mut self.out_scratch);
         let n = &mut self.nodes[node];
@@ -659,11 +647,14 @@ impl Sim {
                 .push(format!("{}us n{node} req {url} local-hit {latency}us", self.now));
             return;
         }
-        // Digest once; probe the installed replicas through the
-        // memoized key path (the byte path would re-hash per peer).
+        // Digest once and probe the replica snapshot the way a daemon
+        // request thread does: flush the router's pending replica
+        // changes to its cell, then read the cell.
         let key = UrlKey::new(url.as_bytes());
         let mut candidates = Vec::new();
-        self.nodes[node].router.candidates_key_into(&key, &mut candidates);
+        let router = &mut self.nodes[node].router;
+        router.flush_replicas();
+        router.replica_cell().load().candidates_key_into(&key, &mut candidates);
         let (reqnum, requester) = (r.requests as u32, node as u32);
         let query = IcpMessage::Query { request_number: reqnum, requester, url: url.clone() };
         let req = Request { node, url, key, window: w, at: self.now };
@@ -1017,9 +1008,11 @@ impl Default for ScenarioConfig {
 /// even though that peer no longer caches it — the residue a
 /// false-hit storm leaves until the removal deltas propagate. Bloom
 /// false positives can inflate this; run quiescence probes at a
-/// generous load factor (16 keeps the pinned tests FP-free).
+/// generous load factor (16 keeps the pinned tests FP-free). Each
+/// observer is probed the way a daemon request reads it: its router is
+/// flushed and its replica snapshot probed.
 pub fn stale_advertised_pairs(
-    routers: &[Router],
+    routers: &mut [Router],
     dirs: &[HashSet<String>],
     up: &[bool],
     url: &str,
@@ -1027,11 +1020,12 @@ pub fn stale_advertised_pairs(
     let key = UrlKey::new(url.as_bytes());
     let mut candidates = Vec::new();
     let mut stale = 0;
-    for (i, r) in routers.iter().enumerate() {
+    for (i, r) in routers.iter_mut().enumerate() {
         if !up[i] {
             continue;
         }
-        r.candidates_key_into(&key, &mut candidates);
+        r.flush_replicas();
+        r.replica_cell().load().candidates_key_into(&key, &mut candidates);
         for &peer in &candidates {
             let j = peer as usize;
             if up[j] && !dirs[j].contains(url) {
@@ -1205,12 +1199,12 @@ pub fn run_scenario(cfg: ScenarioConfig, seed: u64, scenario: &Scenario) -> Scen
     };
     let up: Vec<bool> = sim.nodes.iter().map(|n| n.up).collect();
     let nodes = std::mem::take(&mut sim.nodes);
-    let (routers, dirs): (Vec<Router>, Vec<HashSet<String>>) =
+    let (mut routers, dirs): (Vec<Router>, Vec<HashSet<String>>) =
         nodes.into_iter().map(|n| (n.router, n.dir)).unzip();
     let stale = scn
         .tracked_evicted
         .iter()
-        .map(|url| stale_advertised_pairs(&routers, &dirs, &up, url))
+        .map(|url| stale_advertised_pairs(&mut routers, &dirs, &up, url))
         .sum();
     let hist = scn.latency.snapshot();
     let report = ScenarioReport {

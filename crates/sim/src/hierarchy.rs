@@ -151,16 +151,22 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
             Lookup::StaleHit => local_stale = true,
             Lookup::Miss => {}
         }
-        let ukey = UrlKey::new(&url_key(req.url));
-        let skey = UrlKey::new(&server_key(req.server));
-        if local_stale {
-            children.purge(home, &ukey, &skey);
-        }
+        // Only the summaries read the keys: without sibling sharing
+        // nothing is digested.
+        let keys = cfg.sibling_sharing.map(|_| {
+            (
+                UrlKey::new(&url_key(req.url)),
+                UrlKey::new(&server_key(req.server)),
+            )
+        });
 
         // Sibling tier (summary-cache style), if enabled.
         let mut served_by_sibling = false;
-        if let Some(sc) = &cfg.sibling_sharing {
-            let candidates = children.candidates(home, &ukey, &skey);
+        if let (Some(sc), Some((ukey, skey))) = (&cfg.sibling_sharing, &keys) {
+            if local_stale {
+                children.purge(home, ukey, skey);
+            }
+            let candidates = children.candidates(home, ukey, skey);
             r_out.sibling_queries += candidates.len() as u64;
             served_by_sibling = candidates
                 .iter()
@@ -189,7 +195,12 @@ pub fn simulate_hierarchy(trace: &Trace, cfg: &HierarchyConfig) -> HierarchyResu
         }
 
         // Either way, the child caches the document.
-        children.store(home, req, &ukey, &skey);
+        match &keys {
+            Some((ukey, skey)) => children.store(home, req, ukey, skey),
+            None => {
+                children.caches[home].store(req.url, meta);
+            }
+        }
     }
     r_out
 }

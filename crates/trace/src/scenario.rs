@@ -29,7 +29,7 @@
 
 use crate::model::{render_url, Request, Trace, UrlId};
 use crate::sampler::Zipf;
-use sc_util::Rng;
+use sc_util::{mix64, Rng};
 
 /// Virtual-time stamp in microseconds from scenario start (the simnet
 /// clock domain).
@@ -153,16 +153,6 @@ impl Scenario {
 /// trace-level runs sees heterogeneous (but reproducible) sizes.
 pub fn doc_size(url: UrlId) -> u64 {
     1024 + (mix64(url) % (63 * 1024))
-}
-
-/// SplitMix64 finalizer — the same bit mixer the router uses for
-/// fanout slots; here it decorrelates per-phase rng seeds and document
-/// sizes from raw ids.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A workload component. Phases append events to the shared schedule;

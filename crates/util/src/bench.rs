@@ -3,8 +3,8 @@
 //! Replaces `criterion` for the workspace's `harness = false` bench
 //! targets. Each benchmark is warmed up, then timed over enough
 //! iterations to fill a small measurement window; the harness prints
-//! ns/op and ops/s. `cargo test` also executes bench binaries, so the
-//! default window is deliberately tiny; set `SC_BENCH_MS` for real runs.
+//! ns/op and ops/s. The default window is a quick smoke run;
+//! `scripts/bench.sh` sets `SC_BENCH_MS` for the tracked rows.
 
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
@@ -17,7 +17,7 @@ pub fn black_box<T>(x: T) -> T {
 }
 
 /// Measurement window per benchmark in milliseconds (`SC_BENCH_MS`,
-/// default 20 — small because `cargo test` runs bench binaries too).
+/// default 20, a quick smoke run).
 pub fn window_ms() -> u64 {
     std::env::var("SC_BENCH_MS")
         .ok()
@@ -76,67 +76,6 @@ impl Bench {
             format_sig(ns_per_op),
             format_sig(ops_per_s),
             iters
-        );
-        ns_per_op
-    }
-
-    /// Like [`bench`](Self::bench), but splits the measurement window
-    /// into `parts` sub-windows and reports the **fastest** one.
-    /// Timing noise on a shared box is strictly additive (preemption,
-    /// frequency dips, cache pollution from neighbours), so the
-    /// minimum of several short windows estimates the true cost far
-    /// more stably than one long mean — use this for tracked rows that
-    /// gate CI.
-    pub fn bench_min<F: FnMut()>(&mut self, name: &str, parts: u32, mut f: F) -> f64 {
-        let parts = parts.max(1);
-        let warm_budget = self.window_ms.max(4) / 4;
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed().as_millis() < warm_budget as u128 {
-            f();
-            warm_iters += 1;
-        }
-
-        let batch = (warm_iters / u64::from(parts)).clamp(1, 1 << 20);
-        let sub_ms = (self.window_ms / u64::from(parts)).max(1);
-        let mut best = f64::INFINITY;
-        let mut total_iters: u64 = 0;
-        for _ in 0..parts {
-            let start = Instant::now();
-            let mut iters: u64 = 0;
-            loop {
-                for _ in 0..batch {
-                    f();
-                }
-                iters += batch;
-                if start.elapsed().as_millis() >= sub_ms as u128 {
-                    break;
-                }
-            }
-            let ns_per_op = start.elapsed().as_nanos() as f64 / iters as f64;
-            best = best.min(ns_per_op);
-            total_iters += iters;
-        }
-        let ops_per_s = if best > 0.0 { 1e9 / best } else { f64::INFINITY };
-        println!(
-            "{:<40} {:>14} ns/op {:>16} ops/s  ({} iters, best of {parts})",
-            format!("{}/{}", self.suite, name),
-            format_sig(best),
-            format_sig(ops_per_s),
-            total_iters
-        );
-        best
-    }
-
-    /// Time `f` over `items`-sized batches and report throughput in
-    /// items/s as well (for byte- or element-oriented benchmarks).
-    pub fn bench_throughput<F: FnMut()>(&mut self, name: &str, items: u64, f: F) -> f64 {
-        let ns_per_op = self.bench(name, f);
-        let per_item = ns_per_op / items as f64;
-        println!(
-            "{:<40} {:>14} ns/item over {items} items",
-            format!("{}/{}", self.suite, name),
-            format_sig(per_item)
         );
         ns_per_op
     }

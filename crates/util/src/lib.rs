@@ -31,4 +31,4 @@ pub mod poll;
 pub mod prop;
 pub mod rng;
 
-pub use rng::Rng;
+pub use rng::{mix64, Rng};

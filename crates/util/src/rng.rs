@@ -17,12 +17,23 @@ pub struct Rng {
     s1: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64's output function: `x` plus the golden-ratio increment,
+/// then a full-avalanche finalizer. Deterministic and endian-free; the
+/// router's fanout stagger slots, the scenario engine's per-phase seeds
+/// and document sizes, and [`Rng`] seeding all mix through it.
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    let z = mix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    z
 }
 
 impl Rng {

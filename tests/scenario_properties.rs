@@ -359,7 +359,7 @@ fn storm_quiesces_with_every_stale_advertisement_cleared() {
     cfg.sim.delay_us = (200, 2_000);
     cfg.sim.load_factor = 16;
     cfg.sim.cache_docs = 512;
-    let out = run_scenario(cfg, seed, &scenario);
+    let mut out = run_scenario(cfg, seed, &scenario);
     let r = &out.report;
     assert!(out.sim.converged, "quiet storm must settle:\n{r:#?}");
     assert!(r.evictions > 0, "the storm evicted nothing:\n{r:#?}");
@@ -380,7 +380,7 @@ fn storm_quiesces_with_every_stale_advertisement_cleared() {
     assert!(!evicted.is_empty(), "the storm scenario must script evictions");
     for url in &evicted {
         assert_eq!(
-            stale_advertised_pairs(&out.routers, &out.dirs, &out.up, url),
+            stale_advertised_pairs(&mut out.routers, &out.dirs, &out.up, url),
             0,
             "{url} still advertised by a replica after settle"
         );
@@ -392,6 +392,9 @@ fn storm_quiesces_with_every_stale_advertisement_cleared() {
 /// staleness counter must agree with an independent recount.
 fn check_sweep_seed(name: &str, seed: u64) {
     let mut cfg = ScenarioConfig::default();
+    if let Some(n) = env_u64("SC_SIM_PEERS").filter(|&n| n > 0) {
+        cfg.sim.proxies = n as usize;
+    }
     if cfg.sim.proxies >= 16 {
         // At big N the 50 ms heartbeat is pure datagram volume over a
         // 2 s horizon; a 200 ms cadence keeps the sweep affordable
@@ -402,7 +405,7 @@ fn check_sweep_seed(name: &str, seed: u64) {
     let nodes = cfg.sim.proxies as u32;
     let scenario = scenario::by_name(name, nodes, seed)
         .unwrap_or_else(|| panic!("unknown scenario {name}"));
-    let out = run_scenario(cfg, seed, &scenario);
+    let mut out = run_scenario(cfg, seed, &scenario);
     let r = &out.report;
     assert!(
         out.sim.converged,
@@ -427,7 +430,7 @@ fn check_sweep_seed(name: &str, seed: u64) {
         })
         .collect::<BTreeSet<String>>()
         .iter()
-        .map(|url| stale_advertised_pairs(&out.routers, &out.dirs, &out.up, url))
+        .map(|url| stale_advertised_pairs(&mut out.routers, &out.dirs, &out.up, url))
         .sum();
     assert_eq!(
         recount, r.stale_advertised_after_settle,

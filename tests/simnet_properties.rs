@@ -12,6 +12,8 @@
 //!   as printed by a failing run;
 //! * `SC_SIM_SEEDS=1000` — sweep that many seeds instead of the
 //!   default 200 (what `scripts/check.sh --soak` does);
+//! * `SC_SIM_PEERS=64` — cluster size for the soak and the determinism
+//!   checks (default 4; `scripts/ci.sh`'s big-N smoke sets 64);
 //! * `SC_SIM_FORCE_FAIL=<seed>` — make that seed fail artificially, to
 //!   demonstrate the printed repro line.
 
@@ -34,6 +36,15 @@ fn env_u64(name: &str) -> Option<u64> {
     }
 }
 
+/// The default cluster, resized by `SC_SIM_PEERS` when it is set.
+fn sim_config() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    if let Some(n) = env_u64("SC_SIM_PEERS").filter(|&n| n > 0) {
+        cfg.proxies = n as usize;
+    }
+    cfg
+}
+
 /// Run one seed and assert every acceptance property. Panics (inside
 /// the caller's catch_unwind) on any violation; the safety invariants
 /// (install-from-bitmap-only, exactly-one-DIRREQ-per-gap) are asserted
@@ -42,7 +53,7 @@ fn check_seed(seed: u64) {
     if env_u64("SC_SIM_FORCE_FAIL") == Some(seed) {
         panic!("forced failure requested via SC_SIM_FORCE_FAIL");
     }
-    let report = Sim::new(SimConfig::default(), seed).run();
+    let report = Sim::new(sim_config(), seed).run();
     assert!(
         report.converged,
         "cluster did not converge bit-for-bit within the settle budget \
@@ -83,8 +94,8 @@ fn seeded_soak() {
 #[test]
 fn same_seed_produces_identical_journal() {
     for seed in [0u64, 3, 17, 0xDEAD] {
-        let a = Sim::new(SimConfig::default(), seed).run();
-        let b = Sim::new(SimConfig::default(), seed).run();
+        let a = Sim::new(sim_config(), seed).run();
+        let b = Sim::new(sim_config(), seed).run();
         assert_eq!(
             a.events_processed, b.events_processed,
             "seed {seed:#x}: event counts diverged"
@@ -100,8 +111,8 @@ fn same_seed_produces_identical_journal() {
 /// re-running one schedule 200 times).
 #[test]
 fn different_seeds_produce_different_schedules() {
-    let a = Sim::new(SimConfig::default(), 1).run();
-    let b = Sim::new(SimConfig::default(), 2).run();
+    let a = Sim::new(sim_config(), 1).run();
+    let b = Sim::new(sim_config(), 2).run();
     assert_ne!(a.journal, b.journal);
 }
 
